@@ -131,10 +131,7 @@ ModeResult run_mode(Mode mode, const BenchConfig& cfg,
   core::AsyncOptions aopts;
   aopts.bucket_bytes = cfg.bucket_bytes;
   aopts.overlap = mode != Mode::kInline;
-  if (mode == Mode::kDag) {
-    aopts.comm_lanes = 2;
-    aopts.ordered_launch = true;
-  }
+  if (mode == Mode::kDag) aopts.comm_lanes = 2;
   core::AsyncGradientEngine engine(
       std::make_unique<core::CgxEngine>(
           layout, core::CompressionConfig::cgx_default(), cfg.world),

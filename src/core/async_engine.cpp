@@ -1,21 +1,15 @@
 #include "core/async_engine.h"
 
 #include <algorithm>
+#include <utility>
 
-#include "comm/fault.h"
 #include "comm/tagspace.h"
-#include "tensor/tensor_ops.h"
 #include "util/arena.h"
 #include "util/check.h"
 #include "util/numa.h"
 
 namespace cgx::core {
 namespace {
-
-// Rollback copy of a bucket's slices for per-bucket round retries. Engine
-// convention: compressed collectives own slots 0..2+world, engines use 16+
-// (see compressed_allreduce.cpp / engine.cpp).
-constexpr std::size_t kSlotBucketSnapshot = 18;
 
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -73,22 +67,18 @@ AsyncGradientEngine::AsyncGradientEngine(std::unique_ptr<CgxEngine> inner,
       options_(options),
       comm_barrier_(static_cast<std::size_t>(inner_->world_size())),
       ranks_(static_cast<std::size_t>(inner_->world_size())) {
-  CGX_CHECK(inner_->options().fuse_filtered_layers)
-      << "streaming bucketed engine requires the fused filtered packet";
   plan_ = build_bucket_plan(inner_->layout(), inner_->resolved(),
                             options_.bucket_bytes);
-  pipeline_enabled_ = options_.pipeline && options_.overlap &&
-                      inner_->supports_split() &&
-                      inner_->options().max_round_retries <= 0;
+  // Pipelining needs comm threads; retries turn it off because recovery
+  // resets inbound channels, which would eat the pipelined bucket's frames.
+  pipeline_enabled_ =
+      options_.overlap && inner_->options().max_round_retries <= 0;
   // Retries force a single lane: recover_world's comm barrier assumes one
   // comm thread per rank. Inline mode has no comm threads at all.
   lanes_ = std::clamp(options_.comm_lanes, 1, comm::kMaxCommLanes);
   if (!options_.overlap || inner_->options().max_round_retries > 0) {
     lanes_ = 1;
   }
-  // Multiple lanes only stay deadlock-free if every rank feeds each lane
-  // the same bucket sequence; canonical-order release guarantees that.
-  ordered_ = options_.ordered_launch || lanes_ > 1;
   build_lane_map();
   resize_rank_state();
   if (options_.overlap) {
@@ -162,7 +152,6 @@ void AsyncGradientEngine::rebuild() {
 void AsyncGradientEngine::build_lane_map() {
   const std::size_t total = plan_.total_submissions();
   lane_of_.assign(total, 0);
-  if (lanes_ <= 1) return;  // single lane: everything rides lane 0, as ever
   // Greedy byte-balancing over POST-compression wire estimates: each
   // submission (plan order) goes to the least-loaded lane, ties to the
   // lowest id. Counting bytes rather than buckets matters once the
@@ -276,10 +265,6 @@ void AsyncGradientEngine::notify_layer_ready(int rank, std::size_t layer) {
   std::uint32_t& rem = st.remaining[static_cast<std::size_t>(b)];
   CGX_CHECK_GT(rem, 0u);
   if (--rem != 0) return;
-  if (!ordered_) {
-    submit_locked(st, static_cast<std::uint32_t>(b));
-    return;
-  }
   // Canonical-order release: hold the completed submission until every
   // lower plan index went out, then drain the frontier. Every rank
   // therefore feeds each lane the identical bucket sequence regardless of
@@ -380,7 +365,6 @@ void AsyncGradientEngine::begin_bucket_timed(RankState& st, Lane& lane,
   inner_->bucket_begin(comm, st.fused, b.layers, st.bucket_rngs[bucket],
                        b.tag_base, ws);
   lane.compress_s += seconds_since(t0);
-  st.begun[bucket] = 1;
 }
 
 void AsyncGradientEngine::try_begin_next(RankState& st, Lane& lane,
@@ -399,6 +383,7 @@ void AsyncGradientEngine::try_begin_next(RankState& st, Lane& lane,
   if (st.begun[bucket]) return;
   begin_bucket_timed(st, lane, comm, bucket,
                      lane.arenas[(token >> 8) & 1u]);
+  st.begun[bucket] = 1;
 }
 
 void AsyncGradientEngine::run_compressed(RankState& st, Lane& lane,
@@ -406,122 +391,30 @@ void AsyncGradientEngine::run_compressed(RankState& st, Lane& lane,
                                          std::size_t bucket,
                                          CollectiveWorkspace& ws) {
   const BucketPlan::Bucket& b = plan_.buckets[bucket];
-  const EngineOptions& eopts = inner_->options();
-  StepReport& report = st.report;
   util::Rng& rng = st.bucket_rngs[bucket];
-  const std::uint64_t round =
-      st.rounds.fetch_add(1, std::memory_order_relaxed);
-
-  if (eopts.max_round_retries <= 0) {
-    {
-      std::lock_guard<std::mutex> lock(st.report_mutex);
-      ++report.attempts;
-    }
-    try {
-      if (!st.begun[bucket]) begin_bucket_timed(st, lane, comm, bucket, ws);
-      if (pipeline_enabled_) try_begin_next(st, lane, comm);
-      inner_->bucket_finish(comm, st.fused, b.layers, rng, b.tag_base, ws);
-    } catch (const comm::CommError& e) {
-      std::lock_guard<std::mutex> lock(st.report_mutex);
-      report.ok = false;
-      report.incidents.push_back(
-          StepReport::Incident{e.src, e.dst, e.tag, e.what()});
-      throw;
-    }
-    return;
-  }
-
-  // Retry path (pipelining is off, lanes_ == 1 so no report contention —
-  // the locks below are uncontended belt-and-braces): a failed attempt
-  // leaves the bucket's slices partially reduced, so roll back from a
-  // pre-attempt snapshot.
-  const tensor::LayerLayout& layout = inner_->layout();
-  const std::span<float> snapshot = ws.floats(kSlotBucketSnapshot, b.numel);
-  std::size_t off = 0;
-  for (std::size_t l : b.layers) {
-    const auto slice = layout.slice(std::span<const float>(st.fused), l);
-    tensor::copy(slice, snapshot.subspan(off, slice.size()));
-    off += slice.size();
-  }
-  for (int attempt = 0;; ++attempt) {
-    {
-      std::lock_guard<std::mutex> lock(st.report_mutex);
-      ++report.attempts;
-    }
-    try {
-      if (eopts.injector != nullptr &&
-          eopts.injector->round_fails(round, attempt)) {
-        throw comm::TimeoutError(-1, comm.rank(), -1,
-                                 std::chrono::milliseconds{0},
-                                 "synthetic bucket-round failure "
-                                 "(fault harness)");
-      }
-      if (!st.begun[bucket]) begin_bucket_timed(st, lane, comm, bucket, ws);
-      inner_->bucket_finish(comm, st.fused, b.layers, rng, b.tag_base, ws);
-      return;
-    } catch (const comm::CommError& e) {
-      {
-        std::lock_guard<std::mutex> lock(st.report_mutex);
-        report.incidents.push_back(
-            StepReport::Incident{e.src, e.dst, e.tag, e.what()});
-      }
-      st.begun[bucket] = 0;
-      if (attempt >= eopts.max_round_retries) {
-        std::lock_guard<std::mutex> lock(st.report_mutex);
-        report.ok = false;
-        throw;
-      }
-      {
-        std::lock_guard<std::mutex> lock(st.report_mutex);
-        ++report.retries;
-      }
-      inner_->reshard_world(comm);
-      off = 0;
-      for (std::size_t l : b.layers) {
-        auto slice = layout.slice(st.fused, l);
-        tensor::copy(snapshot.subspan(off, slice.size()), slice);
-        off += slice.size();
-      }
-    }
-  }
+  inner_->run_round(
+      comm, st.fused, b.layers,
+      st.rounds.fetch_add(1, std::memory_order_relaxed), ws, st.report,
+      &st.report_mutex, [&] {
+        // A pipelined begin is consumed once; a retried attempt (which
+        // rolled the slices back) runs its own begin half.
+        if (!std::exchange(st.begun[bucket], std::uint8_t{0})) {
+          begin_bucket_timed(st, lane, comm, bucket, ws);
+        }
+        if (pipeline_enabled_ && inner_->begin_never_blocks(comm.rank())) {
+          try_begin_next(st, lane, comm);
+        }
+        inner_->bucket_finish(comm, st.fused, b.layers, rng, b.tag_base, ws);
+      });
 }
 
 void AsyncGradientEngine::run_packet(RankState& st, comm::Comm& comm) {
-  const EngineOptions& eopts = inner_->options();
-  StepReport& report = st.report;
-  const std::uint64_t round =
-      st.rounds.fetch_add(1, std::memory_order_relaxed);
-  for (int attempt = 0;; ++attempt) {
-    {
-      std::lock_guard<std::mutex> lock(st.report_mutex);
-      ++report.attempts;
-    }
-    try {
-      if (eopts.max_round_retries > 0 && eopts.injector != nullptr &&
-          eopts.injector->round_fails(round, attempt)) {
-        throw comm::TimeoutError(-1, comm.rank(), -1,
-                                 std::chrono::milliseconds{0},
-                                 "synthetic bucket-round failure "
-                                 "(fault harness)");
-      }
-      inner_->packet_allreduce(comm, st.fused, st.packet_ws);
-      return;
-    } catch (const comm::CommError& e) {
-      std::unique_lock<std::mutex> lock(st.report_mutex);
-      report.incidents.push_back(
-          StepReport::Incident{e.src, e.dst, e.tag, e.what()});
-      if (eopts.max_round_retries <= 0 ||
-          attempt >= eopts.max_round_retries) {
-        report.ok = false;
-        throw;
-      }
-      ++report.retries;
-      lock.unlock();
-      inner_->reshard_world(comm);
-      // No rollback needed: the packet gathers from `fused` afresh each
-      // attempt and scatters back only after the collective succeeded.
-    }
-  }
+  // No rollback region: the packet gathers from `fused` afresh on every
+  // attempt and scatters back only after its collective succeeded.
+  inner_->run_round(
+      comm, st.fused, {}, st.rounds.fetch_add(1, std::memory_order_relaxed),
+      st.packet_ws, st.report, &st.report_mutex,
+      [&] { inner_->packet_allreduce(comm, st.fused, st.packet_ws); });
 }
 
 void AsyncGradientEngine::wait_all(int rank) {

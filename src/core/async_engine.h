@@ -4,52 +4,56 @@
 // CGX's end-to-end wins (paper §4, Fig. 3) depend on communicating layers
 // in reverse order as their gradients become ready, so compression and
 // transfer hide behind the still-running backward compute. This facade
-// adds that streaming path on top of a CgxEngine:
+// streams a CgxEngine's step through the same bucket entry points its
+// monolithic allreduce uses:
 //
 //   * A deterministic size-threshold fusion plan (BucketPlan) groups the
 //     engine's compressed layers — walked in gradient PRODUCTION order,
 //     i.e. reverse layout order — into buckets of ~bucket_bytes raw
 //     gradient each. Filtered full-precision layers keep their fused
-//     packet, which ships as one pseudo-bucket once its last gradient
-//     materialises.
+//     packet, which ships as the last submission.
+//   * notify_layer_ready() counts each bucket down and may be called
+//     concurrently (a DAG-scheduled backward fires hooks from pool
+//     workers; a producer-side mutex serialises the countdowns). Completed
+//     buckets are held in a release frontier and submitted in canonical
+//     plan order (bucket 0, 1, …, packet), so every lane sees the same
+//     bucket order on every rank even when per-rank completion order is
+//     nondeterministic — which is what keeps the blocking collectives
+//     deadlock-free.
 //   * Each rank owns comm_lanes comm threads (lanes), each fed by its own
 //     lock-free single-producer/single-consumer ready queue. Submissions
 //     ride the lanes of a FIXED byte-balanced lane map (build_lane_map():
 //     greedy least-loaded over post-compression wire-byte estimates, a
-//     pure function of the shared plan so all ranks agree) on the bucket's
-//     own tag range (comm/tagspace.h, per-bucket disjointness doubles as
-//     per-lane isolation), so on a latency-bound fabric independent
-//     buckets drain in parallel while backward keeps producing gradients.
-//   * notify_layer_ready() may be called concurrently (a DAG-scheduled
-//     backward fires hooks from pool workers); a producer-side mutex
-//     serialises the countdowns. With ordered_launch, completed buckets
-//     are held in a release frontier and submitted in canonical plan
-//     order — each lane then sees the same bucket order on every rank
-//     even though per-rank completion order is nondeterministic, which is
-//     what keeps blocking collectives deadlock-free under the executor.
+//     pure function of the shared plan so all ranks agree; all zeros for
+//     one lane) on the bucket's own tag range (comm/tagspace.h), so on a
+//     latency-bound fabric independent buckets drain in parallel. With
+//     overlap off there are no comm threads: every submission runs inline
+//     on the training thread.
 //   * Within a lane, buckets alternate between two grow-only
-//     CollectiveWorkspace arenas, so with pipelining the round-1
-//     compression of the lane's next bucket (SRA's non-blocking begin
-//     half) overlaps the drain of its current one.
+//     CollectiveWorkspace arenas, so the begin half of the lane's next
+//     bucket (SRA's round-1 compression and sends) overlaps the drain of
+//     its current one. This pipelining is on whenever there are comm
+//     threads, rounds are not retried and the rank's begin half cannot
+//     block (CgxEngine::begin_never_blocks).
 //   * wait_all() joins the step before the optimizer runs and fills the
 //     StepReport's per-phase Timing (compute / compress / comm / EXPOSED
 //     comm) plus per-bucket launch/finish timestamps and the derived
 //     exposed_comm_pct.
 //
 // Determinism: results are bit-identical between overlap=true and
-// overlap=false, across ranks, across comm_lanes counts, and between
-// ordered and legacy launch — because the bucket assignment is a pure
-// function of layout+policy, every bucket folds in fixed rank order inside
-// the collectives, and each bucket draws from its own RNG stream
-// (rng.split(bucket) after one parent advance per step) — so the thread
-// interleaving can only change WHEN work happens, never what it computes.
+// overlap=false, across ranks and across comm_lanes counts — because the
+// bucket assignment is a pure function of layout+policy, every bucket
+// folds in fixed rank order inside the collectives, and each bucket draws
+// from its own RNG stream (rng.split(bucket) after one parent advance per
+// step) — so the thread interleaving can only change WHEN work happens,
+// never what it computes.
 //
-// Fault composition (PR 3): per-bucket round retries reuse the engine's
-// recover_world protocol over the facade's own comm-thread barrier;
-// pipelining is disabled when retries are on, because recovery resets
-// inbound channels and would drop the next bucket's in-flight frames.
-// Retries also force comm_lanes = 1: recovery's world-sized comm barrier
-// assumes exactly one comm thread per rank.
+// Faults: every bucket and the packet ride CgxEngine::run_round, the same
+// retry ladder as the monolithic step, over the facade's own comm-thread
+// barrier. Retries turn pipelining off (recovery resets inbound channels
+// and would drop the next bucket's in-flight frames) and force
+// comm_lanes = 1 (recovery's world-sized comm barrier assumes exactly one
+// comm thread per rank).
 #pragma once
 
 #include <atomic>
@@ -69,34 +73,17 @@ struct AsyncOptions {
   // Fusion threshold over RAW (FP32) gradient bytes: a bucket closes once
   // it holds at least this much. DDP-style ~4 MiB default.
   std::size_t bucket_bytes = std::size_t{4} << 20;
-  // false = run every bucket inline at submission on the training thread,
-  // in the exact submission order — the bit-identical synchronous
-  // comparator the equivalence suite diffs against.
+  // false = no comm threads: every bucket runs inline at submission on
+  // the training thread — the bit-identical synchronous comparator the
+  // equivalence suite diffs against.
   bool overlap = true;
-  // Start the lane's next bucket's SRA round-1 compression before its
-  // current bucket finished draining (double-buffered arenas).
-  // Auto-disabled when the inner engine's max_round_retries > 0 —
-  // recovery resets inbound channels, which would eat the pipelined
-  // bucket's frames.
-  bool pipeline = true;
   // Comm threads per rank. Submissions are spread over the lanes by a
   // byte-balanced map (estimated post-compression wire bytes, not bucket
   // counts — a top-k bucket costs far less lane time than an 8-bit one);
   // with a latency-bound transport, lanes drain independent buckets in
   // parallel. Clamped to comm::kMaxCommLanes; forced to 1 when overlap is
-  // off or the inner engine retries rounds. comm_lanes > 1 implies
-  // ordered_launch (per-lane submission order must match across ranks).
+  // off or the inner engine retries rounds.
   int comm_lanes = 1;
-  // Release completed buckets to the lanes in canonical plan order
-  // (bucket 0, 1, …, packet) instead of completion-arrival order. A
-  // DAG-scheduled backward completes buckets in a nondeterministic
-  // per-rank order; submitting in that order would deadlock blocking
-  // collectives across ranks. The frontier holds a completed bucket until
-  // every lower-indexed submission has been released, making each lane's
-  // order an identical subsequence on every rank. Off by default: the
-  // legacy submit-at-notify path is preserved bit-for-bit (fault tests
-  // key on round processing order).
-  bool ordered_launch = false;
 };
 
 // Deterministic fusion plan over a LayerLayout + resolved policy. Buckets
@@ -127,15 +114,13 @@ BucketPlan build_bucket_plan(const tensor::LayerLayout& layout,
 
 class AsyncGradientEngine final : public GradientEngine {
  public:
-  // Takes ownership of the inner engine. Requires fuse_filtered_layers —
-  // the streaming plan covers every layer either via a compressed bucket
-  // or via the packet. Two-level mode (node_of set) streams too: each
-  // bucket runs hierarchical_begin/finish on its own tag lane, and with
-  // pipelining the NEXT bucket's intra-node fold overlaps the current
-  // bucket's inter-node exchange (the leader's begin of bucket k+1 blocks
-  // only on its members' non-blocking begins, which depend only on their
-  // training threads — never on any finish — so the schedule cannot
-  // deadlock).
+  // Takes ownership of the inner engine. The streaming plan covers every
+  // layer either via a compressed bucket or via the packet. Two-level mode
+  // (node_of set) streams too: each bucket runs hierarchical_begin/finish
+  // on its own tag lane. Pipelining there is member-side only: a member
+  // posts bucket k+1 to its leader while bucket k drains, but a leader
+  // never begins early (CgxEngine::begin_never_blocks), since its fold
+  // would wait on a member still blocked in bucket k's finish.
   AsyncGradientEngine(std::unique_ptr<CgxEngine> inner,
                       AsyncOptions options = {});
   ~AsyncGradientEngine() override;
@@ -151,11 +136,10 @@ class AsyncGradientEngine final : public GradientEngine {
 
   // ---- Streaming API (one step per rank) ----
   // begin_step arms the per-bucket countdowns and RNG streams; every layer
-  // must then be notified exactly once. Notifications may come from any
-  // thread (DAG executor hooks included) and, unless ordered_launch is
-  // set, all ranks must complete buckets in the SAME order; wait_all
-  // blocks until every bucket drained and rethrows the first comm-thread
-  // failure. `fused` must stay valid until wait_all returns.
+  // must then be notified exactly once, in any order and from any thread
+  // (DAG executor hooks included); wait_all blocks until every bucket
+  // drained and rethrows the first comm-thread failure. `fused` must stay
+  // valid until wait_all returns.
   void begin_step(comm::Comm& comm, std::span<float> fused, util::Rng& rng);
   void notify_layer_ready(int rank, std::size_t layer);
   void wait_all(int rank);
@@ -172,7 +156,6 @@ class AsyncGradientEngine final : public GradientEngine {
   const AsyncOptions& async_options() const { return options_; }
   const tensor::LayerLayout& layout() const { return inner_->layout(); }
   int comm_lanes() const { return lanes_; }
-  bool ordered_launch() const { return ordered_; }
   // Lane the byte-balanced map (DESIGN.md §5j) assigns to submission
   // `idx`; all zeros when comm_lanes == 1. Fixed until the next rebuild.
   int lane_of(std::size_t idx) const { return lane_of_[idx]; }
@@ -226,7 +209,7 @@ class AsyncGradientEngine final : public GradientEngine {
     std::span<float> fused;
     std::vector<util::Rng> bucket_rngs;
     std::vector<std::uint32_t> remaining;  // per-bucket layer countdown
-    std::vector<std::uint8_t> complete;    // ordered_launch frontier marks
+    std::vector<std::uint8_t> complete;    // release frontier marks
     std::uint32_t release_cursor = 0;      // next plan index to release
     std::uint32_t submitted = 0;
     std::uint32_t notified = 0;
@@ -259,11 +242,11 @@ class AsyncGradientEngine final : public GradientEngine {
   AsyncOptions options_;
   BucketPlan plan_;
   // Submission plan index -> lane id: greedy byte-balanced, rebuilt with
-  // the plan. All zeros when lanes_ == 1 (bit-identical legacy path).
+  // the plan. All zeros when lanes_ == 1.
   std::vector<int> lane_of_;
+  // Overlap on and no round retries; per rank, begin_never_blocks too.
   bool pipeline_enabled_ = false;
-  int lanes_ = 1;        // resolved comm_lanes (clamped / forced to 1)
-  bool ordered_ = false; // resolved ordered_launch (implied by lanes_ > 1)
+  int lanes_ = 1;  // resolved comm_lanes (clamped / forced to 1)
   util::Barrier comm_barrier_;  // world-sized, comm threads only
   std::vector<RankState> ranks_;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "comm/fault.h"
 #include "comm/membership.h"
@@ -26,7 +27,7 @@ constexpr int kGraceTag = 310;
 // engine still holds.
 constexpr std::size_t kSlotPacket = 16;       // fused FP32 packet (floats)
 constexpr std::size_t kSlotCommScratch = 17;  // comm::allreduce scratch
-constexpr std::size_t kSlotRoundSnapshot = 18;  // pre-round rollback copy
+constexpr std::size_t kSlotRoundSnapshot = 18;  // run_round rollback copy
 constexpr std::size_t kSlotGraceMine = 16;       // bytes: own payload
 constexpr std::size_t kSlotGraceIncoming = 17;   // bytes: peer payload
 constexpr std::size_t kSlotGraceDecompressed = 16;  // floats
@@ -105,8 +106,6 @@ double scheme_egress_bytes(comm::ReductionScheme scheme, std::size_t n,
   return 0.0;
 }
 
-// Cost of the two-level schedule: intra-node member->leader reduce (full
-// precision), compressed SRA among leaders, intra-node broadcast back.
 // Field-wise policy equality for the differential rebuild: a layer whose
 // resolved config is unchanged keeps its warmed compressors (and their
 // error-feedback residuals / PowerSGD warm starts) across rebuild().
@@ -119,29 +118,22 @@ bool same_policy(const LayerCompression& a, const LayerCompression& b) {
          a.dgc_momentum == b.dgc_momentum && a.dgc_clip == b.dgc_clip;
 }
 
+// Cost of the two-level schedule: intra-node member->leader reduce (full
+// precision), compressed SRA among leaders, intra-node broadcast back.
 double hierarchical_layer_seconds(const simgpu::CostModel& cost,
-                                  const std::vector<int>& node_of,
+                                  const comm::Topology& topo,
                                   double raw_bytes,
                                   double leader_chunk_wire_bytes) {
-  std::vector<int> leaders;
-  std::vector<int> seen;
-  for (int r = 0; r < static_cast<int>(node_of.size()); ++r) {
-    const int node = node_of[static_cast<std::size_t>(r)];
-    if (std::find(seen.begin(), seen.end(), node) == seen.end()) {
-      seen.push_back(node);
-      leaders.push_back(r);
-    }
-  }
   std::vector<simgpu::Flow> up, down;
-  for (int r = 0; r < static_cast<int>(node_of.size()); ++r) {
-    const int leader = leader_of(node_of, r);
+  for (int r = 0; r < topo.world_size(); ++r) {
+    const int leader = topo.leader(r);
     if (leader == r) continue;
     up.push_back(simgpu::Flow{r, leader, raw_bytes});
     down.push_back(simgpu::Flow{leader, r, raw_bytes});
   }
   double total = cost.round_seconds(up) + cost.round_seconds(down);
-  if (leaders.size() > 1) {
-    total += cost.sra_seconds(leaders, leader_chunk_wire_bytes,
+  if (topo.num_nodes() > 1) {
+    total += cost.sra_seconds(topo.leaders(), leader_chunk_wire_bytes,
                               leader_chunk_wire_bytes);
   }
   return total;
@@ -157,61 +149,78 @@ CgxEngine::CgxEngine(const tensor::LayerLayout& layout,
     : layout_(layout),
       config_(std::move(config)),
       world_size_(world_size),
-      options_(options) {
+      options_(std::move(options)),
+      topo_(options_.node_of) {
   CGX_CHECK_GT(world_size, 0);
-  active_world_ = world_size;
-  rebuild();
+  active_ranks_.resize(static_cast<std::size_t>(world_size));
+  std::iota(active_ranks_.begin(), active_ranks_.end(), 0);
+  build_rank_state(/*drop_residuals=*/false);
 }
 
-void CgxEngine::rebuild() {
-  // Differential rebuild: ranks_ (and with it every RankState's grow-only
-  // CollectiveWorkspace) survives, and only layers whose resolved policy
-  // changed get fresh compressors. An adaptive policy swap used to clear
-  // ranks_ wholesale, throwing warmed arenas away and re-triggering
-  // steady-state allocations on the next step.
+void CgxEngine::rebuild() { build_rank_state(/*drop_residuals=*/false); }
+
+void CgxEngine::build_rank_state(bool drop_residuals) {
+  // ranks_ (and with it every RankState's grow-only CollectiveWorkspace)
+  // survives every rebuild, so warmed arenas carry across policy swaps and
+  // re-shards.
   std::vector<LayerCompression> previous = std::move(resolved_);
   resolved_.clear();
   resolved_.reserve(layout_.layer_count());
   filtered_layers_.clear();
+  compressed_layers_.clear();
+  all_layers_.clear();
   packet_numel_ = 0;
   for (const auto& info : layout_.layers()) {
+    const std::size_t l = resolved_.size();
     resolved_.push_back(config_.for_layer(info.name, info.numel));
-    if (resolved_.back().method == Method::None &&
-        options_.fuse_filtered_layers) {
-      filtered_layers_.push_back(resolved_.size() - 1);
+    all_layers_.push_back(l);
+    if (resolved_.back().method == Method::None) {
+      filtered_layers_.push_back(l);
       packet_numel_ += info.numel;
+    } else {
+      compressed_layers_.push_back(l);
     }
   }
+  const bool two_level = !options_.node_of.empty();
+  if (two_level) hier_.node_of = topo_.node_map();
+  hier_.compress_intra = options_.compress_intra;
+  // Chunk compressors the collectives expect: the flat schemes bind one
+  // per dense chunk; the two-level schedule binds one per leader chunk
+  // plus the intra-hop slot at index num_nodes.
+  const auto active = static_cast<std::size_t>(active_world());
+  const std::size_t chunk_count =
+      two_level ? std::max(active,
+                           static_cast<std::size_t>(topo_.num_nodes()) + 1)
+                : active;
   if (ranks_.empty()) {
     ranks_.resize(static_cast<std::size_t>(world_size_));
+    for (std::size_t r = 0; r < ranks_.size(); ++r) {
+      ranks_[r].workspace.set_arena(&util::rank_arena(static_cast<int>(r)));
+    }
   }
-  hier_.node_of = options_.node_of;
-  hier_.compress_intra = options_.compress_intra;
-  for (std::size_t r = 0; r < ranks_.size(); ++r) {
-    ranks_[r].workspace.set_arena(&util::rank_arena(static_cast<int>(r)));
-  }
-  for (auto& rank : ranks_) {
+  // Departed ranks keep their stale state untouched (a hung thread may
+  // still hold spans into it); a readmitted rank is rebuilt by apply_view.
+  for (int g : active_ranks_) {
+    RankState& rank = ranks_[static_cast<std::size_t>(g)];
     rank.per_layer.resize(layout_.layer_count());
     rank.chunk_ptrs.resize(layout_.layer_count());
     for (std::size_t l = 0; l < layout_.layer_count(); ++l) {
       const LayerCompression& cfg = resolved_[l];
       auto& chunks = rank.per_layer[l];
       auto& ptrs = rank.chunk_ptrs[l];
-      if (l < previous.size() && same_policy(previous[l], cfg) &&
-          (cfg.method == Method::None
-               ? chunks.empty()
-               : chunks.size() == static_cast<std::size_t>(world_size_))) {
+      const std::size_t want = cfg.method == Method::None ? 0 : chunk_count;
+      if (!drop_residuals && l < previous.size() &&
+          same_policy(previous[l], cfg) && chunks.size() == want) {
         continue;  // unchanged layer keeps its warmed compressors
       }
       chunks.clear();
       ptrs.clear();
-      if (cfg.method == Method::None) continue;
       const std::size_t rows = layout_.layer(l).shape.empty()
                                    ? 0
                                    : layout_.layer(l).shape.front();
-      chunks.reserve(static_cast<std::size_t>(world_size_));
-      ptrs.reserve(static_cast<std::size_t>(world_size_));
-      for (int c = 0; c < world_size_; ++c) {
+      chunks.reserve(want);
+      ptrs.reserve(want);
+      for (std::size_t c = 0; c < want; ++c) {
         chunks.push_back(make_compressor(cfg, rows));
         if (options_.compression_pool != nullptr) {
           chunks.back()->enable_threading(
@@ -228,19 +237,19 @@ void CgxEngine::rebuild() {
 void CgxEngine::finish_report(RankState& state) {
   StepReport& report = state.report;
   report.epoch = applied_epoch_;
-  report.world = active_world_;
+  report.world = active_world();
   // The movement baseline for a rank's first step is the LAUNCH world, so a
   // shrink during step 0 still reports its departure.
   const int last = state.last_world == 0 ? world_size_ : state.last_world;
-  report.departed = std::max(0, last - active_world_);
-  report.joined = std::max(0, active_world_ - last);
+  report.departed = std::max(0, last - active_world());
+  report.joined = std::max(0, active_world() - last);
   report.wire_bytes = wire_bytes_cached_;
-  state.last_world = active_world_;
+  state.last_world = active_world();
 }
 
 void CgxEngine::allreduce(comm::Comm& comm, std::span<float> fused,
                           util::Rng& rng) {
-  CGX_CHECK_EQ(comm.size(), active_world_);
+  CGX_CHECK_EQ(comm.size(), active_world());
   CGX_CHECK_EQ(fused.size(), layout_.total_numel());
   // RankState is keyed by GLOBAL rank: a survivor keeps its compressors and
   // workspace across re-shards even as its dense rank shifts.
@@ -250,55 +259,90 @@ void CgxEngine::allreduce(comm::Comm& comm, std::span<float> fused,
   // tests prove the steady state does not grow, so arena waste is bounded
   // by warm-up.
   util::ScopedArena bind(util::rank_arena(comm.global_rank()));
-  const std::uint64_t round = state.rounds++;
-  const bool elastic = comm.elastic();
-  // Elastic worlds keep retrying through re-shards: every crash consumes
-  // one retry, and up to world-1 ranks can die, so the budget scales with
-  // the world rather than relying on the caller to size it.
-  const int retry_budget =
-      elastic ? std::max(options_.max_round_retries, 2 * world_size_)
-              : options_.max_round_retries;
-
   StepReport& report = state.report;
   report.ok = true;
   report.attempts = 0;
   report.retries = 0;
   report.incidents.clear();
+  // One step = the fused FP32 packet, then every compressed layer as its
+  // own single-layer bucket on tag base 0, all in layout order.
+  CollectiveWorkspace& ws = state.workspace;
+  try {
+    run_round(comm, fused, all_layers_, state.rounds++, ws, report,
+              /*report_mutex=*/nullptr, [&] {
+                packet_allreduce(comm, fused, ws);
+                for (const std::size_t& l : compressed_layers_) {
+                  const std::span<const std::size_t> bucket(&l, 1);
+                  bucket_begin(comm, fused, bucket, rng, 0, ws);
+                  bucket_finish(comm, fused, bucket, rng, 0, ws);
+                }
+              });
+  } catch (const comm::CommError&) {
+    finish_report(state);
+    throw;
+  }
+  finish_report(state);
+}
+
+void CgxEngine::run_round(comm::Comm& comm, std::span<float> fused,
+                          std::span<const std::size_t> rollback,
+                          std::uint64_t round, CollectiveWorkspace& ws,
+                          StepReport& report, std::mutex* report_mutex,
+                          util::FunctionRef<void()> attempt) {
+  const auto update = [report_mutex](auto&& fn) {
+    if (report_mutex == nullptr) return fn();
+    std::lock_guard<std::mutex> lock(*report_mutex);
+    fn();
+  };
+  const auto incident = [](const comm::CommError& e) {
+    return StepReport::Incident{e.src, e.dst, e.tag, e.what()};
+  };
+  // Elastic worlds keep retrying through re-shards: every crash consumes
+  // one retry, and up to world-1 ranks can die, so the budget scales with
+  // the world rather than relying on the caller to size it.
+  const int retry_budget =
+      comm.elastic() ? std::max(options_.max_round_retries, 2 * world_size_)
+                     : options_.max_round_retries;
 
   if (retry_budget <= 0) {
-    // Seed behaviour: one attempt, failures propagate. No snapshot copy, no
+    // Fail-fast: one attempt, failures propagate. No snapshot copy, no
     // extra branches on the hot path (the handler costs nothing until a
     // structured failure actually unwinds through it).
-    ++report.attempts;
+    update([&] { ++report.attempts; });
     try {
-      allreduce_attempt(comm, fused, rng, state);
+      attempt();
     } catch (const comm::CommError& e) {
-      report.ok = false;
-      report.incidents.push_back(
-          StepReport::Incident{e.src, e.dst, e.tag, e.what()});
-      finish_report(state);
+      update([&] {
+        report.ok = false;
+        report.incidents.push_back(incident(e));
+      });
       throw;
     }
-    finish_report(state);
     return;
   }
 
-  // A failed attempt leaves `fused` partially reduced (collectives work in
-  // place), so each attempt starts from a workspace-held snapshot.
-  const std::span<float> snapshot =
-      state.workspace.floats(kSlotRoundSnapshot, fused.size());
-  tensor::copy(std::span<const float>(fused), snapshot);
-  for (int attempt = 0;; ++attempt) {
-    ++report.attempts;
+  // A failed attempt leaves the region partially reduced (collectives work
+  // in place), so each attempt starts from a workspace-held snapshot.
+  std::size_t numel = 0;
+  for (std::size_t l : rollback) numel += layout_.layer(l).numel;
+  const std::span<float> snapshot = ws.floats(kSlotRoundSnapshot, numel);
+  std::size_t off = 0;
+  for (std::size_t l : rollback) {
+    const auto slice = layout_.slice(std::span<const float>(fused), l);
+    tensor::copy(slice, snapshot.subspan(off, slice.size()));
+    off += slice.size();
+  }
+  for (int a = 0;; ++a) {
+    update([&] { ++report.attempts; });
     try {
       if (options_.injector != nullptr &&
-          options_.injector->round_fails(round, attempt)) {
+          options_.injector->round_fails(round, a)) {
         throw comm::TimeoutError(-1, comm.rank(), -1,
                                  std::chrono::milliseconds{0},
                                  "synthetic round failure (fault harness)");
       }
-      allreduce_attempt(comm, fused, rng, state);
-      if (elastic) {
+      attempt();
+      if (comm.elastic()) {
         // Commit fence: a step only counts when every CURRENT survivor
         // finished its attempt. A peer that died after this rank's last
         // receive would otherwise split the world into ranks that committed
@@ -312,40 +356,44 @@ void CgxEngine::allreduce(comm::Comm& comm, std::span<float> fused,
                                    "step commit fence");
         }
       }
-      finish_report(state);
       return;
     } catch (const comm::CommError& e) {
-      report.incidents.push_back(
-          StepReport::Incident{e.src, e.dst, e.tag, e.what()});
-      if (attempt >= retry_budget) {
-        report.ok = false;
-        finish_report(state);
-        throw;
-      }
-      ++report.retries;
+      bool give_up = false;
+      update([&] {
+        report.incidents.push_back(incident(e));
+        give_up = a >= retry_budget;
+        if (give_up) {
+          report.ok = false;
+        } else {
+          ++report.retries;
+        }
+      });
+      if (give_up) throw;
       // Every rank must agree to retry and quiesce before buffers are
       // reused; if agreement fails the world is broken for good and the
       // TimeoutError from reshard_world propagates. In elastic mode this is
       // where a crashed peer is voted out and the plans shrink.
       reshard_world(comm);
-      tensor::copy(std::span<const float>(snapshot), fused);
+      off = 0;
+      for (std::size_t l : rollback) {
+        const auto slice = layout_.slice(fused, l);
+        tensor::copy(snapshot.subspan(off, slice.size()), slice);
+        off += slice.size();
+      }
     }
   }
 }
 
-std::chrono::milliseconds CgxEngine::derived_recovery_timeout(
-    const comm::CommPolicy& pol) const {
-  if (options_.recovery_timeout.count() > 0) return options_.recovery_timeout;
+void CgxEngine::reshard_world(comm::Comm& comm) {
   // The agreement wait must be bounded even under an unbounded policy —
   // otherwise a rank that died (rather than failed transiently) would hang
   // the retry protocol forever. 2x the policy timeout gives the slowest
   // survivor room to reach its own deadline before agreement expires.
-  return pol.bounded() ? 2 * pol.timeout : std::chrono::milliseconds{1000};
-}
-
-void CgxEngine::reshard_world(comm::Comm& comm) {
   const comm::CommPolicy& pol = comm.transport().policy();
-  const std::chrono::milliseconds timeout = derived_recovery_timeout(pol);
+  const std::chrono::milliseconds timeout =
+      options_.recovery_timeout.count() > 0 ? options_.recovery_timeout
+      : pol.bounded()                       ? 2 * pol.timeout
+                                            : std::chrono::milliseconds{1000};
   comm::Membership* membership = comm.membership();
   if (membership == nullptr) {
     // Classic (fixed-world) protocol: agree, flush own inbound, agree again
@@ -387,106 +435,21 @@ void CgxEngine::apply_view(const comm::WorldView& view) {
   const int active = view.active_count();
   CGX_CHECK_GT(active, 0);
   CGX_CHECK_LE(active, world_size_);
-  active_world_ = active;
+  active_ranks_ = view.active;
   applied_epoch_ = view.epoch;
-  std::size_t num_leaders = 0;
+  // Restrict the launch topology to the survivors: ranks keep their node,
+  // and a dead node-leader's role falls to the lowest surviving rank on
+  // that node (leaders are always the first-appearing rank).
   if (!options_.node_of.empty()) {
-    // Restrict the launch topology to the survivors: ranks keep their node,
-    // and a dead node-leader's role falls to the lowest surviving rank on
-    // that node (leaders are always the first-appearing rank).
-    comm::Topology restricted =
-        comm::Topology(options_.node_of).restrict(view.active);
-    num_leaders = static_cast<std::size_t>(restricted.num_nodes());
-    hier_.node_of = restricted.node_map();
+    topo_ = comm::Topology(options_.node_of).restrict(active_ranks_);
   }
-  // Chunk-compressor count the collectives expect in the new world: the
-  // flat SRA binds exactly one compressor per dense chunk; the two-level
-  // schedule additionally needs one per leader chunk plus the intra slot.
-  const std::size_t chunk_count =
-      options_.node_of.empty()
-          ? static_cast<std::size_t>(active)
-          : std::max(static_cast<std::size_t>(active), num_leaders + 1);
-  // Fresh compressors for every ACTIVE global rank — the EF-drop contract:
-  // the departed rank's residual can never be replayed, and a surviving
-  // rank's residual may hold contributions from the aborted attempt, so
-  // everyone restarts error feedback from zero. One-shot bounded gradient
-  // perturbation, bit-identical across survivors (DESIGN.md §5h).
-  for (int g : view.active) {
-    RankState& rank = ranks_[static_cast<std::size_t>(g)];
-    for (std::size_t l = 0; l < layout_.layer_count(); ++l) {
-      const LayerCompression& cfg = resolved_[l];
-      auto& chunks = rank.per_layer[l];
-      auto& ptrs = rank.chunk_ptrs[l];
-      chunks.clear();
-      ptrs.clear();
-      if (cfg.method == Method::None) continue;
-      const std::size_t rows =
-          layout_.layer(l).shape.empty() ? 0 : layout_.layer(l).shape.front();
-      chunks.reserve(chunk_count);
-      ptrs.reserve(chunk_count);
-      for (std::size_t c = 0; c < chunk_count; ++c) {
-        chunks.push_back(make_compressor(cfg, rows));
-        if (options_.compression_pool != nullptr) {
-          chunks.back()->enable_threading(
-              options_.compression_pool,
-              options_.compression_threading_min_numel);
-        }
-        ptrs.push_back(chunks.back().get());
-      }
-    }
-  }
-  wire_bytes_cached_ = wire_bytes_per_rank(options_.scheme);
-}
-
-void CgxEngine::allreduce_attempt(comm::Comm& comm, std::span<float> fused,
-                                  util::Rng& rng, RankState& state) {
-  CollectiveWorkspace& ws = state.workspace;
-
-  // Fused full-precision packet for filtered layers. Gather-scatter through
-  // the workspace: the packet and the allreduce scratch live in engine-owned
-  // slots, so steady state makes no allocation.
-  if (packet_numel_ > 0) {
-    const std::span<float> packet = ws.floats(kSlotPacket, packet_numel_);
-    std::size_t offset = 0;
-    for (std::size_t l : filtered_layers_) {
-      const auto slice = layout_.slice(std::span<const float>(fused), l);
-      tensor::copy(slice, packet.subspan(offset, slice.size()));
-      offset += slice.size();
-    }
-    comm::allreduce(comm, packet, options_.scheme,
-                    ws.floats(kSlotCommScratch, packet_numel_));
-    offset = 0;
-    for (std::size_t l : filtered_layers_) {
-      auto slice = layout_.slice(fused, l);
-      tensor::copy(packet.subspan(offset, slice.size()), slice);
-      offset += slice.size();
-    }
-  }
-  if (!options_.fuse_filtered_layers) {
-    for (std::size_t l = 0; l < resolved_.size(); ++l) {
-      if (resolved_[l].method != Method::None) continue;
-      std::span<float> slice = layout_.slice(fused, l);
-      comm::allreduce(comm, slice, options_.scheme,
-                      ws.floats(kSlotCommScratch, slice.size()));
-    }
-  }
-
-  // Compressed layers, one collective each (per-layer compression, §3).
-  for (std::size_t l = 0; l < resolved_.size(); ++l) {
-    if (resolved_[l].method == Method::None) continue;
-    const std::span<Compressor* const> chunks = state.chunk_ptrs[l];
-    if (!options_.node_of.empty()) {
-      hierarchical_allreduce(comm, layout_.slice(fused, l), chunks, rng,
-                             hier_, ws);
-    } else {
-      compressed_allreduce(comm, layout_.slice(fused, l), chunks, rng,
-                           options_.scheme, ws);
-    }
-  }
-
-  if (options_.average && active_world_ > 1) {
-    tensor::scale(fused, 1.0f / static_cast<float>(active_world_));
-  }
+  // The EF-drop contract: the departed rank's residual can never be
+  // replayed, and a surviving rank's residual may hold contributions from
+  // the aborted attempt, so every active rank restarts error feedback from
+  // zero.
+  // One-shot bounded gradient perturbation, bit-identical across survivors
+  // (DESIGN.md §5h).
+  build_rank_state(/*drop_residuals=*/true);
 }
 
 void CgxEngine::bucket_begin(comm::Comm& comm, std::span<float> fused,
@@ -494,20 +457,20 @@ void CgxEngine::bucket_begin(comm::Comm& comm, std::span<float> fused,
                              util::Rng& rng, int tag_base,
                              CollectiveWorkspace& ws) {
   RankState& state = ranks_[static_cast<std::size_t>(comm.global_rank())];
-  if (!options_.node_of.empty()) {
-    // Two-level begin: intra-node fold to the leader plus the leader
-    // scatter — the half that overlaps the previous bucket's NIC drain.
-    const int bucket = tag_base / comm::kBucketTagStride;
-    for (std::size_t l : layers) {
-      hierarchical_begin(comm, layout_.slice(fused, l), state.chunk_ptrs[l],
-                         rng, hier_, ws, bucket);
-    }
-    return;
-  }
-  if (!supports_split()) return;  // Ring/Tree: all work happens in finish
+  const bool two_level = !options_.node_of.empty();
+  const bool split =
+      options_.scheme == comm::ReductionScheme::ScatterReduceAllgather;
+  if (!two_level && !split) return;  // Ring/Tree: all work is in finish
   for (std::size_t l : layers) {
-    compressed_sra_begin(comm, layout_.slice(fused, l), state.chunk_ptrs[l],
-                         rng, ws, tag_base);
+    const std::span<float> slice = layout_.slice(fused, l);
+    if (two_level) {
+      // Intra-node fold to the leader plus the leader scatter.
+      hierarchical_begin(comm, slice, state.chunk_ptrs[l], rng, hier_, ws,
+                         tag_base / comm::kBucketTagStride);
+    } else {
+      compressed_sra_begin(comm, slice, state.chunk_ptrs[l], rng, ws,
+                           tag_base);
+    }
   }
 }
 
@@ -516,24 +479,15 @@ void CgxEngine::bucket_finish(comm::Comm& comm, std::span<float> fused,
                               util::Rng& rng, int tag_base,
                               CollectiveWorkspace& ws) {
   RankState& state = ranks_[static_cast<std::size_t>(comm.global_rank())];
-  if (!options_.node_of.empty()) {
-    const int bucket = tag_base / comm::kBucketTagStride;
-    for (std::size_t l : layers) {
-      hierarchical_finish(comm, layout_.slice(fused, l),
-                          state.chunk_ptrs[l], rng, hier_, ws, bucket);
-    }
-    if (options_.average && active_world_ > 1) {
-      const float inv = 1.0f / static_cast<float>(active_world_);
-      for (std::size_t l : layers) {
-        tensor::scale(layout_.slice(fused, l), inv);
-      }
-    }
-    return;
-  }
-  const bool split = supports_split();
+  const bool two_level = !options_.node_of.empty();
+  const bool split =
+      options_.scheme == comm::ReductionScheme::ScatterReduceAllgather;
   for (std::size_t l : layers) {
     const std::span<float> slice = layout_.slice(fused, l);
-    if (split) {
+    if (two_level) {
+      hierarchical_finish(comm, slice, state.chunk_ptrs[l], rng, hier_, ws,
+                          tag_base / comm::kBucketTagStride);
+    } else if (split) {
       compressed_sra_finish(comm, slice, state.chunk_ptrs[l], rng, ws,
                             tag_base);
     } else {
@@ -541,16 +495,19 @@ void CgxEngine::bucket_finish(comm::Comm& comm, std::span<float> fused,
                            options_.scheme, ws, tag_base);
     }
   }
-  if (options_.average && active_world_ > 1) {
+  if (active_world() > 1) {
     // Per-slice averaging: multiplying each element by the same scalar is
-    // bit-identical to the monolithic path's whole-buffer scale.
-    const float inv = 1.0f / static_cast<float>(active_world_);
+    // bit-identical to one whole-buffer scale.
+    const float inv = 1.0f / static_cast<float>(active_world());
     for (std::size_t l : layers) tensor::scale(layout_.slice(fused, l), inv);
   }
 }
 
 void CgxEngine::packet_allreduce(comm::Comm& comm, std::span<float> fused,
                                  CollectiveWorkspace& ws) {
+  // Gather-scatter through the workspace: the packet and the allreduce
+  // scratch live in engine-owned slots, so steady state makes no
+  // allocation.
   if (packet_numel_ == 0) return;
   const std::span<float> packet = ws.floats(kSlotPacket, packet_numel_);
   std::size_t offset = 0;
@@ -561,8 +518,8 @@ void CgxEngine::packet_allreduce(comm::Comm& comm, std::span<float> fused,
   }
   comm::allreduce(comm, packet, options_.scheme,
                   ws.floats(kSlotCommScratch, packet_numel_));
-  if (options_.average && active_world_ > 1) {
-    tensor::scale(packet, 1.0f / static_cast<float>(active_world_));
+  if (active_world() > 1) {
+    tensor::scale(packet, 1.0f / static_cast<float>(active_world()));
   }
   offset = 0;
   for (std::size_t l : filtered_layers_) {
@@ -606,9 +563,8 @@ double CgxEngine::layer_wire_bytes(std::size_t layer_index,
   const auto& info = layout_.layer(layer_index);
   const LayerCompression& cfg = resolved_[layer_index];
   const std::size_t rows = info.shape.empty() ? 0 : info.shape.front();
-  const std::size_t chunk_numel =
-      (info.numel + static_cast<std::size_t>(world_size_) - 1) /
-      static_cast<std::size_t>(world_size_);
+  const auto n = static_cast<std::size_t>(active_world());
+  const std::size_t chunk_numel = (info.numel + n - 1) / n;
   const double chunk_bytes =
       compressed && cfg.method != Method::None
           ? static_cast<double>(wire_bytes(cfg, chunk_numel, rows))
@@ -617,9 +573,7 @@ double CgxEngine::layer_wire_bytes(std::size_t layer_index,
       compressed && cfg.method != Method::None
           ? static_cast<double>(wire_bytes(cfg, info.numel, rows))
           : 4.0 * static_cast<double>(info.numel);
-  return scheme_egress_bytes(scheme,
-                             static_cast<std::size_t>(world_size_),
-                             chunk_bytes, full_bytes);
+  return scheme_egress_bytes(scheme, n, chunk_bytes, full_bytes);
 }
 
 double CgxEngine::wire_bytes_per_rank(comm::ReductionScheme scheme) const {
@@ -643,27 +597,19 @@ CommPlan CgxEngine::comm_plan(const simgpu::CostModel& cost,
                               double compress_gbps) const {
   CommPlan plan;
   plan.per_layer_s.assign(layout_.layer_count(), 0.0);
-  const std::vector<int> devices = participating_devices(cost, world_size_);
+  const std::vector<int> devices = participating_devices(cost, active_world());
+  const auto n = static_cast<std::size_t>(active_world());
   double fused_packet_bytes = 0.0;
 
   for (std::size_t l = 0; l < layout_.layer_count(); ++l) {
     const auto& info = layout_.layer(l);
     const LayerCompression& cfg = resolved_[l];
     if (cfg.method == Method::None) {
-      if (options_.fuse_filtered_layers) {
-        fused_packet_bytes += 4.0 * static_cast<double>(info.numel);
-      } else {
-        plan.per_layer_s[l] = scheme_seconds(
-            cost, devices, options_.scheme,
-            4.0 * static_cast<double>(info.numel) / world_size_,
-            4.0 * static_cast<double>(info.numel));
-      }
+      fused_packet_bytes += 4.0 * static_cast<double>(info.numel);
       continue;
     }
     const std::size_t rows = info.shape.empty() ? 0 : info.shape.front();
-    const std::size_t chunk_numel =
-        (info.numel + static_cast<std::size_t>(world_size_) - 1) /
-        static_cast<std::size_t>(world_size_);
+    const std::size_t chunk_numel = (info.numel + n - 1) / n;
     const double chunk_wire =
         static_cast<double>(wire_bytes(cfg, chunk_numel, rows));
     const double full_wire =
@@ -673,23 +619,13 @@ CommPlan CgxEngine::comm_plan(const simgpu::CostModel& cost,
         compress_kernel_seconds(cfg.method, raw_bytes, compress_gbps);
     if (!options_.node_of.empty()) {
       // Heterogeneous two-level schedule (§4).
-      std::size_t leader_count = 0;
-      {
-        std::vector<int> seen;
-        for (int node : options_.node_of) {
-          if (std::find(seen.begin(), seen.end(), node) == seen.end()) {
-            seen.push_back(node);
-          }
-        }
-        leader_count = seen.size();
-      }
+      const auto leaders = static_cast<std::size_t>(topo_.num_nodes());
       const std::size_t leader_chunk_numel =
-          (info.numel + leader_count - 1) / std::max<std::size_t>(1,
-                                                                  leader_count);
+          (info.numel + leaders - 1) / leaders;
       const double leader_chunk_wire =
           static_cast<double>(wire_bytes(cfg, leader_chunk_numel, rows));
       plan.per_layer_s[l] =
-          hierarchical_layer_seconds(cost, options_.node_of, raw_bytes,
+          hierarchical_layer_seconds(cost, topo_, raw_bytes,
                                      leader_chunk_wire) +
           0.5 * kernel;
     } else {
@@ -702,8 +638,8 @@ CommPlan CgxEngine::comm_plan(const simgpu::CostModel& cost,
 
   if (fused_packet_bytes > 0.0) {
     plan.fused_packet_s = scheme_seconds(
-        cost, devices, options_.scheme, fused_packet_bytes / world_size_,
-        fused_packet_bytes);
+        cost, devices, options_.scheme,
+        fused_packet_bytes / static_cast<double>(n), fused_packet_bytes);
   }
   plan.wire_bytes_per_rank = wire_bytes_per_rank(options_.scheme);
   return plan;

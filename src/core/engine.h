@@ -22,15 +22,18 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
 #include "comm/collectives.h"
+#include "comm/topology.h"
 #include "core/compressed_allreduce.h"
 #include "core/compression_config.h"
 #include "core/hierarchical.h"
 #include "simgpu/cost_model.h"
 #include "tensor/layer_layout.h"
+#include "util/function_ref.h"
 
 namespace cgx::comm {
 class FaultInjector;  // see comm/fault.h
@@ -41,10 +44,6 @@ namespace cgx::core {
 struct EngineOptions {
   comm::ReductionScheme scheme =
       comm::ReductionScheme::ScatterReduceAllgather;
-  bool average = true;  // divide the sum by world size
-  // Fuse all full-precision (filtered/small) layers into one packet per
-  // step, "communicated uncompressed, in separate packages" (§3).
-  bool fuse_filtered_layers = true;
   // Heterogeneous multi-node mode (§4 "Backend Details"): intra-node
   // reduction to node leaders (peer-direct where the link allows),
   // compressed SRA with node-boundary re-compression across nodes.
@@ -176,7 +175,9 @@ class CgxEngine final : public GradientEngine {
   // re-assignment period). Rebuild is differential: only layers whose
   // resolved policy actually changed get fresh compressors, so warmed
   // workspaces and untouched compressor scratch carry across a policy
-  // switch and the steady state stays allocation-free.
+  // switch and the steady state stays allocation-free. Compressors are
+  // sized for the ACTIVE world, so a rebuild after an elastic shrink keeps
+  // the survivors' plans.
   CompressionConfig& config() { return config_; }
   const CompressionConfig& config() const { return config_; }
   void rebuild();
@@ -194,19 +195,20 @@ class CgxEngine final : public GradientEngine {
   std::size_t packet_numel() const { return packet_numel_; }
   const EngineOptions& options() const { return options_; }
 
-  // ---- Streaming bucket entry points (used by AsyncGradientEngine) ----
+  // ---- Bucket entry points: the one reduction path ----
   //
   // A bucket is a subset of this engine's COMPRESSED layers; the caller
   // runs each bucket's collective on its own tag range (comm/tagspace.h)
   // and its own workspace arena, so several buckets can be in flight at
-  // once. bucket_begin is the non-blocking half (SRA round-1 compress +
-  // buffered sends; a no-op for Ring/Tree, whose hop structure has no
-  // split point); bucket_finish completes the reduction and applies the
-  // 1/world averaging to the bucket's slices. begin(b) + finish(b) over
-  // all buckets plus one packet_allreduce is bit-identical to allreduce()
-  // given the same per-bucket RNG streams. In two-level mode (node_of set)
-  // the bucket runs hierarchical_begin/finish on its own tag lane, so
-  // bucket k+1's intra-node fold overlaps bucket k's inter-node drain.
+  // once. bucket_begin is the half that can start early (SRA round-1
+  // compress + buffered sends; a no-op for Ring/Tree, whose hop structure
+  // has no split point); bucket_finish completes the reduction and applies the
+  // 1/world averaging to the bucket's slices. allreduce() is these entry
+  // points too: packet_allreduce, then begin + finish of each compressed
+  // layer as its own bucket on tag base 0, in layout order.
+  // AsyncGradientEngine groups layers into larger buckets with their own
+  // RNG streams. In two-level mode (node_of set) the bucket runs
+  // hierarchical_begin/finish on its own tag lane.
   void bucket_begin(comm::Comm& comm, std::span<float> fused,
                     std::span<const std::size_t> layers, util::Rng& rng,
                     int tag_base, CollectiveWorkspace& ws);
@@ -217,19 +219,38 @@ class CgxEngine final : public GradientEngine {
   // (gather -> uncompressed allreduce -> scatter + averaging).
   void packet_allreduce(comm::Comm& comm, std::span<float> fused,
                         CollectiveWorkspace& ws);
-  // True when bucket_begin actually starts work early — flat SRA, or any
-  // two-level schedule (whose begin half is the intra-node reduce plus the
-  // leader scatter): the precondition for compression/transfer pipelining.
-  bool supports_split() const {
-    return options_.scheme ==
-               comm::ReductionScheme::ScatterReduceAllgather ||
-           !options_.node_of.empty();
+  // True when `rank`'s bucket_begin does work but never waits on a peer,
+  // so a comm lane may run it ahead of the previous bucket's finish: flat
+  // SRA (sends only) and two-level members (one post to the leader). A
+  // two-level leader's begin folds its members' contributions; run early,
+  // it could wait on a member whose lane is still in the previous bucket's
+  // finish, which in turn waits on this leader's broadcast.
+  bool begin_never_blocks(int rank) const {
+    if (!options_.node_of.empty()) return !topo_.is_leader(rank);
+    return options_.scheme == comm::ReductionScheme::ScatterReduceAllgather;
   }
 
-  // Round-retry recovery protocol, shared with AsyncGradientEngine's
-  // per-bucket retries. Non-elastic comms run the classic deadline-bounded
-  // agreement barrier / per-rank inbound reset / second barrier. Elastic
-  // comms (comm/membership.h) instead run survivor agreement: a transient
+  // The round-retry ladder every step rides: allreduce() runs its whole
+  // step through it, AsyncGradientEngine each bucket and the packet.
+  // `attempt` does the collective work. With a retry budget of 0 (the
+  // default) that is all: a CommError is recorded in `report` and
+  // rethrown. Otherwise the `rollback` layers of `fused` are snapshotted
+  // into `ws` first, and each failed attempt (a CommError, or a fault
+  // harness failure scheduled for `round`) is recorded, recovered through
+  // reshard_world, rolled back and retried until the budget is spent.
+  // Elastic comms get a budget of at least 2x the world and a commit fence
+  // after each attempt. `report_mutex` (may be null) guards `report`
+  // against other lanes of the same rank.
+  void run_round(comm::Comm& comm, std::span<float> fused,
+                 std::span<const std::size_t> rollback, std::uint64_t round,
+                 CollectiveWorkspace& ws, StepReport& report,
+                 std::mutex* report_mutex,
+                 util::FunctionRef<void()> attempt);
+
+  // Round-retry recovery protocol (run_round's recover step). Non-elastic
+  // comms run the classic deadline-bounded agreement barrier / per-rank
+  // inbound reset / second barrier. Elastic comms (comm/membership.h)
+  // instead run survivor agreement: a transient
   // fault quiesces over the recovery gate; a crash re-shards the world
   // (apply_view rebuilds this engine's plans) and the retried attempt runs
   // in the shrunken world. Throws TimeoutError if agreement cannot be
@@ -248,10 +269,11 @@ class CgxEngine final : public GradientEngine {
   void apply_view(const comm::WorldView& view);
 
   // World the next allreduce will run in (shrinks/grows with re-shards).
-  int active_world() const { return active_world_; }
+  int active_world() const { return static_cast<int>(active_ranks_.size()); }
 
   // Bytes each rank puts on the wire per step (compressed), and the FP32
-  // baseline's, for compression-ratio reporting (Fig. 5b / Table 7).
+  // baseline's, for compression-ratio reporting (Fig. 5b / Table 7). Uses
+  // the flat formula over the active world.
   double wire_bytes_per_rank(comm::ReductionScheme scheme) const;
   double raw_wire_bytes_per_rank(comm::ReductionScheme scheme) const;
 
@@ -290,14 +312,15 @@ class CgxEngine final : public GradientEngine {
                                // never stepped); feeds StepReport movement
   };
 
-  // One full reduction pass — the body a round retry re-runs.
-  void allreduce_attempt(comm::Comm& comm, std::span<float> fused,
-                         util::Rng& rng, RankState& state);
+  // The one place rank state is built (constructor, rebuild, apply_view):
+  // resolves the policy, sizes every rank's compressors for the active
+  // world and topo_, and refreshes the cached wire estimate. A layer whose
+  // policy and chunk count are unchanged keeps its compressors and their
+  // error-feedback residuals, unless `drop_residuals` is set.
+  void build_rank_state(bool drop_residuals);
 
   // Fills the StepReport's world-movement fields on every allreduce exit.
   void finish_report(RankState& state);
-  std::chrono::milliseconds derived_recovery_timeout(
-      const comm::CommPolicy& pol) const;
 
   double layer_wire_bytes(std::size_t layer_index,
                           comm::ReductionScheme scheme, bool compressed) const;
@@ -306,16 +329,22 @@ class CgxEngine final : public GradientEngine {
   CompressionConfig config_;
   int world_size_;
   EngineOptions options_;
-  // Two-level routing options, built once in rebuild() so the per-call hot
-  // path never copies the node map (zero steady-state allocations).
+  // Placement of the active world (dense ranks; the launch node_of
+  // restricted to the survivors). Meaningful only in two-level mode.
+  comm::Topology topo_;
+  // Two-level routing options, built in build_rank_state() so the per-call
+  // hot path never copies the node map (zero steady-state allocations).
   HierarchicalOptions hier_;
   std::vector<LayerCompression> resolved_;
   std::vector<std::size_t> filtered_layers_;  // layers routed to FP32
+  std::vector<std::size_t> compressed_layers_;  // the rest, layout order
+  std::vector<std::size_t> all_layers_;         // 0..n-1: a step's rollback
   std::size_t packet_numel_ = 0;              // total numel of filtered layers
-  // Elastic membership: the currently active world (== world_size_ until a
-  // re-shard shrinks it) and the epoch of the last applied view. ranks_
-  // stays keyed by GLOBAL rank — a survivor keeps its slot across shrinks.
-  int active_world_ = 0;
+  // Elastic membership: the global ranks of the active world (all of them
+  // until a re-shard shrinks it) and the epoch of the last applied view.
+  // ranks_ stays keyed by GLOBAL rank — a survivor keeps its slot across
+  // shrinks.
+  std::vector<int> active_ranks_;
   std::uint64_t applied_epoch_ = 0;
   double wire_bytes_cached_ = 0.0;  // see cached_wire_bytes()
   std::vector<RankState> ranks_;

@@ -204,7 +204,6 @@ TEST(AsyncEngineAlloc, DagExecutorStreamedStepAllocationFreeAfterWarmup) {
       std::make_unique<CgxEngine>(layout, CompressionConfig::cgx_default(),
                                   kWorld),
       aopts);
-  ASSERT_TRUE(engine.ordered_launch());
 
   comm::ShmTransport transport(kWorld);
   comm::run_world(transport, [&](comm::Comm& comm) {

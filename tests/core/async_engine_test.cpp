@@ -168,21 +168,6 @@ TEST(AsyncGradientEngine, OverlapBitIdenticalToInlineAcrossSchemesAndWorlds) {
   }
 }
 
-TEST(AsyncGradientEngine, PipeliningDoesNotChangeResults) {
-  const auto layout = transformer_like_layout();
-  AsyncOptions piped;
-  piped.bucket_bytes = std::size_t{32} << 10;
-  piped.pipeline = true;
-  AsyncOptions unpiped = piped;
-  unpiped.pipeline = false;
-  constexpr int kWorld = 4;
-  const auto scheme = comm::ReductionScheme::ScatterReduceAllgather;
-  auto a = make_engine(layout, kWorld, scheme, piped);
-  auto b = make_engine(layout, kWorld, scheme, unpiped);
-  EXPECT_EQ(run_rounds(a, layout, kWorld, 3),
-            run_rounds(b, layout, kWorld, 3));
-}
-
 TEST(AsyncGradientEngine, NotifyOrderDoesNotChangeResults) {
   // Layers announced front-to-back instead of back-to-front (all ranks
   // agreeing) reverses the bucket submission order; per-bucket RNG streams

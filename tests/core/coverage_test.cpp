@@ -45,36 +45,6 @@ TEST(EngineTreeScheme, EndToEndAverage) {
   for (float v : bias) EXPECT_NEAR(v, 2.5f, 1e-5f);
 }
 
-TEST(EngineUnfusedFilteredLayers, StillExact) {
-  EngineOptions options;
-  options.fuse_filtered_layers = false;
-  const auto layout = small_layout();
-  CgxEngine engine(layout, CompressionConfig::cgx_default(), 3, options);
-  comm::ShmTransport transport(3);
-  comm::run_world(transport, [&](comm::Comm& comm) {
-    std::vector<float> grad(layout.total_numel(),
-                            static_cast<float>(comm.rank()));
-    util::Rng rng(5 + static_cast<std::uint64_t>(comm.rank()));
-    engine.allreduce(comm, grad, rng);
-    const auto bias = layout.slice(std::span<const float>(grad), 1);
-    for (float v : bias) EXPECT_NEAR(v, 1.0f, 1e-5f);  // mean(0,1,2)
-  });
-}
-
-TEST(EngineNoAverage, ReturnsSum) {
-  EngineOptions options;
-  options.average = false;
-  const auto layout = small_layout();
-  CgxEngine engine(layout, CompressionConfig::uncompressed(), 4, options);
-  comm::ShmTransport transport(4);
-  comm::run_world(transport, [&](comm::Comm& comm) {
-    std::vector<float> grad(layout.total_numel(), 1.0f);
-    util::Rng rng(1);
-    engine.allreduce(comm, grad, rng);
-    for (float v : grad) EXPECT_NEAR(v, 4.0f, 1e-5f);
-  });
-}
-
 TEST(WireBytes, NuqAndTernGradAccounting) {
   LayerCompression nuq;
   nuq.method = Method::Nuq;

@@ -92,11 +92,9 @@ TEST(DagAsync, OrderedLanesBitIdenticalToInlineAcrossSchemesAndWorlds) {
       for (int lanes : {1, 2}) {
         AsyncOptions aopts = inline_opts;
         aopts.overlap = true;
-        aopts.ordered_launch = true;
         aopts.comm_lanes = lanes;
         auto engine = make_engine(layout, world, scheme, aopts);
         EXPECT_EQ(engine.comm_lanes(), lanes);
-        EXPECT_TRUE(engine.ordered_launch());
         const auto got = run_rounds(engine, layout, world, 2);
         for (int r = 0; r < world; ++r) {
           const auto& g = got[static_cast<std::size_t>(r)];
@@ -121,8 +119,6 @@ TEST(DagAsync, LaneCountClampsToTagSpaceBound) {
   auto engine = make_engine(
       layout, 2, comm::ReductionScheme::ScatterReduceAllgather, aopts);
   EXPECT_EQ(engine.comm_lanes(), comm::kMaxCommLanes);
-  // comm_lanes > 1 implies ordered launch even when not requested.
-  EXPECT_TRUE(engine.ordered_launch());
   const auto got = run_rounds(engine, layout, 2, 1);
   EXPECT_EQ(got[0], got[1]);
 }
@@ -248,7 +244,6 @@ TEST(DagAsync, RetriesForceSingleLaneAndRecoverBitwise) {
   AsyncOptions aopts;
   aopts.bucket_bytes = std::size_t{32} << 10;
   aopts.overlap = true;
-  aopts.ordered_launch = true;
 
   auto clean = make_engine(
       layout, kWorld, comm::ReductionScheme::Ring, aopts);

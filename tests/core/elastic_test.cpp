@@ -327,6 +327,79 @@ TEST(ElasticWorld8, MidStepCrashFinishesAllStepsAndReportsTheShrink) {
   }
 }
 
+// A survivor's rebuild() after a shrink must size compressors for the
+// ACTIVE world (one per dense chunk), or the next step's collectives abort
+// on a compressor count that no longer matches the world. The cached wire
+// estimate must follow the shrink too.
+TEST(ElasticRebuild, SurvivorRebuildAfterShrinkKeepsLockstep) {
+  constexpr int kWorld = 4;
+  constexpr int kVictim = 3;
+  constexpr int kRounds = 3;
+  const auto layout = tiny_layout();
+
+  comm::ShmTransport inner(kWorld);
+  comm::CommPolicy pol;
+  pol.timeout = 40ms;
+  pol.checksums = true;
+  inner.set_policy(pol);
+  comm::FaultInjector injector(/*seed=*/3, kWorld);
+  injector.schedule_crash(kVictim, /*op_index=*/5);  // dies in step 0
+  comm::FaultyTransport faulty(inner, injector);
+  comm::Membership membership(kWorld);
+
+  EngineOptions options;
+  options.scheme = comm::ReductionScheme::Ring;
+  options.recovery_timeout = 2000ms;
+  CgxEngine engine(layout, CompressionConfig::cgx_default(), kWorld,
+                   options);
+  const double launch_wire = engine.cached_wire_bytes();
+  const double shrunk_wire =
+      CgxEngine(layout, CompressionConfig::cgx_default(), kWorld - 1,
+                options)
+          .cached_wire_bytes();
+  ASSERT_NE(launch_wire, shrunk_wire);
+
+  std::vector<std::vector<float>> grads(kWorld);
+  std::vector<double> reported_wire(kWorld, 0.0);
+  comm::run_world(
+      faulty,
+      [&](comm::Comm& comm) {
+        const int g = comm.global_rank();
+        util::Rng rng(6000 + static_cast<std::uint64_t>(g));
+        std::vector<float> grad;
+        for (int round = 0; round < kRounds; ++round) {
+          grad = rank_gradient(layout, g, round);
+          engine.allreduce(comm, grad, rng);
+          if (round == 0) {
+            ASSERT_EQ(engine.last_step_report(g).world, kWorld - 1);
+            // Quiesced policy rebuild on one survivor, between barriers.
+            comm.barrier();
+            if (comm.rank() == 0) engine.rebuild();
+            comm.barrier();
+          }
+        }
+        reported_wire[static_cast<std::size_t>(g)] =
+            engine.last_step_report(g).wire_bytes;
+        grads[static_cast<std::size_t>(g)] = grad;
+      },
+      comm::WorldOptions{&membership});
+
+  ASSERT_TRUE(membership.is_failed(kVictim));
+  EXPECT_EQ(engine.active_world(), kWorld - 1);
+  EXPECT_EQ(engine.cached_wire_bytes(), shrunk_wire);
+  for (int r = 0; r < kWorld; ++r) {
+    if (r == kVictim) continue;
+    ASSERT_EQ(grads[static_cast<std::size_t>(r)].size(), layout.total_numel())
+        << "survivor " << r << " never finished";
+    EXPECT_EQ(reported_wire[static_cast<std::size_t>(r)], shrunk_wire);
+    EXPECT_EQ(std::memcmp(grads[0].data(),
+                          grads[static_cast<std::size_t>(r)].data(),
+                          layout.total_numel() * sizeof(float)),
+              0)
+        << "survivor " << r << " diverged from survivor 0";
+  }
+}
+
 TEST(ElasticRejoin, RestoresTheFullWorldWithIdenticalParameters) {
   constexpr int kWorld = 8;
   constexpr std::uint64_t kSteps = 8;

@@ -101,9 +101,9 @@ TEST(Multinode, HierarchicalOverSimNetBitIdenticalAcrossRanksAndRuns) {
 class TwoLevelStreaming : public ::testing::TestWithParam<bool> {};
 
 TEST_P(TwoLevelStreaming, OverlapBitIdenticalToInline) {
-  // The streamed two-level pipeline (bucket k+1's intra fold overlapping
-  // bucket k's inter-node exchange) must compute exactly what the
-  // synchronous submission-order path computes.
+  // The streamed two-level pipeline (members post bucket k+1 while bucket
+  // k's inter-node exchange drains) must compute exactly what the
+  // synchronous submission-order path computes, and must not deadlock.
   const bool compress_intra = GetParam();
   constexpr int kWorld = 8;
   tensor::LayerLayout layout;
