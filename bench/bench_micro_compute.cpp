@@ -1,18 +1,22 @@
 // Compute-kernel microbenchmarks: in-process A/B of the SIMD dispatch
-// levels (scalar vs SSE2 vs AVX2) for the tiled GEMM, the im2col
-// convolution, the quantizers, and the fused error-feedback sweep.
+// levels (scalar vs SSE2 vs AVX2) for the tiled GEMM, the A·Bᵀ dot tile,
+// the im2col convolution, the Adam update, the quantizers, and the fused
+// error-feedback sweep.
 //
-// Writes results/BENCH_compute.json: one row per (kernel, level) with
+// Writes results/BENCH_compute.json: a provenance block (commit, host,
+// nproc, SIMD level, build type) and one row per (kernel, level) with
 // throughput and speedup_vs_scalar, so the perf acceptance gate (matmul
 // 2048^2 >= 3x, 4-bit quantize >= 2x on AVX2 hardware) reads machine
 // numbers instead of eyeballs. `--smoke` shrinks the problem sizes for the
 // CI smoke lane; `--no_json` skips the file for interactive runs.
 #include <benchmark/benchmark.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -91,6 +95,38 @@ void sweep_levels(std::vector<Row>& rows, const std::string& kernel,
   simd::set_level(prev);
 }
 
+// The working directory's commit, suffixed "-dirty" when the tree has
+// uncommitted changes, or "unknown" outside a checkout.
+std::string git_commit() {
+  std::string out;
+  if (FILE* p = popen("git describe --always --dirty --abbrev=40 2>/dev/null",
+                      "r")) {
+    char buf[128];
+    while (std::fgets(buf, sizeof(buf), p) != nullptr) out += buf;
+    pclose(p);
+  }
+  while (!out.empty() && (out.back() == '\n' || out.back() == '\r')) {
+    out.pop_back();
+  }
+  return out.empty() ? "unknown" : out;
+}
+
+// Where the numbers came from, so a change of machine or build cannot pass
+// for a speed-up.
+std::string provenance_json() {
+  char host[256] = {};
+  gethostname(host, sizeof(host) - 1);
+  char buf[1024];
+  std::snprintf(buf, sizeof(buf),
+                "{\"git_commit\": \"%s\", \"host\": \"%s\", "
+                "\"nproc\": %ld, \"simd\": \"%s\", "
+                "\"build_type\": \"%s\", \"compiler\": \"%s\"}",
+                git_commit().c_str(), host, sysconf(_SC_NPROCESSORS_ONLN),
+                simd::level_name(simd::max_supported_level()),
+                CGX_BENCH_BUILD_TYPE, __VERSION__);
+  return buf;
+}
+
 void run_suite(bool smoke, bool json) {
   std::vector<Row> rows;
 
@@ -104,6 +140,33 @@ void run_suite(bool smoke, bool json) {
     sweep_levels(rows, "matmul_" + std::to_string(dim), "GFLOP/s", flops,
                  [&] {
                    tensor::matmul(a, b, c, dim, dim, dim);
+                   benchmark::DoNotOptimize(c.data());
+                 });
+  }
+
+  // ---- A·Bᵀ dot tile on the VGG-mini conv2 dW shape (single-threaded):
+  // go_n[16 x 32*32] * col[16*3*3 x 32*32]^T ----
+  {
+    const std::size_t m = 16, n = smoke ? 256 : 1024, k = 144;
+    const auto a = make_input(m * n, 11);
+    const auto b = make_input(k * n, 12);
+    std::vector<float> c(m * k);
+    sweep_levels(rows, "matmul_a_bt_conv_dw", "GFLOP/s", 2.0 * m * n * k,
+                 [&] {
+                   tensor::matmul_a_bt(a, b, c, m, n, k);
+                   benchmark::DoNotOptimize(c.data());
+                 });
+    // The same product as one reduce_dot per output at each level: the
+    // loop the tile replaced, so each level's tile has its own baseline.
+    sweep_levels(rows, "matmul_a_bt_conv_dw_per_output", "GFLOP/s",
+                 2.0 * m * n * k, [&] {
+                   for (std::size_t i = 0; i < m; ++i) {
+                     for (std::size_t j = 0; j < k; ++j) {
+                       c[i * k + j] = static_cast<float>(simd::reduce_dot(
+                           std::span<const float>(a).subspan(i * n, n),
+                           std::span<const float>(b).subspan(j * n, n)));
+                     }
+                   }
                    benchmark::DoNotOptimize(c.data());
                  });
   }
@@ -167,6 +230,29 @@ void run_suite(bool smoke, bool json) {
     }
   }
 
+  // ---- Adam update kernel over one flat parameter (the per-parameter
+  // sweep of nn::Adam::step, without its gradient zeroing) ----
+  {
+    auto w = make_input(numel, 13);
+    const auto g = make_input(numel, 14);
+    std::vector<float> m(numel, 0.0f), v(numel, 0.0f);
+    simd::AdamCoeffs c;
+    c.weight_decay = 0.0f;
+    c.beta1 = 0.9f;
+    c.one_minus_beta1 = static_cast<float>(1.0 - 0.9);
+    c.beta2 = 0.999f;
+    c.one_minus_beta2 = static_cast<float>(1.0 - 0.999);
+    c.bias1 = 1.0 - 0.9;
+    c.bias2 = 1.0 - 0.999;
+    c.lr = 1e-3;
+    c.eps = 1e-8;
+    sweep_levels(rows, "adam_update", "Gelem/s", static_cast<double>(numel),
+                 [&] {
+                   simd::adam_update(c, w, g, m, v);
+                   benchmark::DoNotOptimize(w.data());
+                 });
+  }
+
   // ---- quantizers (full compress pipeline incl. RNG, norms, pack) ----
   for (unsigned bits : {2u, 4u, 8u}) {
     if (smoke && bits != 4) continue;
@@ -203,7 +289,7 @@ void run_suite(bool smoke, bool json) {
   if (!json) return;
   std::filesystem::create_directories("results");
   std::ofstream out("results/BENCH_compute.json");
-  out << "[\n";
+  out << "{\"provenance\": " << provenance_json() << ",\n \"rows\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     char line[256];
     std::snprintf(line, sizeof(line),
@@ -215,7 +301,7 @@ void run_suite(bool smoke, bool json) {
                   i + 1 < rows.size() ? "," : "");
     out << line << "\n";
   }
-  out << "]\n";
+  out << "]}\n";
   std::printf("wrote results/BENCH_compute.json\n");
 }
 

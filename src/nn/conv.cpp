@@ -73,7 +73,8 @@ void Conv2d::im2col(std::span<const float> image, std::size_t h,
             if (hi < lo) hi = lo;
             if (lo > 0) std::memset(dst, 0, lo * sizeof(float));
             if (hi > lo) {
-              std::memcpy(dst + lo, src + ix0 + lo, (hi - lo) * sizeof(float));
+              std::memcpy(dst + lo, src + (ix0 + lo),
+                          (hi - lo) * sizeof(float));
             }
             if (hi < static_cast<std::ptrdiff_t>(ow)) {
               std::memset(dst + hi, 0, (ow - hi) * sizeof(float));
@@ -162,6 +163,9 @@ const tensor::Tensor& Conv2d::backward(const tensor::Tensor& grad_out) {
     util::simd::add(wg, dw_);
     tensor::matmul_at_b(wgt, go_n, dcol_, out_c_, ck2, cols);
     // col2im scatter-add (serial: output pixels overlap under stride < k).
+    // Every input pixel receives its terms in (ic, ky, kx, oy) order; within
+    // one (ic, ky, kx, oy) each ox lands on a distinct pixel, so the
+    // stride-1 run can be added as one vector.
     float* gimg = gi.data() + n * in_c_ * h * w;
     const float* dcol = dcol_.data();
     for (std::size_t ic = 0; ic < in_c_; ++ic) {
@@ -169,6 +173,15 @@ const tensor::Tensor& Conv2d::backward(const tensor::Tensor& grad_out) {
       for (std::size_t ky = 0; ky < k_; ++ky) {
         for (std::size_t kx = 0; kx < k_; ++kx) {
           const float* row = dcol + ((ic * k_ + ky) * k_ + kx) * cols;
+          // Stride 1: clip the [kx - pad, kx - pad + ow) window once, as
+          // im2col does.
+          const std::ptrdiff_t ix0 = static_cast<std::ptrdiff_t>(kx) -
+                                     static_cast<std::ptrdiff_t>(pad_);
+          const std::ptrdiff_t lo = std::max<std::ptrdiff_t>(0, -ix0);
+          const std::ptrdiff_t hi = std::max(
+              lo, std::min<std::ptrdiff_t>(static_cast<std::ptrdiff_t>(ow),
+                                           static_cast<std::ptrdiff_t>(w) -
+                                               ix0));
           for (std::size_t oy = 0; oy < oh; ++oy) {
             const std::ptrdiff_t iy =
                 static_cast<std::ptrdiff_t>(oy * stride_ + ky) -
@@ -176,6 +189,13 @@ const tensor::Tensor& Conv2d::backward(const tensor::Tensor& grad_out) {
             if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(h)) continue;
             float* dst = plane + static_cast<std::size_t>(iy) * w;
             const float* src = row + oy * ow;
+            if (stride_ == 1) {
+              if (hi > lo) {
+                const auto len = static_cast<std::size_t>(hi - lo);
+                util::simd::add({dst + (ix0 + lo), len}, {src + lo, len});
+              }
+              continue;
+            }
             for (std::size_t ox = 0; ox < ow; ++ox) {
               const std::ptrdiff_t ix =
                   static_cast<std::ptrdiff_t>(ox * stride_ + kx) -

@@ -61,11 +61,11 @@ const tensor::Tensor& Linear::forward(const tensor::Tensor& x, bool train) {
 const tensor::Tensor& Linear::backward(const tensor::Tensor& grad_out) {
   const std::size_t rows = input_.numel() / in_;
   CGX_CHECK_EQ(grad_out.numel(), rows * out_);
-  // dW += x^T g   (x: [rows x in], g: [rows x out])
-  tensor::Tensor dw(tensor::Shape{in_, out_});
-  tensor::matmul_at_b(input_.data(), grad_out.data(), dw.data(), rows, in_,
-                      out_);
-  tensor::add_inplace(weight_.grad.data(), dw.data());
+  // dW += x^T g   (x: [rows x in], g: [rows x out]); matmul_at_b overwrites
+  // the reused scratch.
+  dw_.resize(in_ * out_);
+  tensor::matmul_at_b(input_.data(), grad_out.data(), dw_, rows, in_, out_);
+  tensor::add_inplace(weight_.grad.data(), dw_);
   if (has_bias_) {
     auto bg = bias_.grad.data();
     const auto g = grad_out.data();

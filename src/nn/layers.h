@@ -3,6 +3,7 @@
 #pragma once
 
 #include <functional>
+#include <vector>
 
 #include "nn/module.h"
 
@@ -31,6 +32,7 @@ class Linear final : public Module {
   tensor::Tensor input_;  // cached for backward
   tensor::Tensor output_;
   tensor::Tensor grad_in_;
+  std::vector<float> dw_;  // per-call weight-gradient scratch
 };
 
 class ReLU final : public Module {

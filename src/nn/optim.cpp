@@ -5,6 +5,7 @@
 
 #include "tensor/tensor_ops.h"
 #include "util/check.h"
+#include "util/simd.h"
 
 namespace cgx::nn {
 
@@ -85,25 +86,19 @@ Adam::Adam(std::vector<Param*> params, LrSchedule lr, double beta1,
 
 void Adam::step() {
   const double t = static_cast<double>(steps_ + 1);
-  const double bias1 = 1.0 - std::pow(beta1_, t);
-  const double bias2 = 1.0 - std::pow(beta2_, t);
-  const double lr = lr_(steps_);
+  util::simd::AdamCoeffs coeffs;
+  coeffs.weight_decay = static_cast<float>(weight_decay_);
+  coeffs.beta1 = static_cast<float>(beta1_);
+  coeffs.one_minus_beta1 = static_cast<float>(1.0 - beta1_);
+  coeffs.beta2 = static_cast<float>(beta2_);
+  coeffs.one_minus_beta2 = static_cast<float>(1.0 - beta2_);
+  coeffs.bias1 = 1.0 - std::pow(beta1_, t);
+  coeffs.bias2 = 1.0 - std::pow(beta2_, t);
+  coeffs.lr = lr_(steps_);
+  coeffs.eps = eps_;
   for (std::size_t i = 0; i < params_.size(); ++i) {
-    auto value = params_[i]->value.data();
-    auto grad = params_[i]->grad.data();
-    auto& m = m_[i];
-    auto& v = v_[i];
-    for (std::size_t j = 0; j < value.size(); ++j) {
-      const float g =
-          grad[j] + static_cast<float>(weight_decay_) * value[j];
-      m[j] = static_cast<float>(beta1_) * m[j] +
-             static_cast<float>(1.0 - beta1_) * g;
-      v[j] = static_cast<float>(beta2_) * v[j] +
-             static_cast<float>(1.0 - beta2_) * g * g;
-      const double mhat = m[j] / bias1;
-      const double vhat = v[j] / bias2;
-      value[j] -= static_cast<float>(lr * mhat / (std::sqrt(vhat) + eps_));
-    }
+    util::simd::adam_update(coeffs, params_[i]->value.data(),
+                            params_[i]->grad.data(), m_[i], v_[i]);
     params_[i]->grad.zero();
   }
   ++steps_;

@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <vector>
 
 #include "util/check.h"
 #include "util/simd_internal.h"
@@ -243,6 +244,28 @@ void gemm_tile_at_scalar(const float* a, std::size_t lda, const float* b,
   }
 }
 
+// The scalar A·Bᵀ tile is one reduce_dot per output — the specification
+// the vector tiles reproduce.
+void dot_tile_scalar(const float* a, std::size_t lda, const float* b,
+                     std::size_t ldb, float* c, std::size_t ldc,
+                     std::size_t mb, std::size_t nb, std::size_t n) {
+  for (std::size_t i = 0; i < mb; ++i) {
+    for (std::size_t j = 0; j < nb; ++j) {
+      c[i * ldc + j] =
+          static_cast<float>(reduce_dot_scalar(a + i * lda, b + j * ldb, n));
+    }
+  }
+}
+
+// -------------------------------------------------------------------- adam
+
+void adam_update_scalar(const AdamCoeffs& c, float* w, const float* grad,
+                        float* m, float* v, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    adam_element(c, w[i], grad[i], m[i], v[i]);
+  }
+}
+
 // ------------------------------------------------------------- copy engine
 //
 // The scalar copy IS std::memcpy: byte moves have no rounding, so the
@@ -270,6 +293,7 @@ constexpr SimdOps kScalarOps = {
     qsgd_quantize_scalar, qsgd_dequantize_scalar,
     nuq_quantize_scalar,  nuq_dequantize_scalar,
     gemm_tile_scalar,  gemm_tile_at_scalar,
+    dot_tile_scalar,   adam_update_scalar,
     nullptr,           nullptr,
     copy_bytes_scalar, add_scalar,  // copy_add == the elementwise add loop
     copy_add2_scalar,
@@ -279,6 +303,12 @@ constexpr SimdOps kScalarOps = {
 }  // namespace
 
 const SimdOps& scalar_ops() { return kScalarOps; }
+
+double* widen_scratch(std::size_t count) {
+  thread_local std::vector<double> scratch;
+  if (scratch.size() < count) scratch.resize(count);
+  return scratch.data();
+}
 
 }  // namespace detail
 
@@ -463,6 +493,21 @@ void gemm_tile_at(const float* a, std::size_t lda, const float* b,
                   std::size_t ldb, float* c, std::size_t ldc, std::size_t mb,
                   std::size_t kb, std::size_t nb) {
   ops().gemm_tile_at(a, lda, b, ldb, c, ldc, mb, kb, nb);
+}
+
+void dot_tile(const float* a, std::size_t lda, const float* b,
+              std::size_t ldb, float* c, std::size_t ldc, std::size_t mb,
+              std::size_t nb, std::size_t n) {
+  ops().dot_tile(a, lda, b, ldb, c, ldc, mb, nb, n);
+}
+
+void adam_update(const AdamCoeffs& coeffs, std::span<float> w,
+                 std::span<const float> grad, std::span<float> m,
+                 std::span<float> v) {
+  CGX_DCHECK(grad.size() == w.size());
+  CGX_DCHECK(m.size() == w.size() && v.size() == w.size());
+  ops().adam_update(coeffs, w.data(), grad.data(), m.data(), v.data(),
+                    w.size());
 }
 
 bool pack_words(const std::uint32_t* sym, std::size_t nwords, unsigned bits,

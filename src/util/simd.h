@@ -19,7 +19,10 @@
 // The scalar reference implements this same order, so "scalar" is not a
 // different numerical contract — it is the specification. All three TUs
 // (scalar/sse2/avx2) are compiled with -ffp-contract=off so the compiler
-// cannot re-fuse what the contract keeps separate.
+// cannot re-fuse what the contract keeps separate. The one fused operation
+// is the AVX2 dot_tile's double-precision accumulate of a product of two
+// widened floats: that product is exact in double (24 + 24 significand
+// bits), so fma(x, y, acc) rounds exactly like acc + x * y.
 #pragma once
 
 #include <cstddef>
@@ -115,6 +118,40 @@ void gemm_tile(const float* a, std::size_t lda, const float* b,
 void gemm_tile_at(const float* a, std::size_t lda, const float* b,
                   std::size_t ldb, float* c, std::size_t ldc, std::size_t mb,
                   std::size_t kb, std::size_t nb);
+
+// A·Bᵀ tile for tensor::matmul_a_bt: for i < mb and j < nb,
+//   c[i*ldc + j] = (float)reduce_dot(a + i*lda, b + j*ldb)   (length n each).
+// Every output keeps reduce_dot's canonical lane order, so the tile is
+// bit-identical to one reduce_dot per output. Vector levels widen a block
+// of A rows to double once and stream each B row against all of them; the
+// widening buffer is a grow-once per-thread scratch of 4*n doubles.
+void dot_tile(const float* a, std::size_t lda, const float* b,
+              std::size_t ldb, float* c, std::size_t ldc, std::size_t mb,
+              std::size_t nb, std::size_t n);
+
+// ---------------------------------------------------------------------------
+// Adam update (nn::Adam::step), per element i in increasing order:
+//   g    = grad[i] + weight_decay * w[i]                       (float)
+//   m[i] = beta1 * m[i] + one_minus_beta1 * g                  (float)
+//   v[i] = beta2 * v[i] + (one_minus_beta2 * g) * g            (float)
+//   w[i] -= (float)(lr * (m[i] / bias1) /
+//                   (sqrt(v[i] / bias2) + eps))                (double)
+// The SSE2 kernel runs this exact sequence 4 elements at a time, so the
+// result is bit-identical at every level. AVX2 uses the SSE2 kernel: the
+// double divider sets the rate, and wider vectors gain nothing.
+// ---------------------------------------------------------------------------
+
+struct AdamCoeffs {
+  float weight_decay;
+  float beta1, one_minus_beta1;
+  float beta2, one_minus_beta2;
+  double bias1, bias2;  // 1 - beta^t bias corrections
+  double lr, eps;
+};
+
+void adam_update(const AdamCoeffs& coeffs, std::span<float> w,
+                 std::span<const float> grad, std::span<float> m,
+                 std::span<float> v);
 
 // ---------------------------------------------------------------------------
 // Bit pack/unpack fast paths for util/bitio. Operates on complete 64-bit

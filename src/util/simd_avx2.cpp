@@ -2,9 +2,12 @@
 // are available, but arithmetic deliberately uses separate multiply+add —
 // never FMA — and the TU is built with -ffp-contract=off, because fusing
 // would change rounding and break the bit-exactness contract against the
-// scalar reference (see simd.h). Reductions stripe elements across eight
-// double lanes exactly like the scalar path (element i -> lane i % 8) and
-// fold with the shared canonical tree.
+// scalar reference (see simd.h). The single exception is dot_tile's
+// double accumulate of a product of two widened floats: that product is
+// exact in double, so the fused form rounds once, exactly like the
+// separate add. Reductions stripe elements across eight double lanes
+// exactly like the scalar path (element i -> lane i % 8) and fold with the
+// shared canonical tree.
 #include "util/simd_internal.h"
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -110,6 +113,20 @@ double reduce_sum_avx2(const float* x, std::size_t n) {
   return combine_lanes(lanes);
 }
 
+// Spills a dot product's lane accumulators, adds the ragged tail [i, n) into
+// lane i % 8, and folds with the canonical tree. Shared by reduce_dot and
+// every output of dot_tile.
+inline double finish_dot(__m256d a03, __m256d a47, const float* x,
+                         const float* y, std::size_t i, std::size_t n) {
+  double lanes[8];
+  _mm256_storeu_pd(lanes, a03);
+  _mm256_storeu_pd(lanes + 4, a47);
+  for (; i < n; ++i) {
+    lanes[i % 8] += static_cast<double>(x[i]) * static_cast<double>(y[i]);
+  }
+  return combine_lanes(lanes);
+}
+
 double reduce_dot_avx2(const float* x, const float* y, std::size_t n) {
   __m256d a03 = _mm256_setzero_pd();
   __m256d a47 = _mm256_setzero_pd();
@@ -120,13 +137,7 @@ double reduce_dot_avx2(const float* x, const float* y, std::size_t n) {
     a03 = _mm256_add_pd(a03, _mm256_mul_pd(vx.d03, vy.d03));
     a47 = _mm256_add_pd(a47, _mm256_mul_pd(vx.d47, vy.d47));
   }
-  double lanes[8];
-  _mm256_storeu_pd(lanes, a03);
-  _mm256_storeu_pd(lanes + 4, a47);
-  for (; i < n; ++i) {
-    lanes[i % 8] += static_cast<double>(x[i]) * static_cast<double>(y[i]);
-  }
-  return combine_lanes(lanes);
+  return finish_dot(a03, a47, x, y, i, n);
 }
 
 double reduce_sqnorm_avx2(const float* x, std::size_t n) {
@@ -590,6 +601,69 @@ bool unpack_words_avx2(const std::byte* in, std::size_t nwords, unsigned bits,
   return false;
 }
 
+// ---------------------------------------------------------------- dot tile
+
+// 4 A rows x 1 B row: the four A rows are widened to double once, then every
+// B row is widened once and fused-multiply-added into all four rows' eight
+// lanes (eight accumulators). A float x float product is exact in double
+// (24 + 24 significand bits; exponents far inside double range), so
+// fma(a, b, acc) rounds exactly like acc + a * b (DESIGN.md §5e).
+void dot_tile_avx2(const float* a, std::size_t lda, const float* b,
+                   std::size_t ldb, float* c, std::size_t ldc, std::size_t mb,
+                   std::size_t nb, std::size_t n) {
+  const std::size_t nv = n - n % 8;
+  std::size_t i = 0;
+  if (nv > 0) {
+    double* wa = widen_scratch(4 * nv);
+    for (; i + 4 <= mb; i += 4) {
+      const float* arow = a + i * lda;
+      for (std::size_t r = 0; r < 4; ++r) {
+        for (std::size_t k = 0; k < nv; k += 8) {
+          const Lanes8d v = widen8(arow + r * lda + k);
+          _mm256_storeu_pd(wa + r * nv + k, v.d03);
+          _mm256_storeu_pd(wa + r * nv + k + 4, v.d47);
+        }
+      }
+      const double* w0 = wa;
+      const double* w1 = wa + nv;
+      const double* w2 = wa + 2 * nv;
+      const double* w3 = wa + 3 * nv;
+      for (std::size_t j = 0; j < nb; ++j) {
+        const float* bj = b + j * ldb;
+        __m256d a0l = _mm256_setzero_pd(), a0h = _mm256_setzero_pd();
+        __m256d a1l = _mm256_setzero_pd(), a1h = _mm256_setzero_pd();
+        __m256d a2l = _mm256_setzero_pd(), a2h = _mm256_setzero_pd();
+        __m256d a3l = _mm256_setzero_pd(), a3h = _mm256_setzero_pd();
+        for (std::size_t k = 0; k < nv; k += 8) {
+          const Lanes8d vb = widen8(bj + k);
+          a0l = _mm256_fmadd_pd(_mm256_loadu_pd(w0 + k), vb.d03, a0l);
+          a0h = _mm256_fmadd_pd(_mm256_loadu_pd(w0 + k + 4), vb.d47, a0h);
+          a1l = _mm256_fmadd_pd(_mm256_loadu_pd(w1 + k), vb.d03, a1l);
+          a1h = _mm256_fmadd_pd(_mm256_loadu_pd(w1 + k + 4), vb.d47, a1h);
+          a2l = _mm256_fmadd_pd(_mm256_loadu_pd(w2 + k), vb.d03, a2l);
+          a2h = _mm256_fmadd_pd(_mm256_loadu_pd(w2 + k + 4), vb.d47, a2h);
+          a3l = _mm256_fmadd_pd(_mm256_loadu_pd(w3 + k), vb.d03, a3l);
+          a3h = _mm256_fmadd_pd(_mm256_loadu_pd(w3 + k + 4), vb.d47, a3h);
+        }
+        float* cj = c + i * ldc + j;
+        cj[0] = static_cast<float>(finish_dot(a0l, a0h, arow, bj, nv, n));
+        cj[ldc] =
+            static_cast<float>(finish_dot(a1l, a1h, arow + lda, bj, nv, n));
+        cj[2 * ldc] = static_cast<float>(
+            finish_dot(a2l, a2h, arow + 2 * lda, bj, nv, n));
+        cj[3 * ldc] = static_cast<float>(
+            finish_dot(a3l, a3h, arow + 3 * lda, bj, nv, n));
+      }
+    }
+  }
+  for (; i < mb; ++i) {
+    for (std::size_t j = 0; j < nb; ++j) {
+      c[i * ldc + j] =
+          static_cast<float>(reduce_dot_avx2(a + i * lda, b + j * ldb, n));
+    }
+  }
+}
+
 // ------------------------------------------------------------- copy engine
 
 void copy_bytes_avx2(std::byte* dst, const std::byte* src, std::size_t n) {
@@ -845,6 +919,7 @@ constexpr SimdOps kAvx2Ops = {
     qsgd_quantize_avx2, qsgd_dequantize_avx2,
     nuq_quantize_avx2,  nuq_dequantize_avx2,
     gemm_tile_avx2,  gemm_tile_at_avx2,
+    dot_tile_avx2,   adam_update_sse2,  // shared: see simd_internal.h
     pack_words_avx2, unpack_words_avx2,
     copy_bytes_avx2, copy_add_avx2, copy_add2_avx2,
     f32_to_f16_avx2, f16_to_f32_avx2,

@@ -125,6 +125,19 @@ double reduce_sum_sse2(const float* x, std::size_t n) {
   return combine_lanes(lanes);
 }
 
+// Spills a dot product's lane accumulators, adds the ragged tail [i, n) into
+// lane i % 8, and folds with the canonical tree. Shared by reduce_dot and
+// every output of dot_tile.
+inline double finish_dot(const Acc8d& acc, const float* x, const float* y,
+                         std::size_t i, std::size_t n) {
+  double lanes[8];
+  acc.spill(lanes);
+  for (; i < n; ++i) {
+    lanes[i % 8] += static_cast<double>(x[i]) * static_cast<double>(y[i]);
+  }
+  return combine_lanes(lanes);
+}
+
 double reduce_dot_sse2(const float* x, const float* y, std::size_t n) {
   Acc8d acc;
   std::size_t i = 0;
@@ -136,12 +149,7 @@ double reduce_dot_sse2(const float* x, const float* y, std::size_t n) {
     acc.a45 = _mm_add_pd(acc.a45, _mm_mul_pd(vx.d45, vy.d45));
     acc.a67 = _mm_add_pd(acc.a67, _mm_mul_pd(vx.d67, vy.d67));
   }
-  double lanes[8];
-  acc.spill(lanes);
-  for (; i < n; ++i) {
-    lanes[i % 8] += static_cast<double>(x[i]) * static_cast<double>(y[i]);
-  }
-  return combine_lanes(lanes);
+  return finish_dot(acc, x, y, i, n);
 }
 
 double reduce_sqnorm_sse2(const float* x, std::size_t n) {
@@ -490,6 +498,100 @@ void gemm_tile_at_sse2(const float* a, std::size_t lda, const float* b,
   gemm_tile_impl<true>(a, lda, b, ldb, c, ldc, mb, kb, nb);
 }
 
+// ---------------------------------------------------------------- dot tile
+
+inline void dot_accumulate(Acc8d& acc, const double* wa, const Lanes8d& vb) {
+  acc.a01 = _mm_add_pd(acc.a01, _mm_mul_pd(_mm_loadu_pd(wa + 0), vb.d01));
+  acc.a23 = _mm_add_pd(acc.a23, _mm_mul_pd(_mm_loadu_pd(wa + 2), vb.d23));
+  acc.a45 = _mm_add_pd(acc.a45, _mm_mul_pd(_mm_loadu_pd(wa + 4), vb.d45));
+  acc.a67 = _mm_add_pd(acc.a67, _mm_mul_pd(_mm_loadu_pd(wa + 6), vb.d67));
+}
+
+// 2 A rows x 1 B row: the two A rows are widened to double once, then every
+// B row is widened once and multiplied into both rows' eight lanes (eight
+// accumulators fill half the SSE register file; four rows would spill).
+void dot_tile_sse2(const float* a, std::size_t lda, const float* b,
+                   std::size_t ldb, float* c, std::size_t ldc, std::size_t mb,
+                   std::size_t nb, std::size_t n) {
+  const std::size_t nv = n - n % 8;
+  std::size_t i = 0;
+  if (nv > 0) {
+    double* wa = widen_scratch(2 * nv);
+    for (; i + 2 <= mb; i += 2) {
+      const float* a0 = a + i * lda;
+      const float* a1 = a0 + lda;
+      for (std::size_t k = 0; k < nv; ++k) {
+        wa[k] = static_cast<double>(a0[k]);
+        wa[nv + k] = static_cast<double>(a1[k]);
+      }
+      for (std::size_t j = 0; j < nb; ++j) {
+        const float* bj = b + j * ldb;
+        Acc8d acc0, acc1;
+        for (std::size_t k = 0; k < nv; k += 8) {
+          const Lanes8d vb = widen8(bj + k);
+          dot_accumulate(acc0, wa + k, vb);
+          dot_accumulate(acc1, wa + nv + k, vb);
+        }
+        c[i * ldc + j] = static_cast<float>(finish_dot(acc0, a0, bj, nv, n));
+        c[(i + 1) * ldc + j] =
+            static_cast<float>(finish_dot(acc1, a1, bj, nv, n));
+      }
+    }
+  }
+  for (; i < mb; ++i) {
+    for (std::size_t j = 0; j < nb; ++j) {
+      c[i * ldc + j] =
+          static_cast<float>(reduce_dot_sse2(a + i * lda, b + j * ldb, n));
+    }
+  }
+}
+
+// -------------------------------------------------------------------- adam
+
+// The double half of two Adam elements: lr * mhat / (sqrt(vhat) + eps).
+inline __m128d adam_step2(__m128d m, __m128d v, __m128d bias1, __m128d bias2,
+                          __m128d lr, __m128d eps) {
+  const __m128d mhat = _mm_div_pd(m, bias1);
+  const __m128d vhat = _mm_div_pd(v, bias2);
+  return _mm_div_pd(_mm_mul_pd(lr, mhat), _mm_add_pd(_mm_sqrt_pd(vhat), eps));
+}
+
+}  // namespace
+
+void adam_update_sse2(const AdamCoeffs& c, float* w, const float* grad,
+                      float* m, float* v, std::size_t n) {
+  const __m128 wd = _mm_set1_ps(c.weight_decay);
+  const __m128 b1 = _mm_set1_ps(c.beta1);
+  const __m128 c1 = _mm_set1_ps(c.one_minus_beta1);
+  const __m128 b2 = _mm_set1_ps(c.beta2);
+  const __m128 c2 = _mm_set1_ps(c.one_minus_beta2);
+  const __m128d bias1 = _mm_set1_pd(c.bias1);
+  const __m128d bias2 = _mm_set1_pd(c.bias2);
+  const __m128d lr = _mm_set1_pd(c.lr);
+  const __m128d eps = _mm_set1_pd(c.eps);
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m128 vw = _mm_loadu_ps(w + i);
+    const __m128 g = _mm_add_ps(_mm_loadu_ps(grad + i), _mm_mul_ps(wd, vw));
+    const __m128 vm = _mm_add_ps(_mm_mul_ps(b1, _mm_loadu_ps(m + i)),
+                                 _mm_mul_ps(c1, g));
+    const __m128 vv = _mm_add_ps(_mm_mul_ps(b2, _mm_loadu_ps(v + i)),
+                                 _mm_mul_ps(_mm_mul_ps(c2, g), g));
+    _mm_storeu_ps(m + i, vm);
+    _mm_storeu_ps(v + i, vv);
+    const __m128d lo = adam_step2(_mm_cvtps_pd(vm), _mm_cvtps_pd(vv), bias1,
+                                  bias2, lr, eps);
+    const __m128d hi =
+        adam_step2(_mm_cvtps_pd(_mm_movehl_ps(vm, vm)),
+                   _mm_cvtps_pd(_mm_movehl_ps(vv, vv)), bias1, bias2, lr, eps);
+    const __m128 upd = _mm_movelh_ps(_mm_cvtpd_ps(lo), _mm_cvtpd_ps(hi));
+    _mm_storeu_ps(w + i, _mm_sub_ps(vw, upd));
+  }
+  for (; i < n; ++i) adam_element(c, w[i], grad[i], m[i], v[i]);
+}
+
+namespace {
+
 // ------------------------------------------------------------- copy engine
 
 void copy_bytes_sse2(std::byte* dst, const std::byte* src, std::size_t n) {
@@ -591,6 +693,7 @@ constexpr SimdOps kSse2Ops = {
     qsgd_quantize_sse2, qsgd_dequantize_sse2,
     nuq_quantize_sse2,  nuq_dequantize_sse2,
     gemm_tile_sse2,  gemm_tile_at_sse2,
+    dot_tile_sse2,   adam_update_sse2,
     nullptr,         nullptr,  // no SSE2 pack/unpack (needs AVX2 vpsrlvd)
     copy_bytes_sse2, copy_add_sse2, copy_add2_sse2,
     nullptr,         nullptr,  // no SSE2 half path (needs AVX2 vpsrlvd)

@@ -299,6 +299,127 @@ TEST(SimdGemm, TileBitIdenticalAcrossLevels) {
   }
 }
 
+TEST(SimdDotTile, BitIdenticalToReduceDotAtEveryLevel) {
+  // Every row count class of the 4-row (AVX2) and 2-row (SSE2) tiles, over
+  // every dot length 0..67, with unaligned rows and padded strides. The
+  // specification is one reduce_dot per output, rounded to float.
+  //
+  // A float output hides most double-level reassociation, so each row pair
+  // also carries products +2^60 and -2^60 on adjacent elements (one pair at
+  // the head, one in the tail). They cancel in the total, but each absorbs
+  // its lane's small terms at a granularity of 2^8, so the float result
+  // depends on which lane every element lands in and in what order.
+  constexpr float kBig = 1073741824.0f;  // 2^30
+  for (std::size_t mb : {1u, 2u, 3u, 4u, 5u, 8u}) {
+    for (std::size_t n = 0; n <= kMaxN; ++n) {
+      const std::size_t nb = 1 + n % 5;
+      const std::size_t lda = n + 1 + offset_for(n), ldb = n + 3, ldc = nb + 2;
+      const std::size_t off = offset_for(n + 1);
+      auto a_buf = random_floats(mb * lda + off, 949 + mb * 131 + n);
+      auto b_buf = random_floats(nb * ldb + off, 959 + n);
+      float* a = a_buf.data() + off;
+      float* b = b_buf.data() + off;
+      for (std::size_t p : {std::size_t{1}, n - 2}) {
+        if (n < 6) break;
+        for (std::size_t i = 0; i < mb; ++i) {
+          a[i * lda + p] = kBig;
+          a[i * lda + p + 1] = kBig;
+        }
+        for (std::size_t j = 0; j < nb; ++j) {
+          b[j * ldb + p] = kBig;
+          b[j * ldb + p + 1] = -kBig;
+        }
+      }
+      const auto c0 = random_floats(mb * ldc, 969 + n);
+
+      std::vector<float> c_ref = c0;
+      {
+        ScopedLevel lvl(Level::kScalar);
+        for (std::size_t i = 0; i < mb; ++i) {
+          for (std::size_t j = 0; j < nb; ++j) {
+            c_ref[i * ldc + j] = static_cast<float>(
+                reduce_dot({a + i * lda, n}, {b + j * ldb, n}));
+          }
+        }
+      }
+      for (Level l : reachable_levels()) {
+        SCOPED_TRACE(::testing::Message() << "mb=" << mb << " n=" << n
+                                          << " level=" << level_name(l));
+        ScopedLevel lvl(l);
+        std::vector<float> c = c0;
+        dot_tile(a, lda, b, ldb, c.data(), ldc, mb, nb, n);
+        expect_bits_equal(c_ref, c, "dot_tile");
+      }
+    }
+  }
+}
+
+// --------------------------------------------------------- Adam update
+
+TEST(SimdAdam, UpdateBitIdenticalAcrossLevels) {
+  // Three steps per size so m and v carry state; the gradients hold ±0, a
+  // subnormal, 1e30 (v overflows to +inf), NaN and +inf on distinct
+  // elements so no operation ever sees two different NaNs.
+  for (double wd : {0.0, 0.01}) {
+    for (std::size_t n = 0; n <= kMaxN; ++n) {
+      const std::size_t off = offset_for(n);
+      const auto w0 = random_floats(n + off, 1001 + n);
+      std::vector<std::vector<float>> grads;
+      for (int step = 0; step < 3; ++step) {
+        auto g = random_floats(n + off, 1011 + 17 * n + step);
+        const float specials[] = {0.0f,
+                                  -0.0f,
+                                  1e-40f,
+                                  1e30f,
+                                  std::numeric_limits<float>::quiet_NaN(),
+                                  std::numeric_limits<float>::infinity()};
+        for (std::size_t s = 0; s < 6; ++s) {
+          const std::size_t i = off + 11 * s + static_cast<std::size_t>(step);
+          if (i < g.size()) g[i] = specials[s];
+        }
+        grads.push_back(std::move(g));
+      }
+      auto run = [&](std::vector<float>& w, std::vector<float>& m,
+                     std::vector<float>& v) {
+        w = w0;
+        m.assign(n + off, 0.0f);
+        v.assign(n + off, 0.0f);
+        for (int step = 0; step < 3; ++step) {
+          AdamCoeffs c;
+          c.weight_decay = static_cast<float>(wd);
+          c.beta1 = 0.9f;
+          c.one_minus_beta1 = static_cast<float>(1.0 - 0.9);
+          c.beta2 = 0.999f;
+          c.one_minus_beta2 = static_cast<float>(1.0 - 0.999);
+          c.bias1 = 1.0 - std::pow(0.9, step + 1);
+          c.bias2 = 1.0 - std::pow(0.999, step + 1);
+          c.lr = 1e-3 * (step + 1);
+          c.eps = 1e-8;
+          adam_update(c, std::span<float>(w).subspan(off),
+                      std::span<const float>(grads[step]).subspan(off),
+                      std::span<float>(m).subspan(off),
+                      std::span<float>(v).subspan(off));
+        }
+      };
+      std::vector<float> w_ref, m_ref, v_ref;
+      {
+        ScopedLevel lvl(Level::kScalar);
+        run(w_ref, m_ref, v_ref);
+      }
+      for (Level l : reachable_levels()) {
+        SCOPED_TRACE(::testing::Message() << "wd=" << wd << " n=" << n
+                                          << " level=" << level_name(l));
+        ScopedLevel lvl(l);
+        std::vector<float> w, m, v;
+        run(w, m, v);
+        expect_bits_equal(w_ref, w, "adam w");
+        expect_bits_equal(m_ref, m, "adam m");
+        expect_bits_equal(v_ref, v, "adam v");
+      }
+    }
+  }
+}
+
 // --------------------------------------------------------- pack/unpack
 
 TEST(SimdPack, WordKernelsMatchScalarPacking) {

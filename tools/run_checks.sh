@@ -60,13 +60,15 @@ for preset in "${presets[@]}"; do
     ctest --test-dir "$builddir" --output-on-failure -j "$jobs"
     ctest --test-dir "$builddir" -L memory --output-on-failure -j "$jobs"
   else
-    # Twice: once with the SIMD kernels forced scalar and once with runtime
-    # dispatch. The kernel layer's contract is that the two runs are
-    # bit-identical (tests/util/simd_test.cpp checks per-kernel; this
-    # checks the whole suite end to end at both levels). A third pass with
-    # NUMA placement disabled proves thread pinning and arena homing never
-    # change results (CGX_NUMA=off must reproduce auto bit-for-bit).
+    # Three times: with the SIMD kernels forced scalar, capped at SSE2, and
+    # with runtime dispatch. The kernel layer's contract is that the runs
+    # are bit-identical (tests/util/simd_test.cpp checks per-kernel; this
+    # checks the whole suite end to end at every level, and is the only
+    # end-to-end run of the SSE2 backend on AVX2 hardware). A further pass
+    # with NUMA placement disabled proves thread pinning and arena homing
+    # never change results (CGX_NUMA=off must reproduce auto bit-for-bit).
     CGX_SIMD=off ctest --test-dir "$builddir" --output-on-failure -j "$jobs"
+    CGX_SIMD=sse2 ctest --test-dir "$builddir" --output-on-failure -j "$jobs"
     CGX_SIMD=auto ctest --test-dir "$builddir" --output-on-failure -j "$jobs"
     CGX_NUMA=off ctest --test-dir "$builddir" --output-on-failure -j "$jobs"
     # The simulated-fabric suite once more by label: virtual-time results
