@@ -3,8 +3,10 @@
 // interconnect bandwidth it is saving).
 //
 // Besides the google-benchmark suite, the custom main() below measures the
-// QSGD fused path directly and writes results/BENCH_compressors.json so the
-// perf acceptance gate has machine-readable numbers.
+// QSGD fused path directly and writes results/BENCH_compressors.json —
+// {"provenance": {...}, "rows": [...]}, the provenance block from
+// bench/common.h — so the perf acceptance gate has machine-readable
+// numbers tied to the machine and build that produced them.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -13,6 +15,7 @@
 #include <fstream>
 #include <string_view>
 
+#include "bench/common.h"
 #include "core/compression_config.h"
 #include "core/qsgd.h"
 #include "util/bitio.h"
@@ -158,7 +161,8 @@ void write_compressor_json(bool smoke) {
 
   std::filesystem::create_directories("results");
   std::ofstream out("results/BENCH_compressors.json");
-  out << "[\n";
+  out << "{\"provenance\": " << bench::provenance_json()
+      << ",\n \"rows\": [\n";
   bool first = true;
   // On a single-core box the pool collapses to one worker; skip the
   // would-be duplicate threads=1 row.
@@ -194,7 +198,7 @@ void write_compressor_json(bool smoke) {
                   bits, threads, compress_gbps, decompress_gbps);
     }
   }
-  out << "\n]\n";
+  out << "\n]}\n";
   std::printf("wrote results/BENCH_compressors.json\n");
 }
 

@@ -1,6 +1,7 @@
 // Compute-kernel microbenchmarks: in-process A/B of the SIMD dispatch
 // levels (scalar vs SSE2 vs AVX2) for the tiled GEMM, the A·Bᵀ dot tile,
-// the im2col convolution, the Adam update, the quantizers, and the fused
+// the im2col convolution, ReLU backward, the Adam update, a whole
+// single-thread VGG-mini training step, the quantizers, and the fused
 // error-feedback sweep.
 //
 // Writes results/BENCH_compute.json: a provenance block (commit, host,
@@ -10,8 +11,8 @@
 // numbers instead of eyeballs. `--smoke` shrinks the problem sizes for the
 // CI smoke lane; `--no_json` skips the file for interactive runs.
 #include <benchmark/benchmark.h>
-#include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -21,9 +22,13 @@
 #include <string_view>
 #include <vector>
 
+#include "bench/common.h"
 #include "core/error_feedback.h"
 #include "core/qsgd.h"
+#include "models/small_models.h"
 #include "nn/conv.h"
+#include "nn/loss.h"
+#include "nn/optim.h"
 #include "tensor/tensor.h"
 #include "tensor/tensor_ops.h"
 #include "util/rng.h"
@@ -42,8 +47,8 @@ std::vector<float> make_input(std::size_t n, std::uint64_t seed = 1) {
   return v;
 }
 
-// Wall-clock rate of fn(): `units` of work per call (bytes or flops),
-// measured for ~0.3 s after one warm-up call.
+// Wall-clock rate of fn(): `units` of work per call (GB, GFLOP, ... in the
+// unit the row reports), measured for ~0.3 s after one warm-up call.
 template <typename Fn>
 double measure_rate(double units, Fn&& fn) {
   using clock = std::chrono::steady_clock;
@@ -89,42 +94,9 @@ void sweep_levels(std::vector<Row>& rows, const std::string& kernel,
     rows.push_back({kernel, simd::level_name(l), unit, rate,
                     scalar_rate > 0 ? rate / scalar_rate : 0.0});
     std::printf("%-24s %-6s %10.3f %s (%.2fx vs scalar)\n", kernel.c_str(),
-                simd::level_name(l), rate / 1e9, unit,
-                rows.back().speedup);
+                simd::level_name(l), rate, unit, rows.back().speedup);
   }
   simd::set_level(prev);
-}
-
-// The working directory's commit, suffixed "-dirty" when the tree has
-// uncommitted changes, or "unknown" outside a checkout.
-std::string git_commit() {
-  std::string out;
-  if (FILE* p = popen("git describe --always --dirty --abbrev=40 2>/dev/null",
-                      "r")) {
-    char buf[128];
-    while (std::fgets(buf, sizeof(buf), p) != nullptr) out += buf;
-    pclose(p);
-  }
-  while (!out.empty() && (out.back() == '\n' || out.back() == '\r')) {
-    out.pop_back();
-  }
-  return out.empty() ? "unknown" : out;
-}
-
-// Where the numbers came from, so a change of machine or build cannot pass
-// for a speed-up.
-std::string provenance_json() {
-  char host[256] = {};
-  gethostname(host, sizeof(host) - 1);
-  char buf[1024];
-  std::snprintf(buf, sizeof(buf),
-                "{\"git_commit\": \"%s\", \"host\": \"%s\", "
-                "\"nproc\": %ld, \"simd\": \"%s\", "
-                "\"build_type\": \"%s\", \"compiler\": \"%s\"}",
-                git_commit().c_str(), host, sysconf(_SC_NPROCESSORS_ONLN),
-                simd::level_name(simd::max_supported_level()),
-                CGX_BENCH_BUILD_TYPE, __VERSION__);
-  return buf;
 }
 
 void run_suite(bool smoke, bool json) {
@@ -136,8 +108,8 @@ void run_suite(bool smoke, bool json) {
     const auto a = make_input(dim * dim, 2);
     const auto b = make_input(dim * dim, 3);
     std::vector<float> c(dim * dim);
-    const double flops = 2.0 * dim * dim * dim;
-    sweep_levels(rows, "matmul_" + std::to_string(dim), "GFLOP/s", flops,
+    const double gflop = 2.0 * dim * dim * dim / 1e9;
+    sweep_levels(rows, "matmul_" + std::to_string(dim), "GFLOP/s", gflop,
                  [&] {
                    tensor::matmul(a, b, c, dim, dim, dim);
                    benchmark::DoNotOptimize(c.data());
@@ -151,7 +123,8 @@ void run_suite(bool smoke, bool json) {
     const auto a = make_input(m * n, 11);
     const auto b = make_input(k * n, 12);
     std::vector<float> c(m * k);
-    sweep_levels(rows, "matmul_a_bt_conv_dw", "GFLOP/s", 2.0 * m * n * k,
+    sweep_levels(rows, "matmul_a_bt_conv_dw", "GFLOP/s",
+                 2.0 * m * n * k / 1e9,
                  [&] {
                    tensor::matmul_a_bt(a, b, c, m, n, k);
                    benchmark::DoNotOptimize(c.data());
@@ -159,7 +132,7 @@ void run_suite(bool smoke, bool json) {
     // The same product as one reduce_dot per output at each level: the
     // loop the tile replaced, so each level's tile has its own baseline.
     sweep_levels(rows, "matmul_a_bt_conv_dw_per_output", "GFLOP/s",
-                 2.0 * m * n * k, [&] {
+                 2.0 * m * n * k / 1e9, [&] {
                    for (std::size_t i = 0; i < m; ++i) {
                      for (std::size_t j = 0; j < k; ++j) {
                        c[i * k + j] = static_cast<float>(simd::reduce_dot(
@@ -188,13 +161,66 @@ void run_suite(bool smoke, bool json) {
       util::Rng rng(6);
       for (auto& v : go.data()) v = static_cast<float>(rng.next_gaussian());
     }
-    const double fwd_flops =
-        2.0 * bsz * oc * hw * hw * ch * k * k;  // stride 1, same pad
-    sweep_levels(rows, "conv_fwd", "GFLOP/s", fwd_flops, [&] {
+    const double fwd_gflop =
+        2.0 * bsz * oc * hw * hw * ch * k * k / 1e9;  // stride 1, same pad
+    sweep_levels(rows, "conv_fwd", "GFLOP/s", fwd_gflop, [&] {
       benchmark::DoNotOptimize(conv.forward(x, true).data().data());
     });
-    sweep_levels(rows, "conv_bwd", "GFLOP/s", 2.0 * fwd_flops, [&] {
+    sweep_levels(rows, "conv_bwd", "GFLOP/s", 2.0 * fwd_gflop, [&] {
       benchmark::DoNotOptimize(conv.backward(go).data().data());
+    });
+  }
+
+  // ---- ReLU backward on VGG-mini's first activation, [8, 16, 32, 32],
+  // half the inputs negative: the branch-free select the layer runs, and
+  // the conditional store it replaced (which mispredicts on about half
+  // the elements). Neither goes through the dispatch table, so every
+  // level should measure the same. ----
+  {
+    const std::size_t n = smoke ? (1 << 14) : 8 * 16 * 32 * 32;
+    tensor::Tensor x(tensor::Shape{n});
+    tensor::Tensor go(tensor::Shape{n});
+    {
+      util::Rng rng(15);
+      for (auto& v : x.data()) v = static_cast<float>(rng.next_gaussian());
+      for (auto& v : go.data()) v = static_cast<float>(rng.next_gaussian());
+    }
+    nn::ReLU relu;
+    relu.forward(x, true);
+    sweep_levels(rows, "relu_backward", "Gelem/s", n / 1e9, [&] {
+      benchmark::DoNotOptimize(relu.backward(go).data().data());
+    });
+    std::vector<float> gi(n);
+    sweep_levels(rows, "relu_backward_branch", "Gelem/s", n / 1e9, [&] {
+      const auto xs = x.data();
+      std::copy(go.data().begin(), go.data().end(), gi.begin());
+      // A conditional store: the compiler may not invent the stores a
+      // select would need, so this stays a compare-and-jump.
+      for (std::size_t i = 0; i < n; ++i) {
+        if (xs[i] <= 0.0f) gi[i] = 0.0f;
+      }
+      benchmark::DoNotOptimize(gi.data());
+    });
+  }
+
+  // ---- one single-thread VGG-mini training step (batch 8, 32x32x3):
+  // forward, softmax cross-entropy, backward, SGD with momentum — the
+  // cnn_sync workload's compute without the allreduce ----
+  {
+    const std::size_t bsz = smoke ? 2 : 8;
+    util::Rng rng(16);
+    auto model = models::make_vgg_mini(3, 32, 10, rng);
+    nn::Sgd sgd(nn::parameters(*model), nn::constant_lr(0.02), 0.9);
+    tensor::Tensor x(tensor::Shape{bsz, 3, 32, 32});
+    for (auto& v : x.data()) v = static_cast<float>(rng.next_gaussian());
+    std::vector<int> targets(bsz);
+    for (int& t : targets) t = static_cast<int>(rng.next_below(10));
+    tensor::Tensor grad;
+    sweep_levels(rows, "vgg_mini_step", "steps/s", 1.0, [&] {
+      const tensor::Tensor& out = model->forward(x, true);
+      nn::softmax_xent(out, targets, 10, grad);
+      model->backward(grad);
+      sgd.step();
     });
   }
 
@@ -213,7 +239,7 @@ void run_suite(bool smoke, bool json) {
       if (smoke && bits != 4) continue;
       const std::uint32_t sign_bit = 1u << (bits - 1);
       sweep_levels(rows, "qsgd_kernel_" + std::to_string(bits) + "bit",
-                   "GB/s", static_cast<double>(numel) * 4, [&] {
+                   "GB/s", numel * 4 / 1e9, [&] {
                      simd::qsgd_quantize(grad.data(), u.data(), numel,
                                          inv_norm, sign_bit - 1, sign_bit,
                                          sym.data());
@@ -221,8 +247,7 @@ void run_suite(bool smoke, bool json) {
                    });
     }
     if (!smoke) {
-      sweep_levels(rows, "nuq_kernel_4bit", "GB/s",
-                   static_cast<double>(numel) * 4, [&] {
+      sweep_levels(rows, "nuq_kernel_4bit", "GB/s", numel * 4 / 1e9, [&] {
                      simd::nuq_quantize(grad.data(), u.data(), numel,
                                         inv_norm, 4, sym.data());
                      benchmark::DoNotOptimize(sym.data());
@@ -246,8 +271,7 @@ void run_suite(bool smoke, bool json) {
     c.bias2 = 1.0 - 0.999;
     c.lr = 1e-3;
     c.eps = 1e-8;
-    sweep_levels(rows, "adam_update", "Gelem/s", static_cast<double>(numel),
-                 [&] {
+    sweep_levels(rows, "adam_update", "Gelem/s", numel / 1e9, [&] {
                    simd::adam_update(c, w, g, m, v);
                    benchmark::DoNotOptimize(w.data());
                  });
@@ -261,13 +285,13 @@ void run_suite(bool smoke, bool json) {
     std::vector<float> decoded(numel);
     util::Rng rng(8);
     sweep_levels(rows, "qsgd_quantize_" + std::to_string(bits) + "bit",
-                 "GB/s", static_cast<double>(numel) * 4, [&] {
+                 "GB/s", numel * 4 / 1e9, [&] {
                    benchmark::DoNotOptimize(
                        compressor.compress(grad, payload, rng));
                  });
     const std::size_t written = compressor.compress(grad, payload, rng);
     sweep_levels(rows, "qsgd_dequantize_" + std::to_string(bits) + "bit",
-                 "GB/s", static_cast<double>(numel) * 4, [&] {
+                 "GB/s", numel * 4 / 1e9, [&] {
                    compressor.decompress({payload.data(), written}, decoded);
                    benchmark::DoNotOptimize(decoded.data());
                  });
@@ -279,8 +303,7 @@ void run_suite(bool smoke, bool json) {
                            0.9f);
     std::vector<std::byte> payload(ef.compressed_size(numel));
     util::Rng rng(9);
-    sweep_levels(rows, "error_feedback_step", "GB/s",
-                 static_cast<double>(numel) * 4, [&] {
+    sweep_levels(rows, "error_feedback_step", "GB/s", numel * 4 / 1e9, [&] {
                    benchmark::DoNotOptimize(
                        ef.compress(grad, payload, rng));
                  });
@@ -289,7 +312,8 @@ void run_suite(bool smoke, bool json) {
   if (!json) return;
   std::filesystem::create_directories("results");
   std::ofstream out("results/BENCH_compute.json");
-  out << "{\"provenance\": " << provenance_json() << ",\n \"rows\": [\n";
+  out << "{\"provenance\": " << bench::provenance_json()
+      << ",\n \"rows\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     char line[256];
     std::snprintf(line, sizeof(line),
@@ -297,7 +321,7 @@ void run_suite(bool smoke, bool json) {
                   "\"unit\": \"%s\", \"rate\": %.3f, "
                   "\"speedup_vs_scalar\": %.3f}%s",
                   rows[i].kernel.c_str(), rows[i].level, rows[i].unit,
-                  rows[i].rate / 1e9, rows[i].speedup,
+                  rows[i].rate, rows[i].speedup,
                   i + 1 < rows.size() ? "," : "");
     out << line << "\n";
   }

@@ -7,6 +7,9 @@
 // the SHAPE — who wins, by what factor, where the crossovers sit.
 #pragma once
 
+#include <unistd.h>
+
+#include <cstdio>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -17,9 +20,49 @@
 #include "models/paper_profiles.h"
 #include "simgpu/machines.h"
 #include "util/csv.h"
+#include "util/simd.h"
 #include "util/table.h"
 
 namespace cgx::bench {
+
+// The working directory's commit, suffixed "-dirty" when the tree has
+// uncommitted changes, or "unknown" outside a checkout.
+inline std::string git_commit() {
+  std::string out;
+  if (FILE* p = popen("git describe --always --dirty --abbrev=40 2>/dev/null",
+                      "r")) {
+    char buf[128];
+    while (std::fgets(buf, sizeof(buf), p) != nullptr) out += buf;
+    pclose(p);
+  }
+  while (!out.empty() && (out.back() == '\n' || out.back() == '\r')) {
+    out.pop_back();
+  }
+  return out.empty() ? "unknown" : out;
+}
+
+// The build type comes from bench/CMakeLists.txt; the examples and tools
+// that include this header write no results files.
+#ifndef CGX_BENCH_BUILD_TYPE
+#define CGX_BENCH_BUILD_TYPE "unknown"
+#endif
+
+// Where a results/BENCH_*.json's numbers came from — commit, host, core
+// count, best SIMD level, build type, compiler — as one JSON object, so a
+// change of machine or build cannot pass for a speed-up.
+inline std::string provenance_json() {
+  char host[256] = {};
+  gethostname(host, sizeof(host) - 1);
+  char buf[1024];
+  std::snprintf(buf, sizeof(buf),
+                "{\"git_commit\": \"%s\", \"host\": \"%s\", "
+                "\"nproc\": %ld, \"simd\": \"%s\", "
+                "\"build_type\": \"%s\", \"compiler\": \"%s\"}",
+                git_commit().c_str(), host, sysconf(_SC_NPROCESSORS_ONLN),
+                util::simd::level_name(util::simd::max_supported_level()),
+                CGX_BENCH_BUILD_TYPE, __VERSION__);
+  return buf;
+}
 
 enum class EngineKind { Baseline, Qnccl, Cgx, Ideal };
 

@@ -129,9 +129,9 @@ const tensor::Tensor& ResidualBlock::forward(const tensor::Tensor& x,
                                     train),
                      train),
       train);
-  skip_ = downsample_ ? downsample_->forward(x, train).clone() : x.clone();
-  output_ = main.clone();
-  tensor::add_inplace(output_.data(), skip_.data());
+  const tensor::Tensor& skip = downsample_ ? downsample_->forward(x, train) : x;
+  output_.copy_from(main);
+  tensor::add_inplace(output_.data(), skip.data());
   return relu_out_.forward(output_, train);
 }
 
@@ -140,7 +140,7 @@ const tensor::Tensor& ResidualBlock::backward(
   const tensor::Tensor& d_sum = relu_out_.backward(grad_out);
   const tensor::Tensor& d_main = conv1_.backward(
       bn1_.backward(relu1_.backward(conv2_.backward(bn2_.backward(d_sum)))));
-  grad_in_ = d_main.clone();
+  grad_in_.copy_from(d_main);
   if (downsample_) {
     const tensor::Tensor& d_skip = downsample_->backward(d_sum);
     tensor::add_inplace(grad_in_.data(), d_skip.data());
@@ -200,7 +200,7 @@ const tensor::Tensor& TinyTransformerLM::forward(const tensor::Tensor& x,
   batch_ = x.dim(0);
   seq_ = x.dim(1);
   CGX_CHECK_LE(seq_, max_seq_);
-  embedded_ = tok_.forward(x, train).clone();  // [B, T, D]
+  embedded_.copy_from(tok_.forward(x, train));  // [B, T, D]
   auto e = embedded_.data();
   const auto pos = pos_.value.data();
   for (std::size_t b = 0; b < batch_; ++b) {
@@ -232,8 +232,7 @@ const tensor::Tensor& TinyTransformerLM::backward(
       }
     }
   }
-  grad_in_ = tok_.backward(*cur).clone();
-  return grad_in_;
+  return tok_.backward(*cur);  // token ids carry no gradient
 }
 
 void TinyTransformerLM::collect_params(const std::string& prefix,
@@ -273,8 +272,8 @@ const tensor::Tensor& TinyBertQa::forward(const tensor::Tensor& x,
   batch_ = x.dim(0);
   seq_ = x.dim(1);
   CGX_CHECK_LE(seq_, max_seq_);
-  tensor::Tensor embedded = tok_.forward(x, train).clone();
-  auto e = embedded.data();
+  embedded_.copy_from(tok_.forward(x, train));  // [B, T, D]
+  auto e = embedded_.data();
   const auto pos = pos_.value.data();
   for (std::size_t b = 0; b < batch_; ++b) {
     for (std::size_t t = 0; t < seq_; ++t) {
@@ -283,7 +282,7 @@ const tensor::Tensor& TinyBertQa::forward(const tensor::Tensor& x,
       }
     }
   }
-  const tensor::Tensor* cur = &embedded;
+  const tensor::Tensor* cur = &embedded_;
   for (auto& block : blocks_) cur = &block->forward(*cur, train);
   return head_.forward(ln_f_.forward(*cur, train), train);
 }
@@ -302,8 +301,7 @@ const tensor::Tensor& TinyBertQa::backward(const tensor::Tensor& grad_out) {
       }
     }
   }
-  grad_in_ = tok_.backward(*cur).clone();
-  return grad_in_;
+  return tok_.backward(*cur);  // token ids carry no gradient
 }
 
 void TinyBertQa::collect_params(const std::string& prefix,

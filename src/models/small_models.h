@@ -75,7 +75,6 @@ class ResidualBlock final : public nn::Module {
   nn::BatchNorm2d bn2_;
   std::unique_ptr<nn::Conv2d> downsample_;  // when channels change
   nn::ReLU relu_out_;
-  tensor::Tensor skip_;
   tensor::Tensor output_;
   tensor::Tensor grad_in_;
 };
@@ -108,7 +107,6 @@ class TinyTransformerLM final : public nn::Module {
   nn::Linear head_;
   std::size_t batch_ = 0, seq_ = 0;
   tensor::Tensor embedded_;
-  tensor::Tensor grad_in_;
 };
 
 // Bidirectional encoder with a 2-logit span head ("TinyBERT-QA").
@@ -132,7 +130,7 @@ class TinyBertQa final : public nn::Module {
   nn::LayerNorm ln_f_;
   nn::Linear head_;
   std::size_t batch_ = 0, seq_ = 0;
-  tensor::Tensor grad_in_;
+  tensor::Tensor embedded_;
 };
 
 }  // namespace cgx::models

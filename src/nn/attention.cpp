@@ -29,11 +29,13 @@ const tensor::Tensor& MultiHeadAttention::forward(const tensor::Tensor& x,
   seq_ = x.dim(1);
   const std::size_t b = batch_, t = seq_, h = heads_, dh = head_dim_;
 
-  qkv_out_ = qkv_.forward(x, train).clone();  // [B, T, 3D]
-  attn_ = tensor::Tensor(tensor::Shape{b, h, t, t});
-  heads_out_ = tensor::Tensor(tensor::Shape{b, t, dim_});
+  // qkv_'s output stays valid until its next forward, so backward reads it
+  // in place.
+  qkv_out_ = &qkv_.forward(x, train);  // [B, T, 3D]
+  attn_.reset({b, h, t, t});
+  heads_out_.reset({b, t, dim_});
 
-  const auto qkv = qkv_out_.data();
+  const auto qkv = qkv_out_->data();
   auto attn = attn_.data();
   auto out = heads_out_.data();
   const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
@@ -88,11 +90,11 @@ const tensor::Tensor& MultiHeadAttention::backward(
   const std::size_t b = batch_, t = seq_, h = heads_, dh = head_dim_;
   const tensor::Tensor& d_heads = proj_.backward(grad_out);  // [B, T, D]
 
-  tensor::Tensor d_qkv(tensor::Shape{b, t, 3 * dim_});
-  const auto qkv = qkv_out_.data();
+  d_qkv_.reset({b, t, 3 * dim_});  // every head writes its Q, K, V columns
+  const auto qkv = qkv_out_->data();
   const auto attn = attn_.data();
   const auto dho = d_heads.data();
-  auto dq = d_qkv.data();
+  auto dq = d_qkv_.data();
   const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
 
   pack_q_.resize(t * dh);
@@ -149,8 +151,7 @@ const tensor::Tensor& MultiHeadAttention::backward(
       }
     }
   }
-  grad_in_ = qkv_.backward(d_qkv).clone();
-  return grad_in_;
+  return qkv_.backward(d_qkv_);
 }
 
 void MultiHeadAttention::collect_params(const std::string& prefix,
@@ -172,27 +173,28 @@ TransformerBlock::TransformerBlock(std::size_t dim, std::size_t heads,
 
 const tensor::Tensor& TransformerBlock::forward(const tensor::Tensor& x,
                                                 bool train) {
+  // output_ first holds h = x + attn(ln1(x)); ln2 keeps what its backward
+  // needs, so the MLP branch is then added in place: y = h + mlp(ln2(h)).
   const tensor::Tensor& a = attn_.forward(ln1_.forward(x, train), train);
-  h_ = x.clone();
-  tensor::add_inplace(h_.data(), a.data());
+  output_.copy_from(x);
+  tensor::add_inplace(output_.data(), a.data());
   const tensor::Tensor& m = fc2_.forward(
-      gelu_.forward(fc1_.forward(ln2_.forward(h_, train), train), train),
+      gelu_.forward(fc1_.forward(ln2_.forward(output_, train), train), train),
       train);
-  output_ = h_.clone();
   tensor::add_inplace(output_.data(), m.data());
   return output_;
 }
 
 const tensor::Tensor& TransformerBlock::backward(
     const tensor::Tensor& grad_out) {
-  // y = h + mlp(ln2(h)): dh = dy + ln2^T(mlp^T(dy)).
+  // y = h + mlp(ln2(h)): dh = dy + ln2^T(mlp^T(dy)), built in grad_in_.
   const tensor::Tensor& dm =
       ln2_.backward(fc1_.backward(gelu_.backward(fc2_.backward(grad_out))));
-  tensor::Tensor dh = grad_out.clone();
-  tensor::add_inplace(dh.data(), dm.data());
-  // h = x + attn(ln1(x)): dx = dh + ln1^T(attn^T(dh)).
-  const tensor::Tensor& da = ln1_.backward(attn_.backward(dh));
-  grad_in_ = dh.clone();
+  grad_in_.copy_from(grad_out);
+  tensor::add_inplace(grad_in_.data(), dm.data());
+  // h = x + attn(ln1(x)): dx = dh + ln1^T(attn^T(dh)), added in place once
+  // the attention branch has read dh.
+  const tensor::Tensor& da = ln1_.backward(attn_.backward(grad_in_));
   tensor::add_inplace(grad_in_.data(), da.data());
   return grad_in_;
 }

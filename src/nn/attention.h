@@ -34,10 +34,10 @@ class MultiHeadAttention final : public Module {
   Linear qkv_;
   Linear proj_;
   // Caches for backward.
-  tensor::Tensor qkv_out_;   // [B, T, 3D]
+  const tensor::Tensor* qkv_out_ = nullptr;  // [B, T, 3D], owned by qkv_
   tensor::Tensor attn_;      // [B, H, T, T] softmax weights
   tensor::Tensor heads_out_; // [B, T, D] concatenated head outputs
-  tensor::Tensor grad_in_;
+  tensor::Tensor d_qkv_;     // [B, T, 3D] backward scratch
   std::size_t batch_ = 0, seq_ = 0;
   // Per-head packed [T, dh] operands so every contraction is a contiguous
   // GEMM through tensor_ops. Grow-only scratch.
@@ -64,8 +64,7 @@ class TransformerBlock final : public Module {
   Linear fc1_;
   Gelu gelu_;
   Linear fc2_;
-  tensor::Tensor h_;       // x + attn(ln1(x))
-  tensor::Tensor output_;  // h + mlp(ln2(h))
+  tensor::Tensor output_;  // h = x + attn(ln1(x)), then y = h + mlp(ln2(h))
   tensor::Tensor grad_in_;
 };
 

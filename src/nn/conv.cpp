@@ -102,8 +102,8 @@ const tensor::Tensor& Conv2d::forward(const tensor::Tensor& x, bool train) {
   const std::size_t b = x.dim(0), h = x.dim(2), w = x.dim(3);
   const std::size_t oh = conv_out_dim(h, k_, stride_, pad_);
   const std::size_t ow = conv_out_dim(w, k_, stride_, pad_);
-  input_ = x.clone();
-  output_ = tensor::Tensor(tensor::Shape{b, out_c_, oh, ow});
+  input_.copy_from(x);
+  output_.reset({b, out_c_, oh, ow});
   const auto in = x.data();
   const auto wgt = weight_.value.data();
   const auto bs = bias_.value.data();
@@ -135,7 +135,9 @@ const tensor::Tensor& Conv2d::backward(const tensor::Tensor& grad_out) {
   const std::size_t b = input_.dim(0), h = input_.dim(2), w = input_.dim(3);
   const std::size_t oh = output_.dim(2), ow = output_.dim(3);
   CGX_CHECK_EQ(grad_out.numel(), output_.numel());
-  grad_in_ = tensor::Tensor(input_.shape());
+  // col2im below scatter-ADDS into the input gradient: the one buffer here
+  // that must start zeroed.
+  grad_in_.reset_zero(input_.shape());
   const auto in = input_.data();
   const auto wgt = weight_.value.data();
   const auto go = grad_out.data();
@@ -236,30 +238,36 @@ const tensor::Tensor& MaxPool2d::forward(const tensor::Tensor& x,
   CGX_CHECK_EQ(w % window_, 0u);
   const std::size_t oh = h / window_, ow = w / window_;
   input_shape_ = x.shape();
-  output_ = tensor::Tensor(tensor::Shape{b, c, oh, ow});
-  argmax_.assign(output_.numel(), 0);
-  const auto in = x.data();
-  auto out = output_.data();
-  for (std::size_t n = 0; n < b; ++n) {
-    for (std::size_t ch = 0; ch < c; ++ch) {
-      for (std::size_t oy = 0; oy < oh; ++oy) {
+  output_.reset({b, c, oh, ow});
+  argmax_.resize(output_.numel());
+  const float* in = x.data().data();
+  // A local, not the member: the argmax stores could alias this->window_,
+  // which would force a reload per element and block vectorization.
+  const std::size_t win = window_;
+  for (std::size_t row = 0; row < b * c * oh; ++row) {
+    // One output row: its running maxima and their flat input indices,
+    // visited tap by tap in the window's (ky, kx) order so every output
+    // sees its candidates in the same order as a per-window scan. The
+    // update is a select with both candidates loaded unconditionally, and
+    // the index select is an explicit mask (a ternary on the index is left
+    // as a branch), so the ox loop vectorizes. v > best is false for NaN
+    // and for ties, so NaN never wins and the first maximum does; a window
+    // with nothing above -inf (all NaN or all -inf) keeps -inf and index 0.
+    float* best = output_.data().data() + row * ow;
+    std::size_t* best_idx = argmax_.data() + row * ow;
+    std::fill(best, best + ow, -std::numeric_limits<float>::infinity());
+    std::fill(best_idx, best_idx + ow, std::size_t{0});
+    const std::size_t plane_row = (row / oh) * h + (row % oh) * win;
+    for (std::size_t ky = 0; ky < win; ++ky) {
+      for (std::size_t kx = 0; kx < win; ++kx) {
+        const std::size_t base = (plane_row + ky) * w + kx;
         for (std::size_t ox = 0; ox < ow; ++ox) {
-          float best = -std::numeric_limits<float>::infinity();
-          std::size_t best_idx = 0;
-          for (std::size_t ky = 0; ky < window_; ++ky) {
-            for (std::size_t kx = 0; kx < window_; ++kx) {
-              const std::size_t idx =
-                  ((n * c + ch) * h + oy * window_ + ky) * w + ox * window_ +
-                  kx;
-              if (in[idx] > best) {
-                best = in[idx];
-                best_idx = idx;
-              }
-            }
-          }
-          const std::size_t out_idx = ((n * c + ch) * oh + oy) * ow + ox;
-          out[out_idx] = best;
-          argmax_[out_idx] = best_idx;
+          const std::size_t idx = base + ox * win;
+          const float v = in[idx];
+          const float b = best[ox];
+          const std::size_t take = -static_cast<std::size_t>(v > b);
+          best[ox] = v > b ? v : b;
+          best_idx[ox] = (idx & take) | (best_idx[ox] & ~take);
         }
       }
     }
@@ -269,7 +277,7 @@ const tensor::Tensor& MaxPool2d::forward(const tensor::Tensor& x,
 
 const tensor::Tensor& MaxPool2d::backward(const tensor::Tensor& grad_out) {
   CGX_CHECK_EQ(grad_out.numel(), argmax_.size());
-  grad_in_ = tensor::Tensor(input_shape_);
+  grad_in_.reset_zero(input_shape_);  // the scatter below accumulates
   auto gi = grad_in_.data();
   const auto go = grad_out.data();
   for (std::size_t i = 0; i < argmax_.size(); ++i) gi[argmax_[i]] += go[i];
@@ -298,8 +306,8 @@ const tensor::Tensor& BatchNorm2d::forward(const tensor::Tensor& x,
   const std::size_t b = x.dim(0), hw = x.dim(2) * x.dim(3);
   const std::size_t per_channel = b * hw;
   train_mode_ = train;
-  output_ = tensor::Tensor(x.shape());
-  normalized_ = tensor::Tensor(x.shape());
+  output_.reset(x.shape());
+  normalized_.reset(x.shape());
   inv_std_.resize(channels_);
   const auto in = x.data();
   auto out = output_.data();
@@ -350,7 +358,7 @@ const tensor::Tensor& BatchNorm2d::backward(const tensor::Tensor& grad_out) {
   const std::size_t b = normalized_.dim(0);
   const std::size_t hw = normalized_.dim(2) * normalized_.dim(3);
   const auto per_channel = static_cast<double>(b * hw);
-  grad_in_ = tensor::Tensor(normalized_.shape());
+  grad_in_.reset(normalized_.shape());
   const auto go = grad_out.data();
   const auto xhat = normalized_.data();
   const auto g = gain_.value.data();
@@ -416,7 +424,7 @@ const tensor::Tensor& GlobalAvgPool::forward(const tensor::Tensor& x,
   CGX_CHECK_EQ(x.rank(), 4u);
   const std::size_t b = x.dim(0), c = x.dim(1), hw = x.dim(2) * x.dim(3);
   input_shape_ = x.shape();
-  output_ = tensor::Tensor(tensor::Shape{b, c});
+  output_.reset({b, c});
   const auto in = x.data();
   auto out = output_.data();
   for (std::size_t n = 0; n < b; ++n) {
@@ -433,7 +441,7 @@ const tensor::Tensor& GlobalAvgPool::backward(const tensor::Tensor& grad_out) {
   const std::size_t b = input_shape_[0], c = input_shape_[1];
   const std::size_t hw = input_shape_[2] * input_shape_[3];
   CGX_CHECK_EQ(grad_out.numel(), b * c);
-  grad_in_ = tensor::Tensor(input_shape_);
+  grad_in_.reset(input_shape_);
   auto gi = grad_in_.data();
   const auto go = grad_out.data();
   const float inv = 1.0f / static_cast<float>(hw);

@@ -56,13 +56,8 @@ const tensor::Tensor& Graph::forward_input(Node& n) {
   };
   if (n.inputs.size() == 1) return resolve(n.inputs[0]);
   // Fan-in join: the node sees the SUM of its inputs, accumulated in
-  // declaration order. The buffer reallocates only on a shape change, so
-  // steady-state steps reuse it.
-  const tensor::Tensor& first = resolve(n.inputs[0]);
-  if (n.sum_in.shape() != first.shape()) {
-    n.sum_in = tensor::Tensor(first.shape());
-  }
-  tensor::copy(first.data(), n.sum_in.data());
+  // declaration order into a buffer held across steps.
+  n.sum_in.copy_from(resolve(n.inputs[0]));
   for (std::size_t i = 1; i < n.inputs.size(); ++i) {
     const tensor::Tensor& t = resolve(n.inputs[i]);
     CGX_CHECK_EQ(t.numel(), n.sum_in.numel())
@@ -88,11 +83,7 @@ const tensor::Tensor& Graph::consumer_grad(NodeId i) {
   // Fixed ascending-consumer-order accumulation: the determinism contract.
   // Every consumer's op is a dependency of this node's op, so all d_in
   // values are final here no matter how the pool interleaved them.
-  const tensor::Tensor& first = *nodes_[n.consumers[0]].d_in;
-  if (n.sum_grad.shape() != first.shape()) {
-    n.sum_grad = tensor::Tensor(first.shape());
-  }
-  tensor::copy(first.data(), n.sum_grad.data());
+  n.sum_grad.copy_from(*nodes_[n.consumers[0]].d_in);
   for (std::size_t c = 1; c < n.consumers.size(); ++c) {
     const tensor::Tensor& g = *nodes_[n.consumers[c]].d_in;
     CGX_CHECK_EQ(g.numel(), n.sum_grad.numel())
@@ -116,11 +107,7 @@ void Graph::input_grad_backward() {
     input_grad_ = nodes_[input_consumers_[0]].d_in;
     return;
   }
-  const tensor::Tensor& first = *nodes_[input_consumers_[0]].d_in;
-  if (input_grad_sum_.shape() != first.shape()) {
-    input_grad_sum_ = tensor::Tensor(first.shape());
-  }
-  tensor::copy(first.data(), input_grad_sum_.data());
+  input_grad_sum_.copy_from(*nodes_[input_consumers_[0]].d_in);
   for (std::size_t c = 1; c < input_consumers_.size(); ++c) {
     const tensor::Tensor& g = *nodes_[input_consumers_[c]].d_in;
     CGX_CHECK_EQ(g.numel(), input_grad_sum_.numel());

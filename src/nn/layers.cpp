@@ -38,14 +38,17 @@ const tensor::Tensor& Linear::forward(const tensor::Tensor& x, bool train) {
   (void)train;
   CGX_CHECK_EQ(x.numel() % in_, 0u);
   const std::size_t rows = x.numel() / in_;
-  input_ = x.clone();
-  tensor::Shape out_shape = x.shape();
-  CGX_CHECK(!out_shape.empty());
-  out_shape.back() = out_;
+  CGX_CHECK_GE(x.rank(), 1u);
+  input_.copy_from(x);
+  // The output keeps x's leading dims with the last one replaced by out_.
   // For inputs whose last dim != in_ but whose numel is divisible (e.g.
   // flattened), fall back to [rows, out].
-  if (x.shape().back() != in_) out_shape = tensor::Shape{rows, out_};
-  output_ = tensor::Tensor(out_shape);
+  if (x.shape().back() == in_) {
+    output_.reset(std::span<const std::size_t>(x.shape()).first(x.rank() - 1),
+                  {out_});
+  } else {
+    output_.reset({rows, out_});
+  }
   tensor::matmul(x.data(), weight_.value.data(), output_.data(), rows, in_,
                  out_);
   if (has_bias_) {
@@ -74,7 +77,7 @@ const tensor::Tensor& Linear::backward(const tensor::Tensor& grad_out) {
     }
   }
   // dx = g W^T  (W: [in x out])
-  grad_in_ = tensor::Tensor(input_.shape());
+  grad_in_.reset(input_.shape());
   tensor::matmul_a_bt(grad_out.data(), weight_.value.data(), grad_in_.data(),
                       rows, out_, in_);
   return grad_in_;
@@ -94,19 +97,34 @@ void Linear::collect_params(const std::string& prefix,
 
 const tensor::Tensor& ReLU::forward(const tensor::Tensor& x, bool train) {
   (void)train;
-  input_ = x.clone();
-  output_ = x.clone();
-  for (auto& v : output_.data()) v = v > 0.0f ? v : 0.0f;
+  input_.copy_from(x);
+  output_.reset(x.shape());
+  const float* in = input_.data().data();
+  float* out = output_.data().data();
+  const std::size_t n = output_.numel();
+  for (std::size_t i = 0; i < n; ++i) {
+    const float v = in[i];
+    out[i] = v > 0.0f ? v : 0.0f;
+  }
   return output_;
 }
 
 const tensor::Tensor& ReLU::backward(const tensor::Tensor& grad_out) {
   CGX_CHECK_EQ(grad_out.numel(), input_.numel());
-  grad_in_ = grad_out.clone();
-  auto g = grad_in_.data();
-  const auto x = input_.data();
-  for (std::size_t i = 0; i < g.size(); ++i) {
-    if (x[i] <= 0.0f) g[i] = 0.0f;
+  grad_in_.reset(grad_out.shape());
+  // A select with both operands loaded unconditionally, not a conditional
+  // store: the compiler turns it into a compare-and-mask over whole
+  // vectors, where a branch on the sign of x mispredicts on about half the
+  // elements. x <= 0 is false for NaN, so a NaN input passes its gradient
+  // through, and a zeroed gradient is +0 — both as the branch had it.
+  const float* x = input_.data().data();
+  const float* go = grad_out.data().data();
+  float* gi = grad_in_.data().data();
+  const std::size_t n = grad_in_.numel();
+  for (std::size_t i = 0; i < n; ++i) {
+    const float xv = x[i];
+    const float gv = go[i];
+    gi[i] = xv <= 0.0f ? 0.0f : gv;
   }
   return grad_in_;
 }
@@ -119,18 +137,21 @@ constexpr float kGeluC = 0.7978845608028654f;  // sqrt(2/pi)
 
 const tensor::Tensor& Gelu::forward(const tensor::Tensor& x, bool train) {
   (void)train;
-  input_ = x.clone();
-  output_ = x.clone();
-  for (auto& v : output_.data()) {
+  input_.copy_from(x);
+  output_.reset(x.shape());
+  const auto in = input_.data();
+  auto out = output_.data();
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const float v = in[i];
     const float t = std::tanh(kGeluC * (v + 0.044715f * v * v * v));
-    v = 0.5f * v * (1.0f + t);
+    out[i] = 0.5f * v * (1.0f + t);
   }
   return output_;
 }
 
 const tensor::Tensor& Gelu::backward(const tensor::Tensor& grad_out) {
   CGX_CHECK_EQ(grad_out.numel(), input_.numel());
-  grad_in_ = grad_out.clone();
+  grad_in_.copy_from(grad_out);
   auto g = grad_in_.data();
   const auto xs = input_.data();
   for (std::size_t i = 0; i < g.size(); ++i) {
@@ -148,14 +169,16 @@ const tensor::Tensor& Gelu::backward(const tensor::Tensor& grad_out) {
 
 const tensor::Tensor& Tanh::forward(const tensor::Tensor& x, bool train) {
   (void)train;
-  output_ = x.clone();
-  for (auto& v : output_.data()) v = std::tanh(v);
+  output_.reset(x.shape());
+  const auto in = x.data();
+  auto out = output_.data();
+  for (std::size_t i = 0; i < out.size(); ++i) out[i] = std::tanh(in[i]);
   return output_;
 }
 
 const tensor::Tensor& Tanh::backward(const tensor::Tensor& grad_out) {
   CGX_CHECK_EQ(grad_out.numel(), output_.numel());
-  grad_in_ = grad_out.clone();
+  grad_in_.copy_from(grad_out);
   auto g = grad_in_.data();
   const auto y = output_.data();
   for (std::size_t i = 0; i < g.size(); ++i) g[i] *= 1.0f - y[i] * y[i];
@@ -179,8 +202,8 @@ const tensor::Tensor& LayerNorm::forward(const tensor::Tensor& x,
   (void)train;
   CGX_CHECK_EQ(x.numel() % dim_, 0u);
   const std::size_t rows = x.numel() / dim_;
-  normalized_ = tensor::Tensor(x.shape());
-  output_ = tensor::Tensor(x.shape());
+  normalized_.reset(x.shape());
+  output_.reset(x.shape());
   inv_std_.resize(rows);
   const auto in = x.data();
   auto xhat = normalized_.data();
@@ -208,7 +231,7 @@ const tensor::Tensor& LayerNorm::forward(const tensor::Tensor& x,
 const tensor::Tensor& LayerNorm::backward(const tensor::Tensor& grad_out) {
   const std::size_t rows = normalized_.numel() / dim_;
   CGX_CHECK_EQ(grad_out.numel(), rows * dim_);
-  grad_in_ = tensor::Tensor(normalized_.shape());
+  grad_in_.reset(normalized_.shape());
   const auto go = grad_out.data();
   const auto xhat = normalized_.data();
   const auto g = gain_.value.data();
@@ -259,9 +282,7 @@ const tensor::Tensor& Embedding::forward(const tensor::Tensor& x,
   (void)train;
   const std::size_t n = x.numel();
   last_ids_.resize(n);
-  tensor::Shape out_shape = x.shape();
-  out_shape.push_back(dim_);
-  output_ = tensor::Tensor(out_shape);
+  output_.reset(x.shape(), {dim_});
   const auto ids = x.data();
   auto out = output_.data();
   const auto table = table_.value.data();
@@ -273,7 +294,7 @@ const tensor::Tensor& Embedding::forward(const tensor::Tensor& x,
       out[i * dim_ + d] = table[id * dim_ + d];
     }
   }
-  grad_in_ = tensor::Tensor(x.shape());  // zeros
+  grad_in_.reset_zero(x.shape());  // ids are not differentiable
   return output_;
 }
 
@@ -304,7 +325,7 @@ Dropout::Dropout(double p, util::Rng& rng) : p_(p), rng_(&rng) {
 
 const tensor::Tensor& Dropout::forward(const tensor::Tensor& x, bool train) {
   train_mode_ = train && p_ > 0.0;
-  output_ = x.clone();
+  output_.copy_from(x);
   if (!train_mode_) return output_;
   mask_.assign(x.numel(), true);
   const float scale = static_cast<float>(1.0 / (1.0 - p_));
@@ -321,7 +342,7 @@ const tensor::Tensor& Dropout::forward(const tensor::Tensor& x, bool train) {
 }
 
 const tensor::Tensor& Dropout::backward(const tensor::Tensor& grad_out) {
-  grad_in_ = grad_out.clone();
+  grad_in_.copy_from(grad_out);
   if (!train_mode_) return grad_in_;
   const float scale = static_cast<float>(1.0 / (1.0 - p_));
   auto g = grad_in_.data();
@@ -335,16 +356,17 @@ const tensor::Tensor& Dropout::backward(const tensor::Tensor& grad_out) {
 
 const tensor::Tensor& Flatten::forward(const tensor::Tensor& x, bool train) {
   (void)train;
-  input_shape_ = x.shape();
-  output_ = x.clone();
   CGX_CHECK_GE(x.rank(), 1u);
-  output_.reshape(tensor::Shape{x.dim(0), x.numel() / x.dim(0)});
+  input_shape_ = x.shape();
+  output_.reset({x.dim(0), x.numel() / x.dim(0)});
+  tensor::copy(x.data(), output_.data());
   return output_;
 }
 
 const tensor::Tensor& Flatten::backward(const tensor::Tensor& grad_out) {
-  grad_in_ = grad_out.clone();
-  grad_in_.reshape(input_shape_);
+  CGX_CHECK_EQ(grad_out.numel(), tensor::shape_numel(input_shape_));
+  grad_in_.reset(input_shape_);
+  tensor::copy(grad_out.data(), grad_in_.data());
   return grad_in_;
 }
 

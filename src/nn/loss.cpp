@@ -12,25 +12,26 @@ SoftmaxCrossEntropy::SoftmaxCrossEntropy(std::size_t classes)
   CGX_CHECK_GT(classes, 1u);
 }
 
-double SoftmaxCrossEntropy::forward(const tensor::Tensor& logits,
-                                    std::span<const int> targets) {
-  CGX_CHECK_EQ(logits.numel() % classes_, 0u);
-  const std::size_t rows = logits.numel() / classes_;
+double softmax_xent(const tensor::Tensor& logits, std::span<const int> targets,
+                    std::size_t classes, tensor::Tensor& grad) {
+  CGX_CHECK_GT(classes, 1u);
+  CGX_CHECK_EQ(logits.numel() % classes, 0u);
+  const std::size_t rows = logits.numel() / classes;
   CGX_CHECK_EQ(targets.size(), rows);
-  grad_ = tensor::Tensor(logits.shape());
+  grad.reset(logits.shape());  // every element is written below
   const auto in = logits.data();
-  auto g = grad_.data();
+  auto g = grad.data();
   double total = 0.0;
   const float inv_rows = 1.0f / static_cast<float>(rows);
   for (std::size_t r = 0; r < rows; ++r) {
-    const float* row = &in[r * classes_];
+    const float* row = &in[r * classes];
     // Online softmax (Milakov & Gimelshein): one fused sweep keeps a running
     // max and a running sum rescaled whenever the max moves, replacing the
     // old separate max pass + sum pass. Same overflow safety (every exp
     // argument is <= 0), half the memory traffic.
     double max_logit = row[0];
     double denom = 1.0;  // exp(row[0] - max) with max == row[0]
-    for (std::size_t c = 1; c < classes_; ++c) {
+    for (std::size_t c = 1; c < classes; ++c) {
       const double x = row[c];
       if (x > max_logit) {
         denom = denom * std::exp(max_logit - x) + 1.0;
@@ -40,13 +41,13 @@ double SoftmaxCrossEntropy::forward(const tensor::Tensor& logits,
       }
     }
     const int target = targets[r];
-    CGX_DCHECK(target >= 0 && static_cast<std::size_t>(target) < classes_);
+    CGX_DCHECK(target >= 0 && static_cast<std::size_t>(target) < classes);
     const double log_denom = std::log(denom);
     total += log_denom - (static_cast<double>(row[target]) - max_logit);
-    for (std::size_t c = 0; c < classes_; ++c) {
+    for (std::size_t c = 0; c < classes; ++c) {
       const double p =
           std::exp(static_cast<double>(row[c]) - max_logit - log_denom);
-      g[r * classes_ + c] =
+      g[r * classes + c] =
           (static_cast<float>(p) -
            (static_cast<std::size_t>(target) == c ? 1.0f : 0.0f)) *
           inv_rows;
@@ -77,13 +78,13 @@ double SoftmaxCrossEntropy::perplexity(double mean_loss) {
   return std::exp(mean_loss);
 }
 
-double MseLoss::forward(const tensor::Tensor& pred,
-                        const tensor::Tensor& target) {
+double mse(const tensor::Tensor& pred, const tensor::Tensor& target,
+           tensor::Tensor& grad) {
   CGX_CHECK_EQ(pred.numel(), target.numel());
-  grad_ = tensor::Tensor(pred.shape());
+  grad.reset(pred.shape());
   const auto p = pred.data();
   const auto t = target.data();
-  auto g = grad_.data();
+  auto g = grad.data();
   double total = 0.0;
   const float scale = 2.0f / static_cast<float>(pred.numel());
   for (std::size_t i = 0; i < p.size(); ++i) {

@@ -16,6 +16,17 @@
 //    gradient shaped like the forward output.
 //  * Parameter gradients ACCUMULATE; the optimizer zeroes them after each
 //    step (this mirrors the framework behaviour compression hooks rely on).
+//  * Buffer ownership: forward() and backward() return a reference to a
+//    tensor the module owns. It stays valid and unchanged until the
+//    module's next forward() or backward() call, and no longer — a caller
+//    that needs it later copies it (tensor::Tensor::copy_from). Modules
+//    keep these buffers, and everything they cache for backward, across
+//    steps: tensor::Tensor::reset/copy_from reshape them in place and their
+//    storage only grows, so once warm a step allocates nothing
+//    (tests/nn/nn_alloc_test.cpp). A reset buffer holds stale values; only
+//    buffers a kernel accumulates into (the col2im and MaxPool scatters,
+//    Embedding's all-zero input gradient) are zero-filled, every other one
+//    is fully overwritten.
 #pragma once
 
 #include <functional>

@@ -61,16 +61,11 @@ bool elastic_env_enabled() {
 }  // namespace
 
 LossFn make_xent_loss(std::size_t classes) {
-  // One shared instance per call site; the trainer invokes it from a single
-  // thread per replica, and each replica gets its own LossFn copy via the
-  // shared_ptr's state being read-only after construction. To keep it
-  // simple and thread-safe, construct a fresh criterion per invocation.
+  // Stateless, so every replica thread can share one LossFn; the gradient
+  // goes straight into the caller's tensor.
   return [classes](const tensor::Tensor& output, const Batch& batch,
                    tensor::Tensor& grad_out) {
-    SoftmaxCrossEntropy criterion(classes);
-    const double loss = criterion.forward(output, batch.targets);
-    grad_out = criterion.grad().clone();
-    return loss;
+    return softmax_xent(output, batch.targets, classes, grad_out);
   };
 }
 
@@ -85,10 +80,10 @@ TrainResult train_single(const ModelFactory& model_factory,
 
   TrainResult result;
   result.params = param_count(params);
+  tensor::Tensor grad_out;  // held across steps; the loss reuses its storage
   for (std::size_t step = 0; step < steps; ++step) {
     const Batch batch = batches(0, step);
     const tensor::Tensor& out = model->forward(batch.input, /*train=*/true);
-    tensor::Tensor grad_out;
     const double l = loss(out, batch, grad_out);
     model->backward(grad_out);
     optimizer->step();
@@ -287,6 +282,7 @@ TrainResult train_distributed(const ModelFactory& model_factory,
       CGX_CHECK_EQ(offset, params.size());
     }
 
+    tensor::Tensor grad_out;  // held across steps; the loss reuses its storage
     std::size_t step = begin_step;
     while (step < options.steps) {
       if (elastic) {
@@ -318,7 +314,6 @@ TrainResult train_distributed(const ModelFactory& model_factory,
       }
       const Batch batch = batches(rank, step);
       const tensor::Tensor& out = model->forward(batch.input, /*train=*/true);
-      tensor::Tensor grad_out;
       const double l = loss(out, batch, grad_out);
       if (streaming) {
         async->begin_step(comm, fused, engine_rng);

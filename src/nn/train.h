@@ -48,8 +48,10 @@ using OptimizerFactory =
 using EngineFactory = std::function<std::unique_ptr<core::GradientEngine>(
     const tensor::LayerLayout&, int world_size)>;
 
-// loss(output, batch, grad_out) -> scalar loss; fills grad_out (allocated
-// by the callee to the output's shape).
+// loss(output, batch, grad_out) -> scalar loss; writes dL/d(output) into
+// grad_out at the output's shape. The trainers hold grad_out across steps,
+// so a loss that fills it with tensor::Tensor::reset (as make_xent_loss
+// does) reuses its storage instead of allocating every step.
 using LossFn = std::function<double(const tensor::Tensor& output,
                                     const Batch& batch,
                                     tensor::Tensor& grad_out)>;

@@ -31,9 +31,30 @@ Tensor::Tensor(Shape shape, float fill) : shape_(std::move(shape)) {
 }
 
 Tensor Tensor::clone() const {
-  Tensor copy(shape_);
-  std::copy(data_.begin(), data_.end(), copy.data_.begin());
+  Tensor copy;
+  copy.copy_from(*this);
   return copy;
+}
+
+void Tensor::reset(std::span<const std::size_t> dims,
+                   std::initializer_list<std::size_t> more) {
+  // reset(shape()) and reset(first dims of shape(), {...}) pass a prefix of
+  // shape_ itself; it is already in place.
+  if (dims.data() == shape_.data()) {
+    shape_.resize(dims.size());
+  } else {
+    shape_.assign(dims.begin(), dims.end());
+  }
+  shape_.insert(shape_.end(), more);
+  // clear() first so growth does not copy the stale contents over.
+  data_.clear();
+  data_.resize(shape_numel(shape_));
+}
+
+void Tensor::copy_from(const Tensor& src) {
+  if (this == &src) return;
+  reset(src.shape_);
+  std::copy(src.data_.begin(), src.data_.end(), data_.begin());
 }
 
 void Tensor::fill(float v) { std::fill(data_.begin(), data_.end(), v); }

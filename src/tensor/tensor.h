@@ -39,6 +39,33 @@ class Tensor {
 
   Tensor clone() const;
 
+  // ---- Grow-only reuse ----
+  // A tensor held across steps (a layer's output or gradient buffer) is
+  // re-shaped in place: storage and the shape vector only ever grow, so
+  // once both reached their high-water size these calls allocate nothing.
+  // The dims arrive as a span or a braced list rather than a Shape,
+  // because building a Shape (a std::vector) is itself a heap allocation.
+  //
+  // reset: shape = dims ++ more; element values are unspecified (stale), so
+  // the caller must overwrite every element. reset_zero: the same, then
+  // zero-filled — for kernels that accumulate into the buffer.
+  void reset(std::span<const std::size_t> dims,
+             std::initializer_list<std::size_t> more = {});
+  void reset(std::initializer_list<std::size_t> dims) {
+    reset(std::span<const std::size_t>(dims.begin(), dims.size()));
+  }
+  void reset_zero(std::span<const std::size_t> dims,
+                  std::initializer_list<std::size_t> more = {}) {
+    reset(dims, more);
+    zero();
+  }
+  void reset_zero(std::initializer_list<std::size_t> dims) {
+    reset(dims);
+    zero();
+  }
+  // Takes src's shape and values into the held storage.
+  void copy_from(const Tensor& src);
+
   const Shape& shape() const { return shape_; }
   std::size_t numel() const { return data_.size(); }
   std::size_t dim(std::size_t i) const {

@@ -5,18 +5,27 @@
 // reduce_dot loop, the per-element scalar Adam loop, the per-pixel col2im
 // scatter and the allocate-per-call Linear dW, before any of them was
 // vectorized, so any drift in accumulation order, rounding or operand
-// order shows up here. The hashes are the same under CGX_SIMD=off/sse2/auto
-// (the kernels are bit-identical by contract).
+// order shows up here. Further down, whole-model steps and the ReLU/MaxPool
+// edge cases pin the layers themselves, recorded while every layer still
+// allocated fresh tensors per call (before the buffers became reused and
+// the masks branch-free). The hashes are the same under
+// CGX_SIMD=off/sse2/auto (the kernels are bit-identical by contract).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <vector>
 
+#include "models/small_models.h"
 #include "nn/conv.h"
 #include "nn/layers.h"
+#include "nn/loss.h"
 #include "nn/optim.h"
+#include "nn/sequential.h"
 #include "tensor/tensor_ops.h"
 #include "util/rng.h"
 
@@ -167,6 +176,241 @@ TEST(StepBits, LinearBackwardMatchesRecordedHash) {
   linear.collect_params("", params);
   for (const Param* p : params) h = fnv1a(h, p->grad.data());
   EXPECT_EQ(h, 14200336888085114499ull);
+}
+
+
+// ------------------------------------------------------------ model steps
+//
+// One training step's bits for whole models: every step hashes the forward
+// output, the gradient w.r.t. the model input and every parameter gradient,
+// then takes an Adam step so the next step runs on moved weights. Three
+// steps per model, and the batch size changes between them (big, small,
+// big again), so a layer that reuses its buffers across calls must still
+// produce exactly what a freshly allocated one does after a shape change.
+// The expected hashes were recorded with layers that allocated fresh
+// output and gradient tensors on every call.
+
+struct ModelCase {
+  std::unique_ptr<Module> model;
+  std::size_t classes;
+  // One batch of `batch` rows: the input tensor and one target per
+  // output row.
+  std::function<tensor::Tensor(util::Rng&, std::size_t batch)> input;
+  std::size_t targets_per_row = 1;
+};
+
+std::uint64_t model_step_hash(ModelCase c, std::uint64_t seed) {
+  std::vector<Param*> params = parameters(*c.model);
+  Adam adam(params, constant_lr(1e-2));
+  util::Rng rng(seed);
+  std::uint64_t h = kFnvBasis;
+  const std::size_t batches[] = {4, 2, 4};
+  for (std::size_t batch : batches) {
+    const tensor::Tensor x = c.input(rng, batch);
+    const tensor::Tensor& y = c.model->forward(x, /*train=*/true);
+    h = fnv1a(h, y.data());
+    std::vector<int> targets(y.numel() / c.classes);
+    for (int& t : targets) t = static_cast<int>(rng.next_below(c.classes));
+    SoftmaxCrossEntropy xent(c.classes);
+    xent.forward(y, targets);
+    h = fnv1a(h, c.model->backward(xent.grad()).data());
+    for (const Param* p : params) h = fnv1a(h, p->grad.data());
+    adam.step();
+  }
+  return h;
+}
+
+tensor::Tensor gaussian_input(util::Rng& rng, tensor::Shape shape) {
+  tensor::Tensor x(std::move(shape));
+  fill_gaussian(x.data(), rng);
+  return x;
+}
+
+tensor::Tensor token_input(util::Rng& rng, std::size_t batch,
+                           std::size_t seq, std::size_t vocab) {
+  tensor::Tensor x(tensor::Shape{batch, seq});
+  for (float& v : x.data()) v = static_cast<float>(rng.next_below(vocab));
+  return x;
+}
+
+TEST(StepBits, VggMiniStepMatchesRecordedHash) {
+  util::Rng init(1001);
+  ModelCase c{models::make_vgg_mini(3, 16, 10, init), 10,
+              [](util::Rng& rng, std::size_t b) {
+                return gaussian_input(rng, {b, 3, 16, 16});
+              }};
+  EXPECT_EQ(model_step_hash(std::move(c), 11), 4434484963813739339ull);
+}
+
+TEST(StepBits, MlpStepMatchesRecordedHash) {
+  util::Rng init(1002);
+  ModelCase c{models::make_mlp(37, 64, 10, init), 10,
+              [](util::Rng& rng, std::size_t b) {
+                return gaussian_input(rng, {b, 37});
+              }};
+  EXPECT_EQ(model_step_hash(std::move(c), 12), 10281401943707261387ull);
+}
+
+TEST(StepBits, TinyTransformerLmStepMatchesRecordedHash) {
+  util::Rng init(1003);
+  ModelCase c{std::make_unique<models::TinyTransformerLM>(50, 32, 4, 2, 16,
+                                                          init),
+              50, [](util::Rng& rng, std::size_t b) {
+                return token_input(rng, b, 12, 50);
+              }};
+  EXPECT_EQ(model_step_hash(std::move(c), 13), 5798156368191644154ull);
+}
+
+TEST(StepBits, TwoTowerStepMatchesRecordedHash) {
+  util::Rng init(1004);
+  ModelCase c{models::make_two_tower(29, 48, 7, init), 7,
+              [](util::Rng& rng, std::size_t b) {
+                return gaussian_input(rng, {b, 29});
+              }};
+  EXPECT_EQ(model_step_hash(std::move(c), 14), 12542312803799487859ull);
+}
+
+// The remaining models cover the layers the four above do not reach:
+// BatchNorm2d, GlobalAvgPool, the residual block, a Graph fan-in join of
+// convolutions, and the bidirectional encoder.
+TEST(StepBits, ResNetMiniStepMatchesRecordedHash) {
+  util::Rng init(1005);
+  ModelCase c{models::make_resnet_mini(3, 8, 5, init), 5,
+              [](util::Rng& rng, std::size_t b) {
+                return gaussian_input(rng, {b, 3, 8, 8});
+              }};
+  EXPECT_EQ(model_step_hash(std::move(c), 15), 2831734912442209516ull);
+}
+
+TEST(StepBits, SkipJoinCnnStepMatchesRecordedHash) {
+  util::Rng init(1006);
+  ModelCase c{models::make_skipjoin_cnn(3, 8, 5, init), 5,
+              [](util::Rng& rng, std::size_t b) {
+                return gaussian_input(rng, {b, 3, 8, 8});
+              }};
+  EXPECT_EQ(model_step_hash(std::move(c), 16), 4197262997647840990ull);
+}
+
+TEST(StepBits, TinyBertQaStepMatchesRecordedHash) {
+  util::Rng init(1007);
+  ModelCase c{std::make_unique<models::TinyBertQa>(40, 32, 2, 1, 16, init),
+              2, [](util::Rng& rng, std::size_t b) {
+                return token_input(rng, b, 10, 40);
+              }};
+  EXPECT_EQ(model_step_hash(std::move(c), 17), 6196811659269372521ull);
+}
+
+// ------------------------------------------------------ ReLU / MaxPool
+//
+// The activation mask and the pooling argmax on the values where a select
+// can drift from a compare-and-branch: NaN, ±0, ±inf, subnormals and ties.
+
+constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+constexpr float kInf = std::numeric_limits<float>::infinity();
+
+std::uint32_t bits(float v) {
+  std::uint32_t u;
+  std::memcpy(&u, &v, sizeof(u));
+  return u;
+}
+
+TEST(StepBits, ReluEdgeCases) {
+  const float specials[] = {kNaN, 0.0f, -0.0f, -1.0f, 1.0f, kInf, -kInf,
+                            1e-40f, -1e-40f};
+  ReLU relu;
+  // Forward: max(x, 0) with NaN and -0 mapped to +0.
+  tensor::Tensor x(tensor::Shape{1, 9});
+  std::copy(std::begin(specials), std::end(specials), x.data().begin());
+  const tensor::Tensor& y = relu.forward(x, true);
+  const float want_y[] = {0.0f, 0.0f, 0.0f, 0.0f, 1.0f, kInf, 0.0f,
+                          1e-40f, 0.0f};
+  for (std::size_t i = 0; i < 9; ++i) {
+    EXPECT_EQ(bits(y.at(i)), bits(want_y[i])) << "forward x = " << specials[i];
+  }
+  // Backward: the gradient survives where x > 0 or x is NaN (x <= 0 is
+  // false); elsewhere it becomes +0, whatever its sign or NaN-ness.
+  tensor::Tensor g(tensor::Shape{1, 9}, -2.5f);
+  g.at(0) = -0.0f;
+  const tensor::Tensor& gx = relu.backward(g);
+  const float want_g[] = {-0.0f, 0.0f, 0.0f, 0.0f, -2.5f, -2.5f, 0.0f,
+                          -2.5f, 0.0f};
+  for (std::size_t i = 0; i < 9; ++i) {
+    EXPECT_EQ(bits(gx.at(i)), bits(want_g[i])) << "backward x = "
+                                                << specials[i];
+  }
+  // Every pairing of special x and special gradient, at lengths that leave
+  // a vector tail, hashed.
+  std::uint64_t h = kFnvBasis;
+  for (std::size_t n : {std::size_t{81}, std::size_t{83}}) {
+    tensor::Tensor xs(tensor::Shape{n});
+    tensor::Tensor gs(tensor::Shape{n});
+    for (std::size_t i = 0; i < n; ++i) {
+      xs.at(i) = specials[i % 9];
+      gs.at(i) = specials[(i / 9) % 9];
+    }
+    h = fnv1a(h, relu.forward(xs, true).data());
+    h = fnv1a(h, relu.backward(gs).data());
+  }
+  EXPECT_EQ(h, 6986403714024449900ull);
+}
+
+TEST(StepBits, MaxPoolEdgeCases) {
+  // One [1, 1, 2, 12] image, six 2x2 windows:
+  //   0: a tie (3, 3): the first maximum in window order wins;
+  //   1: a 1 beside three NaNs: NaN never compares greater, the 1 wins;
+  //   2: all NaN: nothing beats the -inf start, so the output is -inf and
+  //      the argmax stays at flat index 0 (the first element of the
+  //      tensor, outside this window);
+  //   3: +0 then -0: neither is greater than the other, +0 (first) wins;
+  //   4: all -inf: as all-NaN;
+  //   5: subnormal beside -0: the subnormal wins.
+  const float top[] = {3, 1, 1, kNaN, kNaN, kNaN, 0.0f, -0.0f, -kInf, -kInf,
+                       -0.0f, 1e-40f};
+  const float bottom[] = {3, 2, kNaN, kNaN, kNaN, kNaN, -0.0f, 0.0f, -kInf,
+                          -kInf, -0.0f, -0.0f};
+  tensor::Tensor x(tensor::Shape{1, 1, 2, 12});
+  for (std::size_t i = 0; i < 12; ++i) {
+    x.at(i) = top[i];
+    x.at(12 + i) = bottom[i];
+  }
+  MaxPool2d pool(2);
+  const tensor::Tensor& y = pool.forward(x, true);
+  const float want_y[] = {3, 1, -kInf, 0.0f, -kInf, 1e-40f};
+  for (std::size_t i = 0; i < 6; ++i) {
+    EXPECT_EQ(bits(y.at(i)), bits(want_y[i])) << "window " << i;
+  }
+  tensor::Tensor g(tensor::Shape{1, 1, 1, 6});
+  for (std::size_t i = 0; i < 6; ++i) g.at(i) = static_cast<float>(i + 1);
+  const tensor::Tensor& gx = pool.backward(g);
+  // Windows 0 and 2 and 4 route to flat index 0 (window 0's first element,
+  // and the all-NaN/all--inf fallback), so it collects 1 + 3 + 5.
+  std::vector<float> want_g(24, 0.0f);
+  want_g[0] = 1 + 3 + 5;
+  want_g[2] = 2;   // window 1: the 1 at top-left
+  want_g[6] = 4;   // window 3: +0 at top-left
+  want_g[11] = 6;  // window 5: the subnormal at top-right
+  for (std::size_t i = 0; i < 24; ++i) {
+    EXPECT_EQ(bits(gx.at(i)), bits(want_g[i])) << "input " << i;
+  }
+  // Larger pools with many ties and scattered NaNs, windows 2 and 3,
+  // hashed.
+  std::uint64_t h = kFnvBasis;
+  util::Rng rng(808);
+  for (std::size_t window : {std::size_t{2}, std::size_t{3}}) {
+    MaxPool2d p(window);
+    const std::size_t hw = 6 * window;
+    tensor::Tensor xs(tensor::Shape{2, 3, hw, hw});
+    for (float& v : xs.data()) {
+      const std::uint64_t r = rng.next_below(8);
+      v = r == 0 ? kNaN : r == 1 ? -0.0f : static_cast<float>(r % 3);
+    }
+    const tensor::Tensor& ys = p.forward(xs, true);
+    h = fnv1a(h, ys.data());
+    tensor::Tensor gs(ys.shape());
+    fill_gaussian(gs.data(), rng);
+    h = fnv1a(h, p.backward(gs).data());
+  }
+  EXPECT_EQ(h, 17094707872413789762ull);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+
 namespace cgx::tensor {
 namespace {
 
@@ -43,6 +45,65 @@ TEST(Tensor, CloneIsDeep) {
   c.at(0) = 9.0f;
   EXPECT_EQ(t.at(0), 1.0f);
   EXPECT_EQ(c.at(0), 9.0f);
+}
+
+TEST(Tensor, ResetReusesStorageUpToHighWater) {
+  Tensor t;
+  t.reset({4, 8});
+  EXPECT_EQ(t.shape(), (Shape{4, 8}));
+  EXPECT_EQ(t.numel(), 32u);
+  const float* storage = t.data().data();
+  // Shrinking and growing back within the high-water size keep the storage.
+  t.reset({2, 3, 5});
+  EXPECT_EQ(t.shape(), (Shape{2, 3, 5}));
+  EXPECT_EQ(t.numel(), 30u);
+  EXPECT_EQ(t.data().data(), storage);
+  t.reset({4, 8});
+  EXPECT_EQ(t.data().data(), storage);
+  // Beyond it, the storage grows.
+  t.reset({5, 8});
+  EXPECT_EQ(t.numel(), 40u);
+  t.reset({});
+  EXPECT_EQ(t.numel(), 0u);
+  EXPECT_EQ(t.rank(), 0u);
+}
+
+TEST(Tensor, ResetTakesLeadingDimsPlusMore) {
+  const Tensor x({2, 3, 7});
+  Tensor t;
+  t.reset(std::span<const std::size_t>(x.shape()).first(2), {11});
+  EXPECT_EQ(t.shape(), (Shape{2, 3, 11}));
+  t.reset(x.shape(), {4});
+  EXPECT_EQ(t.shape(), (Shape{2, 3, 7, 4}));
+  // A prefix of the tensor's own shape is taken in place.
+  t.reset(std::span<const std::size_t>(t.shape()).first(1), {9});
+  EXPECT_EQ(t.shape(), (Shape{2, 9}));
+  t.reset(t.shape());
+  EXPECT_EQ(t.shape(), (Shape{2, 9}));
+}
+
+TEST(Tensor, ResetZeroClearsStaleValues) {
+  Tensor t({3, 3}, 5.0f);
+  t.reset_zero({2, 4});
+  EXPECT_EQ(t.shape(), (Shape{2, 4}));
+  for (float v : t.data()) EXPECT_EQ(v, 0.0f);
+  t.fill(1.0f);
+  t.reset_zero(t.shape(), {1});
+  EXPECT_EQ(t.shape(), (Shape{2, 4, 1}));
+  for (float v : t.data()) EXPECT_EQ(v, 0.0f);
+}
+
+TEST(Tensor, CopyFromTakesShapeAndValues) {
+  Tensor src({2, 3});
+  for (std::size_t i = 0; i < src.numel(); ++i) src.at(i) = float(i);
+  Tensor dst({10}, -1.0f);
+  const float* storage = dst.data().data();
+  dst.copy_from(src);
+  EXPECT_EQ(dst.shape(), src.shape());
+  EXPECT_EQ(dst.data().data(), storage);  // 6 <= 10: no growth
+  for (std::size_t i = 0; i < src.numel(); ++i) EXPECT_EQ(dst.at(i), float(i));
+  dst.copy_from(dst);
+  EXPECT_EQ(dst.at(5), 5.0f);
 }
 
 TEST(Tensor, ReshapePreservesData) {

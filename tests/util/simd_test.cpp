@@ -54,6 +54,12 @@ void expect_bits_equal(std::span<const float> expected,
   }
 }
 
+// memcmp over n bytes, defined for n == 0 too: an empty std::vector's
+// data() may be null, and memcmp's pointers must not be even for n == 0.
+bool bytes_equal(const void* a, const void* b, std::size_t n) {
+  return n == 0 || std::memcmp(a, b, n) == 0;
+}
+
 // Random float mix with zeros, sign flips, and wide magnitude range so the
 // kernels see denormal-ish small values and large ones.
 std::vector<float> random_floats(std::size_t n, std::uint64_t seed) {
@@ -450,7 +456,7 @@ TEST(SimdPack, WordKernelsMatchScalarPacking) {
         ScopedLevel lvl(l);
         std::vector<std::byte> out(nwords * 8, std::byte{0xAA});
         if (pack_words(sym.data(), nwords, bits, out.data())) {
-          EXPECT_EQ(0, std::memcmp(ref.data(), out.data(), nwords * 8));
+          EXPECT_TRUE(bytes_equal(ref.data(), out.data(), nwords * 8));
         }
         std::vector<std::uint32_t> back(n, 0xdeadbeefu);
         if (unpack_words(ref.data(), nwords, bits, back.data())) {
@@ -533,8 +539,7 @@ TEST(SimdCopyEngine, CopyAndCopyAddBitIdenticalAcrossLevels) {
 
       std::vector<std::byte> raw(n * sizeof(float) + 3);
       copy_bytes(raw.data() + 3, src.data(), n * sizeof(float));
-      EXPECT_EQ(std::memcmp(raw.data() + 3, src.data(), n * sizeof(float)),
-                0)
+      EXPECT_TRUE(bytes_equal(raw.data() + 3, src.data(), n * sizeof(float)))
           << "copy_bytes (unaligned dst)";
 
       std::vector<float> added(acc.begin(), acc.end());
@@ -565,7 +570,7 @@ TEST(SimdCopyEngine, NonTemporalPathBitIdentical) {
     ScopedLevel lvl(l);
     std::vector<float> dst(n, -1.0f);
     copy_floats(src, dst);
-    EXPECT_EQ(std::memcmp(dst.data(), src.data(), n * sizeof(float)), 0);
+    EXPECT_TRUE(bytes_equal(dst.data(), src.data(), n * sizeof(float)));
     std::vector<float> added(n, 0.25f);
     copy_add(added, src);
     expect_bits_equal(add_ref, added, "copy_add past NT threshold");
