@@ -47,21 +47,29 @@ std::vector<float> make_input(std::size_t n, std::uint64_t seed = 1) {
   return v;
 }
 
-// Wall-clock rate of fn(): `units` of work per call (GB, GFLOP, ... in the
-// unit the row reports), measured for ~0.3 s after one warm-up call.
-template <typename Fn>
-double measure_rate(double units, Fn&& fn) {
+// Rate of fn(): `units` of work per call (GB, GFLOP, ... in the unit the
+// row reports), measured over ~0.3 s of calls after one warm-up call.
+// `setup` runs before every call, outside the timed region, to restore
+// inputs that fn consumes.
+template <typename Fn, typename Setup>
+double measure_rate(double units, Fn&& fn, Setup&& setup) {
   using clock = std::chrono::steady_clock;
+  auto seconds = [](auto d) {
+    return std::chrono::duration<double>(d).count();
+  };
+  setup();
   fn();
   std::size_t iters = 0;
+  double timed = 0.0;
   const auto start = clock::now();
-  double elapsed = 0.0;
   do {
+    setup();
+    const auto t0 = clock::now();
     fn();
+    timed += seconds(clock::now() - t0);
     ++iters;
-    elapsed = std::chrono::duration<double>(clock::now() - start).count();
-  } while (elapsed < 0.3);
-  return units * static_cast<double>(iters) / elapsed;
+  } while (seconds(clock::now() - start) < 0.3);
+  return units * static_cast<double>(iters) / timed;
 }
 
 std::vector<simd::Level> levels_to_run() {
@@ -81,15 +89,17 @@ struct Row {
 };
 
 // Runs fn at every reachable dispatch level and appends one row per level
-// with the speedup relative to the scalar (level 0) measurement.
-template <typename Fn>
+// with the speedup relative to the scalar (level 0) measurement. `setup`
+// is measure_rate's untimed per-call input restore.
+template <typename Fn, typename Setup = void (*)()>
 void sweep_levels(std::vector<Row>& rows, const std::string& kernel,
-                  const char* unit, double units, Fn&& fn) {
+                  const char* unit, double units, Fn&& fn,
+                  Setup&& setup = [] {}) {
   const simd::Level prev = simd::active_level();
   double scalar_rate = 0.0;
   for (simd::Level l : levels_to_run()) {
     simd::set_level(l);
-    const double rate = measure_rate(units, fn);
+    const double rate = measure_rate(units, fn, setup);
     if (l == simd::Level::kScalar) scalar_rate = rate;
     rows.push_back({kernel, simd::level_name(l), unit, rate,
                     scalar_rate > 0 ? rate / scalar_rate : 0.0});
@@ -255,12 +265,13 @@ void run_suite(bool smoke, bool json) {
     }
   }
 
-  // ---- Adam update kernel over one flat parameter (the per-parameter
-  // sweep of nn::Adam::step, without its gradient zeroing) ----
+  // ---- Adam update kernel over one flat parameter: the per-parameter
+  // pass of nn::Adam::step, which also zeroes the gradient it reads. Each
+  // call gets a fresh gradient, restored outside the timed region ----
   {
     auto w = make_input(numel, 13);
-    const auto g = make_input(numel, 14);
-    std::vector<float> m(numel, 0.0f), v(numel, 0.0f);
+    const auto g0 = make_input(numel, 14);
+    std::vector<float> g(numel), m(numel, 0.0f), v(numel, 0.0f);
     simd::AdamCoeffs c;
     c.weight_decay = 0.0f;
     c.beta1 = 0.9f;
@@ -271,10 +282,13 @@ void run_suite(bool smoke, bool json) {
     c.bias2 = 1.0 - 0.999;
     c.lr = 1e-3;
     c.eps = 1e-8;
-    sweep_levels(rows, "adam_update", "Gelem/s", numel / 1e9, [&] {
-                   simd::adam_update(c, w, g, m, v);
-                   benchmark::DoNotOptimize(w.data());
-                 });
+    sweep_levels(
+        rows, "adam_update", "Gelem/s", numel / 1e9,
+        [&] {
+          simd::adam_update(c, w, g, m, v);
+          benchmark::DoNotOptimize(w.data());
+        },
+        [&] { std::copy(g0.begin(), g0.end(), g.begin()); });
   }
 
   // ---- quantizers (full compress pipeline incl. RNG, norms, pack) ----

@@ -49,21 +49,27 @@ Sgd::Sgd(std::vector<Param*> params, LrSchedule lr, double momentum,
   }
 }
 
+// Each gradient element is zeroed in the pass that applies it.
 void Sgd::step() {
   const auto lr = static_cast<float>(lr_(steps_));
+  const auto wd = static_cast<float>(weight_decay_);
+  const auto mu = static_cast<float>(momentum_);
   for (std::size_t i = 0; i < params_.size(); ++i) {
     auto value = params_[i]->value.data();
     auto grad = params_[i]->grad.data();
-    auto& vel = velocity_[i];
-    for (std::size_t j = 0; j < value.size(); ++j) {
-      float g = grad[j] + static_cast<float>(weight_decay_) * value[j];
-      if (momentum_ != 0.0) {
-        vel[j] = static_cast<float>(momentum_) * vel[j] + g;
-        g = vel[j];
+    float* vel = velocity_[i].data();
+    if (momentum_ != 0.0) {
+      for (std::size_t j = 0; j < value.size(); ++j) {
+        vel[j] = mu * vel[j] + (grad[j] + wd * value[j]);
+        value[j] -= lr * vel[j];
+        grad[j] = 0.0f;
       }
-      value[j] -= lr * g;
+    } else {
+      for (std::size_t j = 0; j < value.size(); ++j) {
+        value[j] -= lr * (grad[j] + wd * value[j]);
+        grad[j] = 0.0f;
+      }
     }
-    params_[i]->grad.zero();
   }
   ++steps_;
 }
@@ -96,10 +102,10 @@ void Adam::step() {
   coeffs.bias2 = 1.0 - std::pow(beta2_, t);
   coeffs.lr = lr_(steps_);
   coeffs.eps = eps_;
+  // The kernel zeroes each gradient as it reads it.
   for (std::size_t i = 0; i < params_.size(); ++i) {
     util::simd::adam_update(coeffs, params_[i]->value.data(),
                             params_[i]->grad.data(), m_[i], v_[i]);
-    params_[i]->grad.zero();
   }
   ++steps_;
 }

@@ -270,8 +270,8 @@ TrainResult train_distributed(const ModelFactory& model_factory,
         child.set_grad_ready_hook([&, begin, end, rank](Module&) {
           // Within a child, notify in reverse parameter order to match
           // the facade's gradient-production convention (identical on
-          // every rank, which is all the engine requires; under a DAG
-          // executor the engine's ordered launch relaxes even that).
+          // every rank, which is all the engine requires; its canonical
+          // release order relaxes even that under a DAG executor).
           for (std::size_t l = end; l-- > begin;) {
             tensor::copy(params[l]->grad.data(),
                          layout.slice(std::span<float>(fused), l));

@@ -259,8 +259,8 @@ void dot_tile_scalar(const float* a, std::size_t lda, const float* b,
 
 // -------------------------------------------------------------------- adam
 
-void adam_update_scalar(const AdamCoeffs& c, float* w, const float* grad,
-                        float* m, float* v, std::size_t n) {
+void adam_update_scalar(const AdamCoeffs& c, float* w, float* grad, float* m,
+                        float* v, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
     adam_element(c, w[i], grad[i], m[i], v[i]);
   }
@@ -502,7 +502,7 @@ void dot_tile(const float* a, std::size_t lda, const float* b,
 }
 
 void adam_update(const AdamCoeffs& coeffs, std::span<float> w,
-                 std::span<const float> grad, std::span<float> m,
+                 std::span<float> grad, std::span<float> m,
                  std::span<float> v) {
   CGX_DCHECK(grad.size() == w.size());
   CGX_DCHECK(m.size() == w.size() && v.size() == w.size());

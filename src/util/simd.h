@@ -19,10 +19,12 @@
 // The scalar reference implements this same order, so "scalar" is not a
 // different numerical contract — it is the specification. All three TUs
 // (scalar/sse2/avx2) are compiled with -ffp-contract=off so the compiler
-// cannot re-fuse what the contract keeps separate. The one fused operation
-// is the AVX2 dot_tile's double-precision accumulate of a product of two
-// widened floats: that product is exact in double (24 + 24 significand
-// bits), so fma(x, y, acc) rounds exactly like acc + x * y.
+// cannot re-fuse what the contract keeps separate. Two AVX2 kernels fuse
+// on purpose, where the fused form provably rounds like the reference: the
+// dot_tile's double-precision accumulate of a product of two widened
+// floats (that product is exact in double, 24 + 24 significand bits, so
+// fma(x, y, acc) rounds exactly like acc + x * y), and the Adam update's
+// corrected reciprocal (see adam_update below).
 #pragma once
 
 #include <cstddef>
@@ -131,14 +133,27 @@ void dot_tile(const float* a, std::size_t lda, const float* b,
 
 // ---------------------------------------------------------------------------
 // Adam update (nn::Adam::step), per element i in increasing order:
-//   g    = grad[i] + weight_decay * w[i]                       (float)
-//   m[i] = beta1 * m[i] + one_minus_beta1 * g                  (float)
-//   v[i] = beta2 * v[i] + (one_minus_beta2 * g) * g            (float)
-//   w[i] -= (float)(lr * (m[i] / bias1) /
-//                   (sqrt(v[i] / bias2) + eps))                (double)
-// The SSE2 kernel runs this exact sequence 4 elements at a time, so the
-// result is bit-identical at every level. AVX2 uses the SSE2 kernel: the
-// double divider sets the rate, and wider vectors gain nothing.
+//   g       = grad[i] + weight_decay * w[i]                    (float)
+//   grad[i] = 0
+//   m[i]    = beta1 * m[i] + one_minus_beta1 * g               (float)
+//   v[i]    = beta2 * v[i] + (one_minus_beta2 * g) * g         (float)
+//   w[i]   -= (float)(lr * (m[i] / bias1) /
+//                     (sqrt(v[i] / bias2) + eps))              (double)
+// `grad` is in/out: the update pass zeroes each element after reading it,
+// so the optimizer needs no separate zeroing sweep.
+// The SSE2 kernel runs this exact sequence 4 elements at a time. The AVX2
+// kernel runs the float part 8 wide and replaces the two bias-correction
+// divides with a corrected reciprocal multiply: with y = 1/bias computed
+// once per call as an IEEE divide, each element takes
+//   q = m * y,  r = fma(-q, bias, m),  q' = fma(r, y, q).
+// By Markstein's theorem q' is the correctly rounded m / bias, because y
+// is the correctly rounded reciprocal and q is within 1 ulp of the
+// quotient; m and v are widened floats, so nothing under- or overflows
+// while bias stays within [2^-64, 2^64] (outside it, the kernel divides).
+// Lanes where m (or v) is ±0, ±inf or NaN keep q, which is exactly what
+// the divide gives; the correction would turn -0 into +0 and ±inf into
+// NaN. The final divide and the square root are the IEEE operations at
+// every level, so the result is bit-identical at every level.
 // ---------------------------------------------------------------------------
 
 struct AdamCoeffs {
@@ -150,7 +165,7 @@ struct AdamCoeffs {
 };
 
 void adam_update(const AdamCoeffs& coeffs, std::span<float> w,
-                 std::span<const float> grad, std::span<float> m,
+                 std::span<float> grad, std::span<float> m,
                  std::span<float> v);
 
 // ---------------------------------------------------------------------------

@@ -2,10 +2,12 @@
 // are available, but arithmetic deliberately uses separate multiply+add —
 // never FMA — and the TU is built with -ffp-contract=off, because fusing
 // would change rounding and break the bit-exactness contract against the
-// scalar reference (see simd.h). The single exception is dot_tile's
-// double accumulate of a product of two widened floats: that product is
+// scalar reference (see simd.h). The two exceptions are dot_tile's
+// double accumulate of a product of two widened floats (that product is
 // exact in double, so the fused form rounds once, exactly like the
-// separate add. Reductions stripe elements across eight double lanes
+// separate add) and the Adam kernel's corrected reciprocal, whose fused
+// residual and correction are what make it round exactly like the divide
+// it replaces. Reductions stripe elements across eight double lanes
 // exactly like the scalar path (element i -> lane i % 8) and fold with the
 // shared canonical tree.
 #include "util/simd_internal.h"
@@ -15,6 +17,7 @@
 #include <immintrin.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 
@@ -664,6 +667,79 @@ void dot_tile_avx2(const float* a, std::size_t lda, const float* b,
   }
 }
 
+// -------------------------------------------------------------------- adam
+
+// m / b for four widened floats m, given y = RN(1/b): the corrected
+// reciprocal of simd.h. The residual r = m - q*b is exact in the fma, and
+// q + r*y rounds to the correctly rounded quotient (Markstein). Lanes where
+// m is ±0, ±inf or NaN keep q = m*y, which equals m / b there; the
+// correction would give +0 for -0 and NaN for ±inf.
+inline __m256d div_by_recip(__m256d m, __m256d b, __m256d y) {
+  const __m256d q = _mm256_mul_pd(m, y);
+  const __m256d r = _mm256_fnmadd_pd(q, b, m);
+  const __m256d corrected = _mm256_fmadd_pd(r, y, q);
+  const __m256d mag = _mm256_andnot_pd(_mm256_set1_pd(-0.0), m);
+  const __m256d finite_nonzero = _mm256_and_pd(
+      _mm256_cmp_pd(mag, _mm256_setzero_pd(), _CMP_GT_OQ),
+      _mm256_cmp_pd(mag, _mm256_set1_pd(HUGE_VAL), _CMP_LT_OQ));
+  return _mm256_blendv_pd(q, corrected, finite_nonzero);
+}
+
+// The double half of four Adam elements: lr * mhat / (sqrt(vhat) + eps).
+inline __m128 adam_step4(__m128 m, __m128 v, __m256d bias1, __m256d y1,
+                         __m256d bias2, __m256d y2, __m256d lr, __m256d eps) {
+  const __m256d mhat = div_by_recip(_mm256_cvtps_pd(m), bias1, y1);
+  const __m256d vhat = div_by_recip(_mm256_cvtps_pd(v), bias2, y2);
+  return _mm256_cvtpd_ps(_mm256_div_pd(
+      _mm256_mul_pd(lr, mhat), _mm256_add_pd(_mm256_sqrt_pd(vhat), eps)));
+}
+
+// Bias corrections for which the corrected reciprocal is exact for every
+// widened float m: no intermediate can under- or overflow (simd.h).
+inline bool recip_exact_for(double bias) {
+  const double mag = std::fabs(bias);
+  return mag >= 0x1p-64 && mag <= 0x1p64;
+}
+
+void adam_update_avx2(const AdamCoeffs& c, float* w, float* grad, float* m,
+                      float* v, std::size_t n) {
+  std::size_t i = 0;
+  if (recip_exact_for(c.bias1) && recip_exact_for(c.bias2)) {
+    const __m256 wd = _mm256_set1_ps(c.weight_decay);
+    const __m256 b1 = _mm256_set1_ps(c.beta1);
+    const __m256 c1 = _mm256_set1_ps(c.one_minus_beta1);
+    const __m256 b2 = _mm256_set1_ps(c.beta2);
+    const __m256 c2 = _mm256_set1_ps(c.one_minus_beta2);
+    const __m256d bias1 = _mm256_set1_pd(c.bias1);
+    const __m256d bias2 = _mm256_set1_pd(c.bias2);
+    const __m256d y1 = _mm256_set1_pd(1.0 / c.bias1);
+    const __m256d y2 = _mm256_set1_pd(1.0 / c.bias2);
+    const __m256d lr = _mm256_set1_pd(c.lr);
+    const __m256d eps = _mm256_set1_pd(c.eps);
+    for (; i + 8 <= n; i += 8) {
+      const __m256 vw = _mm256_loadu_ps(w + i);
+      const __m256 g =
+          _mm256_add_ps(_mm256_loadu_ps(grad + i), _mm256_mul_ps(wd, vw));
+      _mm256_storeu_ps(grad + i, _mm256_setzero_ps());
+      const __m256 vm = _mm256_add_ps(_mm256_mul_ps(b1, _mm256_loadu_ps(m + i)),
+                                      _mm256_mul_ps(c1, g));
+      const __m256 vv =
+          _mm256_add_ps(_mm256_mul_ps(b2, _mm256_loadu_ps(v + i)),
+                        _mm256_mul_ps(_mm256_mul_ps(c2, g), g));
+      _mm256_storeu_ps(m + i, vm);
+      _mm256_storeu_ps(v + i, vv);
+      const __m128 lo =
+          adam_step4(_mm256_castps256_ps128(vm), _mm256_castps256_ps128(vv),
+                     bias1, y1, bias2, y2, lr, eps);
+      const __m128 hi = adam_step4(_mm256_extractf128_ps(vm, 1),
+                                   _mm256_extractf128_ps(vv, 1), bias1, y1,
+                                   bias2, y2, lr, eps);
+      _mm256_storeu_ps(w + i, _mm256_sub_ps(vw, _mm256_set_m128(hi, lo)));
+    }
+  }
+  for (; i < n; ++i) adam_element(c, w[i], grad[i], m[i], v[i]);
+}
+
 // ------------------------------------------------------------- copy engine
 
 void copy_bytes_avx2(std::byte* dst, const std::byte* src, std::size_t n) {
@@ -919,7 +995,7 @@ constexpr SimdOps kAvx2Ops = {
     qsgd_quantize_avx2, qsgd_dequantize_avx2,
     nuq_quantize_avx2,  nuq_dequantize_avx2,
     gemm_tile_avx2,  gemm_tile_at_avx2,
-    dot_tile_avx2,   adam_update_sse2,  // shared: see simd_internal.h
+    dot_tile_avx2,   adam_update_avx2,
     pack_words_avx2, unpack_words_avx2,
     copy_bytes_avx2, copy_add_avx2, copy_add2_avx2,
     f32_to_f16_avx2, f16_to_f32_avx2,

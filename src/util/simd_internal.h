@@ -47,7 +47,7 @@ struct SimdOps {
   void (*dot_tile)(const float* a, std::size_t lda, const float* b,
                    std::size_t ldb, float* c, std::size_t ldc, std::size_t mb,
                    std::size_t nb, std::size_t n);
-  void (*adam_update)(const AdamCoeffs& coeffs, float* w, const float* grad,
+  void (*adam_update)(const AdamCoeffs& coeffs, float* w, float* grad,
                       float* m, float* v, std::size_t n);
 
   // May be null (no vector path at this level).
@@ -96,11 +96,15 @@ inline float combine_lanes_max(const float l[8]) {
             mx(mx(l[4], l[5]), mx(l[6], l[7])));
 }
 
-// The Adam per-element sequence (see simd.h). Every level runs it for its
-// ragged tail; the vector bodies reproduce it lane by lane.
-inline void adam_element(const AdamCoeffs& c, float& w, float grad, float& m,
+// The Adam per-element sequence (see simd.h), including the zeroing of the
+// gradient. It is the specification: the scalar level runs it as is, every
+// level runs it for its ragged tail, and the vector bodies reproduce it lane
+// by lane (the AVX2 corrected reciprocal yields the same quotient bits as
+// the divides here).
+inline void adam_element(const AdamCoeffs& c, float& w, float& grad, float& m,
                          float& v) {
   const float g = grad + c.weight_decay * w;
+  grad = 0.0f;
   m = c.beta1 * m + c.one_minus_beta1 * g;
   v = c.beta2 * v + c.one_minus_beta2 * g * g;
   const double mhat = m / c.bias1;
@@ -112,13 +116,6 @@ inline void adam_element(const AdamCoeffs& c, float& w, float grad, float& m,
 // vector dot tiles widen their A rows. It reaches its high-water mark
 // during warm-up; later calls return it without allocating.
 double* widen_scratch(std::size_t count);
-
-#if defined(__x86_64__) || defined(__i386__)
-// The SSE2 Adam kernel, which the AVX2 table shares: the double divider
-// sets its rate, so wider vectors gain nothing.
-void adam_update_sse2(const AdamCoeffs& c, float* w, const float* grad,
-                      float* m, float* v, std::size_t n);
-#endif
 
 const SimdOps& scalar_ops();
 const SimdOps& sse2_ops();  // null-equivalent to scalar on non-x86

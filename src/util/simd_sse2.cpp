@@ -556,10 +556,8 @@ inline __m128d adam_step2(__m128d m, __m128d v, __m128d bias1, __m128d bias2,
   return _mm_div_pd(_mm_mul_pd(lr, mhat), _mm_add_pd(_mm_sqrt_pd(vhat), eps));
 }
 
-}  // namespace
-
-void adam_update_sse2(const AdamCoeffs& c, float* w, const float* grad,
-                      float* m, float* v, std::size_t n) {
+void adam_update_sse2(const AdamCoeffs& c, float* w, float* grad, float* m,
+                      float* v, std::size_t n) {
   const __m128 wd = _mm_set1_ps(c.weight_decay);
   const __m128 b1 = _mm_set1_ps(c.beta1);
   const __m128 c1 = _mm_set1_ps(c.one_minus_beta1);
@@ -573,6 +571,7 @@ void adam_update_sse2(const AdamCoeffs& c, float* w, const float* grad,
   for (; i + 4 <= n; i += 4) {
     const __m128 vw = _mm_loadu_ps(w + i);
     const __m128 g = _mm_add_ps(_mm_loadu_ps(grad + i), _mm_mul_ps(wd, vw));
+    _mm_storeu_ps(grad + i, _mm_setzero_ps());
     const __m128 vm = _mm_add_ps(_mm_mul_ps(b1, _mm_loadu_ps(m + i)),
                                  _mm_mul_ps(c1, g));
     const __m128 vv = _mm_add_ps(_mm_mul_ps(b2, _mm_loadu_ps(v + i)),
@@ -589,8 +588,6 @@ void adam_update_sse2(const AdamCoeffs& c, float* w, const float* grad,
   }
   for (; i < n; ++i) adam_element(c, w[i], grad[i], m[i], v[i]);
 }
-
-namespace {
 
 // ------------------------------------------------------------- copy engine
 

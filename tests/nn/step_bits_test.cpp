@@ -1,7 +1,7 @@
 // Pins the exact bits of the step's compute hot loops: the A·Bᵀ product
-// (Conv2d dW, Linear dX, attention scores), the Adam update, and the two
-// layer backward passes built on them. Each case folds its outputs into one
-// FNV-1a hash. The expected hashes were recorded from the per-output
+// (Conv2d dW, Linear dX, attention scores), the Adam and SGD updates, and
+// the two layer backward passes built on them. Each case folds its outputs
+// into one FNV-1a hash. The expected hashes were recorded from the per-output
 // reduce_dot loop, the per-element scalar Adam loop, the per-pixel col2im
 // scatter and the allocate-per-call Linear dW, before any of them was
 // vectorized, so any drift in accumulation order, rounding or operand
@@ -126,6 +126,54 @@ std::uint64_t adam_hash(double weight_decay) {
 TEST(StepBits, AdamMatchesRecordedHashes) {
   EXPECT_EQ(adam_hash(0.0), 11540742193105382672ull);
   EXPECT_EQ(adam_hash(0.01), 17723325813695568139ull);
+}
+
+// The same 20-step schedule through SGD, with the same special gradients.
+// Hashes the weights and the gradients after every step, so the zeroing
+// that step() promises is pinned along with the update. Recorded while the
+// momentum test still sat inside the element loop and the gradients were
+// zeroed by a separate sweep.
+std::uint64_t sgd_hash(double momentum, double weight_decay) {
+  const std::size_t sizes[] = {1, 7, 8, 67, 1027};
+  std::vector<std::unique_ptr<Param>> owned;
+  std::vector<Param*> params;
+  util::Rng rng(4343);
+  for (std::size_t n : sizes) {
+    owned.push_back(std::make_unique<Param>("p", tensor::Shape{n}));
+    fill_gaussian(owned.back()->value.data(), rng);
+    params.push_back(owned.back().get());
+  }
+  Sgd sgd(params, step_decay_lr(0.1, 5, 0.5), momentum, weight_decay);
+  std::uint64_t h = kFnvBasis;
+  for (int step = 0; step < 20; ++step) {
+    for (Param* p : params) {
+      auto g = p->grad.data();
+      fill_gaussian(g, rng);
+      if (g.size() == 67) {
+        g[0] = 0.0f;
+        g[1] = -0.0f;
+        g[2] = 1e-40f;
+        g[3] = 1e30f;
+        if (step == 3) g[40] = std::numeric_limits<float>::quiet_NaN();
+        if (step == 7) g[41] = std::numeric_limits<float>::infinity();
+        if (step == 9) g[42] = -std::numeric_limits<float>::infinity();
+      }
+    }
+    sgd.step();
+    for (const Param* p : params) {
+      h = fnv1a(h, p->value.data());
+      h = fnv1a(h, p->grad.data());
+    }
+  }
+  return h;
+}
+
+TEST(StepBits, SgdMatchesRecordedHashes) {
+  EXPECT_EQ(sgd_hash(0.0, 0.0), 873696239517523419ull) << "plain";
+  EXPECT_EQ(sgd_hash(0.0, 5e-4), 10076913854939500188ull) << "weight decay";
+  EXPECT_EQ(sgd_hash(0.9, 0.0), 16062308575471490107ull) << "momentum";
+  EXPECT_EQ(sgd_hash(0.9, 5e-4), 5681437224487224585ull)
+      << "momentum + weight decay";
 }
 
 // Two backward passes (so dW accumulates) through one Conv2d; hashes the

@@ -12,13 +12,16 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "util/bitio.h"
 #include "util/half.h"
 #include "util/rng.h"
+#include "util/simd_internal.h"
 
 namespace cgx::util::simd {
 namespace {
@@ -391,6 +394,7 @@ TEST(SimdAdam, UpdateBitIdenticalAcrossLevels) {
         m.assign(n + off, 0.0f);
         v.assign(n + off, 0.0f);
         for (int step = 0; step < 3; ++step) {
+          std::vector<float> g = grads[step];
           AdamCoeffs c;
           c.weight_decay = static_cast<float>(wd);
           c.beta1 = 0.9f;
@@ -402,9 +406,14 @@ TEST(SimdAdam, UpdateBitIdenticalAcrossLevels) {
           c.lr = 1e-3 * (step + 1);
           c.eps = 1e-8;
           adam_update(c, std::span<float>(w).subspan(off),
-                      std::span<const float>(grads[step]).subspan(off),
+                      std::span<float>(g).subspan(off),
                       std::span<float>(m).subspan(off),
                       std::span<float>(v).subspan(off));
+          // The update zeroes the gradient it read and nothing before it.
+          std::vector<float> zeroed = grads[step];
+          std::fill(zeroed.begin() + static_cast<std::ptrdiff_t>(off),
+                    zeroed.end(), 0.0f);
+          expect_bits_equal(zeroed, g, "adam grad");
         }
       };
       std::vector<float> w_ref, m_ref, v_ref;
@@ -421,6 +430,134 @@ TEST(SimdAdam, UpdateBitIdenticalAcrossLevels) {
         expect_bits_equal(w_ref, w, "adam w");
         expect_bits_equal(m_ref, m, "adam m");
         expect_bits_equal(v_ref, v, "adam v");
+      }
+    }
+  }
+}
+
+// The AVX2 kernel's corrected reciprocal against the divide it replaces
+// (simd.h). With beta1 = beta2 = 1, one_minus_beta1 = one_minus_beta2 =
+// weight_decay = 0 and grad = w = -0 on entry, the update keeps m and v
+// exactly as they came in, so they can be set per element. With lr =
+// eps = 1 and v = 0, the step is exactly mhat, and w comes out as
+// -0 - (float)(m / bias), sign of zero included. A few elements carry an
+// infinite or NaN v instead, which reaches w through vhat. Every level
+// is checked against adam_element, the specification.
+//
+// Divisors: every bias correction the default betas produce, up to the
+// step where it rounds to 1; random ones across (0, 1]; and ones built as
+// s / mid for a float s and a float rounding midpoint mid. For those, the
+// quotient of s * 2^k sits within an ulp of a float midpoint, so a
+// quotient that is off by one double ulp shows in the float result.
+// Everywhere else only the specials and float rounding see the quotient.
+// Divisors outside [2^-64, 2^64] take the kernel's divide path.
+TEST(SimdAdam, MarksteinBiasDivisionIsExact) {
+  struct Divisor {
+    double bias;
+    float s;  // nonzero: bias = s / midpoint, so s * 2^k is sensitive
+  };
+  std::vector<Divisor> divisors;
+  for (double beta : {0.9, 0.999}) {
+    for (double t = 1.0;; t += 1.0) {
+      divisors.push_back({1.0 - std::pow(beta, t), 0.0f});
+      if (divisors.back().bias == 1.0) break;
+    }
+  }
+  Rng rng(2718);
+  for (int i = 0; i < 256; ++i) {
+    const double u = 1.0 - rng.next_double();  // (0, 1]
+    divisors.push_back(
+        {std::ldexp(u, -static_cast<int>(rng.next_below(40))), 0.0f});
+  }
+  for (int i = 0; i < 256; ++i) {
+    const auto sig = static_cast<std::uint32_t>(rng.next_below(1u << 23));
+    const float s = std::bit_cast<float>((127u << 23) | sig);  // [1, 2)
+    // A float midpoint in [2, 4): 25 significant bits, the last one set.
+    const double mid =
+        std::ldexp(static_cast<double>((1u << 24) | (2 * sig + 1)), -23);
+    divisors.push_back({s / mid, s});
+  }
+  for (double bias : {0.0, 1e-30, 0x1p-65, -0.25, 4.0, 1e30,
+                      std::numeric_limits<double>::quiet_NaN()}) {
+    divisors.push_back({bias, 0.0f});
+  }
+
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+  constexpr float kMin = std::numeric_limits<float>::denorm_min();
+  constexpr float kMax = std::numeric_limits<float>::max();
+  // {m, v} on entry.
+  const std::pair<float, float> specials[] = {
+      {0.0f, 0.0f},   {-0.0f, 0.0f}, {kMin, 0.0f},  {-kMin, 0.0f},
+      {kMax, 0.0f},   {-kMax, 0.0f}, {kInf, 0.0f},  {-kInf, 0.0f},
+      {kNaN, 0.0f},   {-kNaN, 0.0f}, {1.5f, kInf},  {-2.5f, kNaN},
+      {1.5f, -kNaN},  {1.5f, kMax},  {-1.5f, kMin}, {kInf, kInf}};
+  // Biased exponents of the swept values: subnormal, bottom of the normal
+  // range, small, around 1, large, and the top binade.
+  const std::uint32_t exps[] = {0, 1, 60, 126, 127, 128, 190, 254};
+  // 16 vector blocks plus a 3-element tail.
+  constexpr std::size_t kN = 131;
+  std::vector<float> m0(kN), v0(kN);
+  std::vector<float> g(kN), w(kN), m(kN), v(kN);
+  std::vector<float> g_ref(kN), w_ref(kN), m_ref(kN), v_ref(kN);
+  std::uint32_t sig = 0;
+  for (const Divisor& div : divisors) {
+    std::size_t i = 0;
+    v0.assign(kN, 0.0f);
+    for (const auto& [ms, vs] : specials) {
+      m0[i] = ms;
+      v0[i++] = vs;
+    }
+    if (div.s != 0.0f) {
+      for (int k : {-126, -100, -20, -1, 0, 1, 20, 100}) {
+        m0[i++] = std::ldexp(div.s, k) * (k % 2 == 0 ? 1.0f : -1.0f);
+      }
+    }
+    for (; i < kN; ++i) {
+      // A stride coprime to 2^23 walks every significand across divisors.
+      sig = (sig + 0x2f0c5u) & 0x7fffffu;
+      const std::uint32_t sign = static_cast<std::uint32_t>(i & 1) << 31;
+      m0[i] = std::bit_cast<float>(sign | (exps[i % 8] << 23) | sig);
+    }
+
+    AdamCoeffs c;
+    c.weight_decay = 0.0f;
+    c.beta1 = 1.0f;
+    c.one_minus_beta1 = 0.0f;
+    c.beta2 = 1.0f;
+    c.one_minus_beta2 = 0.0f;
+    c.bias1 = div.bias;
+    c.bias2 = div.bias;
+    c.lr = 1.0;
+    c.eps = 1.0;
+    auto reset = [&](std::vector<float>& gs, std::vector<float>& ws,
+                     std::vector<float>& ms, std::vector<float>& vs) {
+      gs.assign(kN, -0.0f);
+      ws.assign(kN, -0.0f);
+      ms = m0;
+      vs = v0;
+    };
+    reset(g_ref, w_ref, m_ref, v_ref);
+    for (std::size_t j = 0; j < kN; ++j) {
+      detail::adam_element(c, w_ref[j], g_ref[j], m_ref[j], v_ref[j]);
+    }
+    for (Level l : reachable_levels()) {
+      ScopedLevel lvl(l);
+      reset(g, w, m, v);
+      adam_update(c, w, g, m, v);
+      const std::size_t bytes = kN * sizeof(float);
+      if (!bytes_equal(w.data(), w_ref.data(), bytes) ||
+          !bytes_equal(m.data(), m_ref.data(), bytes) ||
+          !bytes_equal(v.data(), v_ref.data(), bytes) ||
+          !bytes_equal(g.data(), g_ref.data(), bytes)) {
+        SCOPED_TRACE(::testing::Message()
+                     << "bias=" << std::hexfloat << div.bias
+                     << " level=" << level_name(l));
+        expect_bits_equal(w_ref, w, "w");
+        expect_bits_equal(m_ref, m, "m");
+        expect_bits_equal(v_ref, v, "v");
+        expect_bits_equal(g_ref, g, "grad");
+        return;
       }
     }
   }
@@ -653,6 +790,22 @@ TEST(SimdDispatch, SetLevelClampsToSupport) {
   set_level(Level::kScalar);
   EXPECT_EQ(active_level(), Level::kScalar);
   set_level(prev);
+}
+
+// Without this, a build that lost the AVX2 translation unit's flags would
+// leave the AVX2 kernels running nowhere in the suite. Also prints the
+// level this process resolved to, which tools/run_checks.sh shows before
+// each of its CGX_SIMD passes.
+TEST(SimdDispatch, AutoReachesAvx2OnAvx2FmaHosts) {
+  std::printf("simd level: %s (max %s)\n", level_name(active_level()),
+              level_name(max_supported_level()));
+#if defined(__x86_64__) || defined(__i386__)
+  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
+    EXPECT_EQ(max_supported_level(), Level::kAvx2);
+    return;
+  }
+#endif
+  GTEST_SKIP() << "CPU lacks AVX2+FMA";
 }
 
 TEST(SimdDispatch, LevelNamesAreStable) {

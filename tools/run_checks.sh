@@ -67,9 +67,15 @@ for preset in "${presets[@]}"; do
     # end-to-end run of the SSE2 backend on AVX2 hardware). A further pass
     # with NUMA placement disabled proves thread pinning and arena homing
     # never change results (CGX_NUMA=off must reproduce auto bit-for-bit).
-    CGX_SIMD=off ctest --test-dir "$builddir" --output-on-failure -j "$jobs"
-    CGX_SIMD=sse2 ctest --test-dir "$builddir" --output-on-failure -j "$jobs"
-    CGX_SIMD=auto ctest --test-dir "$builddir" --output-on-failure -j "$jobs"
+    # Each pass first prints the level CGX_SIMD resolves to on this CPU (the
+    # dispatch test reports it), so a log shows which kernels actually ran.
+    for simd in off sse2 auto; do
+      echo "==== [$preset] CGX_SIMD=$simd: $(CGX_SIMD=$simd \
+        "$builddir/tests/test_util" \
+        --gtest_filter=SimdDispatch.AutoReachesAvx2OnAvx2FmaHosts |
+        grep '^simd level:')"
+      CGX_SIMD=$simd ctest --test-dir "$builddir" --output-on-failure -j "$jobs"
+    done
     CGX_NUMA=off ctest --test-dir "$builddir" --output-on-failure -j "$jobs"
     # The simulated-fabric suite once more by label: virtual-time results
     # must be bit-identical whatever the SIMD/NUMA settings above did.
