@@ -97,8 +97,6 @@ RunStats run_config(int world, double nic_gbps, bool hierarchical,
   comm::ShmTransport shm(world);
   comm::SimNetTransport net(shm, topo, params);
 
-  core::HierarchicalOptions options;
-  options.node_of = topo.node_map();
   core::LayerCompression qsgd;  // default QSGD 4-bit / bucket 128
 
   std::vector<std::vector<float>> finals(static_cast<std::size_t>(world));
@@ -123,7 +121,7 @@ RunStats run_config(int world, double nic_gbps, bool hierarchical,
     const auto iterate = [&] {
       std::memcpy(working.data(), base.data(), kD * sizeof(float));
       if (hierarchical) {
-        core::hierarchical_allreduce(comm, working, chunks, rng, options,
+        core::hierarchical_allreduce(comm, working, chunks, rng, topo, {},
                                      ws, /*bucket=*/0);
       } else {
         core::compressed_allreduce(

@@ -1,24 +1,15 @@
 #include "comm/collectives.h"
 
+#include <algorithm>
 #include <array>
 #include <vector>
 
+#include "comm/tagspace.h"
 #include "tensor/tensor_ops.h"
+#include "util/check.h"
 
 namespace cgx::comm {
 namespace {
-
-// Tag bases per collective phase; per-(pair, tag) FIFOs plus per-rank
-// sequential execution make these sufficient to avoid cross-talk.
-constexpr int kSraScatterTag = 110;
-constexpr int kSraGatherTag = 111;
-constexpr int kRingReduceTag = 120;
-constexpr int kRingGatherTag = 121;
-constexpr int kTreeReduceTag = 130;
-constexpr int kTreeBcastTag = 131;
-constexpr int kBcastTag = 140;
-constexpr int kAllgatherTag = 150;
-constexpr int kReduceScatterTag = 160;
 
 // Pipeline sub-chunk: 64Ki floats = 256 KiB — big enough to amortise
 // per-message overhead, small enough that the copy-out of sub-chunk k and
@@ -70,26 +61,6 @@ void recv_add_pipelined(Comm& comm, int from, std::span<float> dst,
     }
     off += n;
   } while (off < dst.size());
-}
-
-// Arrival-order iteration over the n-1 peers of this rank.
-template <typename Fn>
-void for_each_peer_by_arrival(Comm& comm, int tag, Fn&& fn) {
-  const int n = comm.size();
-  const int r = comm.rank();
-  std::array<int, static_cast<std::size_t>(kMaxAnySourceWorld)> peers;
-  if (n - 1 > kMaxAnySourceWorld) {
-    for (int p = 0; p < n; ++p) {
-      if (p != r) fn(p);
-    }
-    return;
-  }
-  int count = 0;
-  for (int p = 0; p < n; ++p) {
-    if (p != r) peers[static_cast<std::size_t>(count++)] = p;
-  }
-  for_each_by_arrival(comm, {peers.data(), static_cast<std::size_t>(count)},
-                      tag, fn);
 }
 
 // Shared scatter-reduce phase: afterwards `data`'s own chunk holds the full
@@ -179,7 +150,7 @@ void scatter_reduce_phase(Comm& comm, std::span<float> data,
       recv_add_pipelined(comm, p, mine, scratch, tag);
     }
   } else if (peers * mine.size() <= scratch.size()) {
-    for_each_peer_by_arrival(comm, tag, [&](int p) {
+    for_each_member_by_arrival(comm, RankGroup(comm), tag, [&](int p) {
       recv_pipelined(comm, p,
                      scratch.subspan(slot_of(p) * mine.size(), mine.size()),
                      tag);
@@ -238,6 +209,18 @@ std::pair<std::size_t, std::size_t> chunk_range(std::size_t d, int n, int i) {
   return {first, first + len};
 }
 
+RankGroup::RankGroup(const Comm& comm, std::span<const int> ranks)
+    : ranks(ranks),
+      size(ranks.empty() ? comm.size() : static_cast<int>(ranks.size())),
+      self(index_of(comm.rank())) {}
+
+int RankGroup::index_of(int r) const {
+  if (ranks.empty()) return r;
+  const auto it = std::lower_bound(ranks.begin(), ranks.end(), r);
+  CGX_CHECK(it != ranks.end() && *it == r);
+  return static_cast<int>(it - ranks.begin());
+}
+
 void allreduce(Comm& comm, std::span<float> data, ReductionScheme scheme) {
   std::vector<float> scratch(data.size());
   allreduce(comm, data, scheme, scratch);
@@ -271,7 +254,7 @@ void allreduce_sra(Comm& comm, std::span<float> data,
 
   // Round 1 (Scatter-Reduce): rank j collects everyone's chunk j,
   // pipelined and in arrival order.
-  scatter_reduce_phase(comm, data, scratch, kSraScatterTag);
+  scatter_reduce_phase(comm, data, scratch, kPlainSraScatterTag);
 
   // Round 2 (Allgather): broadcast the reduced chunk to all peers; receive
   // the other reduced chunks into their (disjoint) slots as they arrive —
@@ -286,29 +269,30 @@ void allreduce_sra(Comm& comm, std::span<float> data,
     // be reading the regions we now overwrite.
     for (int p = 0; p < n; ++p) {
       if (p == r) continue;
-      comm.direct_post(p, mine, kSraGatherTag);
+      comm.direct_post(p, mine, kPlainSraGatherTag);
     }
     for (int p = 0; p < n; ++p) {
       if (p == r) continue;
       const auto [first, last] = chunk_range(data.size(), n, p);
       comm.direct_pull(p, data.subspan(first, last - first), /*add=*/false,
-                       kSraGatherTag);
+                       kPlainSraGatherTag);
     }
     for (int p = 0; p < n; ++p) {
       if (p == r) continue;
-      comm.direct_wait(p, kSraGatherTag);
+      comm.direct_wait(p, kPlainSraGatherTag);
     }
     return;
   }
   for (int p = 0; p < n; ++p) {
     if (p == r) continue;
-    send_pipelined(comm, p, mine, kSraGatherTag);
+    send_pipelined(comm, p, mine, kPlainSraGatherTag);
   }
-  for_each_peer_by_arrival(comm, kSraGatherTag, [&](int p) {
-    const auto [first, last] = chunk_range(data.size(), n, p);
-    recv_pipelined(comm, p, data.subspan(first, last - first),
-                   kSraGatherTag);
-  });
+  for_each_member_by_arrival(
+      comm, RankGroup(comm), kPlainSraGatherTag, [&](int p) {
+        const auto [first, last] = chunk_range(data.size(), n, p);
+        recv_pipelined(comm, p, data.subspan(first, last - first),
+                       kPlainSraGatherTag);
+      });
 }
 
 void allreduce_ring(Comm& comm, std::span<float> data) {
@@ -340,16 +324,16 @@ void allreduce_ring(Comm& comm, std::span<float> data,
       // chunk, then wait for the right neighbour to finish reading ours —
       // the sent and received chunks are disjoint, and the ack keeps the
       // next step from mutating a chunk a neighbour is still reading.
-      comm.direct_post(right, data.subspan(sf, sl - sf), kRingReduceTag);
+      comm.direct_post(right, data.subspan(sf, sl - sf), kPlainRingReduceTag);
       comm.direct_pull(left, data.subspan(rf, rl - rf), /*add=*/true,
-                       kRingReduceTag);
-      comm.direct_wait(right, kRingReduceTag);
+                       kPlainRingReduceTag);
+      comm.direct_wait(right, kPlainRingReduceTag);
       continue;
     }
-    send_pipelined(comm, right, data.subspan(sf, sl - sf), kRingReduceTag);
+    send_pipelined(comm, right, data.subspan(sf, sl - sf), kPlainRingReduceTag);
     CGX_CHECK_GE(scratch.size(), std::min(rl - rf, kPipelineFloats));
     recv_add_pipelined(comm, left, data.subspan(rf, rl - rf), scratch,
-                       kRingReduceTag);
+                       kPlainRingReduceTag);
   }
   // Phase 2: allgather the reduced chunks around the ring.
   for (int s = 0; s < n - 1; ++s) {
@@ -358,14 +342,14 @@ void allreduce_ring(Comm& comm, std::span<float> data,
     const auto [sf, sl] = chunk_range(data.size(), n, send_idx);
     const auto [rf, rl] = chunk_range(data.size(), n, recv_idx);
     if (direct) {
-      comm.direct_post(right, data.subspan(sf, sl - sf), kRingGatherTag);
+      comm.direct_post(right, data.subspan(sf, sl - sf), kPlainRingGatherTag);
       comm.direct_pull(left, data.subspan(rf, rl - rf), /*add=*/false,
-                       kRingGatherTag);
-      comm.direct_wait(right, kRingGatherTag);
+                       kPlainRingGatherTag);
+      comm.direct_wait(right, kPlainRingGatherTag);
       continue;
     }
-    send_pipelined(comm, right, data.subspan(sf, sl - sf), kRingGatherTag);
-    recv_pipelined(comm, left, data.subspan(rf, rl - rf), kRingGatherTag);
+    send_pipelined(comm, right, data.subspan(sf, sl - sf), kPlainRingGatherTag);
+    recv_pipelined(comm, left, data.subspan(rf, rl - rf), kPlainRingGatherTag);
   }
 }
 
@@ -392,16 +376,16 @@ void allreduce_tree(Comm& comm, std::span<float> data,
       if (direct) {
         // A sender's gradient is final for the rest of the reduce: post it
         // and wait for the parent's fused pull before moving on.
-        comm.direct_post(r - mask, data, kTreeReduceTag);
-        comm.direct_wait(r - mask, kTreeReduceTag);
+        comm.direct_post(r - mask, data, kPlainTreeReduceTag);
+        comm.direct_wait(r - mask, kPlainTreeReduceTag);
       } else {
-        send_pipelined(comm, r - mask, data, kTreeReduceTag);
+        send_pipelined(comm, r - mask, data, kPlainTreeReduceTag);
       }
     } else if (r < mask && r + mask < n) {
       if (direct) {
-        comm.direct_pull(r + mask, data, /*add=*/true, kTreeReduceTag);
+        comm.direct_pull(r + mask, data, /*add=*/true, kPlainTreeReduceTag);
       } else {
-        recv_add_pipelined(comm, r + mask, data, scratch, kTreeReduceTag);
+        recv_add_pipelined(comm, r + mask, data, scratch, kPlainTreeReduceTag);
       }
     }
   }
@@ -409,16 +393,16 @@ void allreduce_tree(Comm& comm, std::span<float> data,
   for (int mask = 1; mask < n; mask <<= 1) {
     if (r < mask && r + mask < n) {
       if (direct) {
-        comm.direct_post(r + mask, data, kTreeBcastTag);
-        comm.direct_wait(r + mask, kTreeBcastTag);
+        comm.direct_post(r + mask, data, kPlainTreeBcastTag);
+        comm.direct_wait(r + mask, kPlainTreeBcastTag);
       } else {
-        send_pipelined(comm, r + mask, data, kTreeBcastTag);
+        send_pipelined(comm, r + mask, data, kPlainTreeBcastTag);
       }
     } else if (r >= mask && r < 2 * mask) {
       if (direct) {
-        comm.direct_pull(r - mask, data, /*add=*/false, kTreeBcastTag);
+        comm.direct_pull(r - mask, data, /*add=*/false, kPlainTreeBcastTag);
       } else {
-        recv_pipelined(comm, r - mask, data, kTreeBcastTag);
+        recv_pipelined(comm, r - mask, data, kPlainTreeBcastTag);
       }
     }
   }
@@ -477,10 +461,11 @@ void allgather(Comm& comm, std::span<const float> in, std::span<float> out) {
     if (p == r) continue;
     send_pipelined(comm, p, in, kAllgatherTag);
   }
-  for_each_peer_by_arrival(comm, kAllgatherTag, [&](int p) {
-    recv_pipelined(comm, p, out.subspan(in.size() * p, in.size()),
-                   kAllgatherTag);
-  });
+  for_each_member_by_arrival(
+      comm, RankGroup(comm), kAllgatherTag, [&](int p) {
+        recv_pipelined(comm, p, out.subspan(in.size() * p, in.size()),
+                       kAllgatherTag);
+      });
 }
 
 void reduce_scatter(Comm& comm, std::span<float> data) {

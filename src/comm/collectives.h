@@ -31,20 +31,44 @@ const char* reduction_scheme_name(ReductionScheme s);
 // bookkeeping; larger worlds fall back to fixed-order (correct, slower).
 inline constexpr int kMaxAnySourceWorld = 128;
 
-// Calls fn(p) exactly once for every rank in `peers`, servicing whichever
-// peer has bytes pending for (this rank, tag) first. fn must consume the
-// peer's entire contribution for this tag before returning, so the next
-// selection sees fresh arrivals only.
+// The members a collective runs over: an ascending list of dense ranks that
+// includes the caller, member j owning chunk j. An empty list is the whole
+// world, where member j is rank j.
+struct RankGroup {
+  RankGroup(const Comm& comm, std::span<const int> ranks = {});
+
+  int rank(int j) const {
+    return ranks.empty() ? j : ranks[static_cast<std::size_t>(j)];
+  }
+  // Member index of dense rank `r`, which must belong to the group.
+  int index_of(int r) const;
+
+  std::span<const int> ranks;
+  int size;  // member count
+  int self;  // the caller's member index
+};
+
+// Calls fn(j) exactly once for every member j of `group` other than the
+// caller, servicing whichever member has bytes pending for (this rank, tag)
+// first. fn must consume the member's entire contribution for this tag
+// before returning, so the next selection sees fresh arrivals only. Groups
+// with more than kMaxAnySourceWorld peers are served in fixed member order.
 template <typename Fn>
-void for_each_by_arrival(Comm& comm, std::span<const int> peers, int tag,
-                         Fn&& fn) {
-  if (peers.size() > static_cast<std::size_t>(kMaxAnySourceWorld)) {
-    for (int p : peers) fn(p);
+void for_each_member_by_arrival(Comm& comm, const RankGroup& group, int tag,
+                                Fn&& fn) {
+  if (group.size - 1 > kMaxAnySourceWorld) {
+    for (int j = 0; j < group.size; ++j) {
+      if (j != group.self) fn(j);
+    }
     return;
   }
   std::array<int, static_cast<std::size_t>(kMaxAnySourceWorld)> remaining;
   int count = 0;
-  for (int p : peers) remaining[static_cast<std::size_t>(count++)] = p;
+  for (int j = 0; j < group.size; ++j) {
+    if (j != group.self) {
+      remaining[static_cast<std::size_t>(count++)] = group.rank(j);
+    }
+  }
   while (count > 0) {
     // A single remaining peer needs no any-source wait — and receiving on
     // the named link means a silent peer surfaces as a TimeoutError that
@@ -55,7 +79,7 @@ void for_each_by_arrival(Comm& comm, std::span<const int> peers, int tag,
                             {remaining.data(),
                              static_cast<std::size_t>(count)},
                             tag);
-    fn(p);
+    fn(group.index_of(p));
     for (int i = 0; i < count; ++i) {
       if (remaining[static_cast<std::size_t>(i)] == p) {
         remaining[static_cast<std::size_t>(i)] =

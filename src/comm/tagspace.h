@@ -19,21 +19,37 @@
 //              reduce and the leader→member broadcast travel opposite
 //              directions over the same (src, dst, tag) table, so they never
 //              share a channel)
-//   310        GRACE allgather
+//   310        GRACE allgather (the GRACE engine runs no uncompressed
+//              collective, so it may share 310 with the SRA-scatter ack)
 //   310..360   SHADOW: peer-direct acks of the uncompressed collectives
 //              (tag + kDirectAckTagOffset = +200) — nothing else may sit
 //              here, which is what caps the bucket stride region at <300
 //   362..393   SHADOW: peer-direct acks of the hierarchical intra lane
 //   420..483   hierarchical inter-node (leader SRA) lane, strided per
-//              bucket: scatter 420+2b / gather 421+2b. Leaders talk over
+//              bucket: scatter 420+2b / gather 421+2b — the compressed SRA's
+//              own pair shifted by hier_inter_tag_base(b). Leaders talk over
 //              plain channels (never peer-direct — they model the NIC), so
 //              this region needs no ack shadow and may run to the table cap.
 #pragma once
 
 namespace cgx::comm {
 
-// Compressed-collective base tags (the per-TU constants that used to live in
-// core/compressed_allreduce.cpp). A bucketed caller adds
+// Uncompressed collectives (comm/collectives.h). One world-wide collective
+// runs at a time, so they need no bucket lanes.
+inline constexpr int kPlainSraScatterTag = 110;
+inline constexpr int kPlainSraGatherTag = 111;
+inline constexpr int kPlainRingReduceTag = 120;
+inline constexpr int kPlainRingGatherTag = 121;
+inline constexpr int kPlainTreeReduceTag = 130;
+inline constexpr int kPlainTreeBcastTag = 131;
+inline constexpr int kBcastTag = 140;
+inline constexpr int kAllgatherTag = 150;
+inline constexpr int kReduceScatterTag = 160;
+
+// GRACE baseline engine's payload allgather (core/engine.h).
+inline constexpr int kGraceTag = 310;
+
+// Compressed-collective base tags. A bucketed caller adds
 // bucket_tag_offset(b) to each.
 inline constexpr int kSraScatterTag = 210;
 inline constexpr int kSraGatherTag = 211;
@@ -71,13 +87,17 @@ constexpr int bucket_tag_offset(int bucket) {
 // guarantees that even when completion order differs per rank.
 inline constexpr int kMaxCommLanes = 8;
 
-static_assert(kTreeBcastTag + bucket_tag_offset(kMaxTagBuckets - 1) < 310,
-              "bucketed compressed tags must stay below the GRACE tag and "
-              "the uncompressed collectives' direct-ack shadow (310..360)");
-
 // Peer-direct exchanges acknowledge on tag + kDirectAckTagOffset; any tag
 // that may ride the direct path must keep its shadow inside the table.
 inline constexpr int kDirectAckTagOffset = 200;
+
+static_assert(kTreeBcastTag + bucket_tag_offset(kMaxTagBuckets - 1) <
+                  kGraceTag,
+              "bucketed compressed tags must stay below the GRACE tag");
+static_assert(kTreeBcastTag + bucket_tag_offset(kMaxTagBuckets - 1) <
+                  kPlainSraScatterTag + kDirectAckTagOffset,
+              "bucketed compressed tags must stay below the uncompressed "
+              "collectives' direct-ack shadow (310..360)");
 
 // Hierarchical (two-level) schedule. The intra-node lane carries both the
 // member→leader reduce and the leader→member broadcast: opposite directions
@@ -95,6 +115,16 @@ constexpr int hier_inter_scatter_tag(int bucket) {
 constexpr int hier_inter_gather_tag(int bucket) {
   return kHierInterGatherTag + bucket_tag_offset(bucket);
 }
+// The leader exchange IS the compressed SRA run over the node leaders, with
+// its tags shifted onto the inter lane: pass this as the SRA's tag_base.
+constexpr int hier_inter_tag_base(int bucket) {
+  return hier_inter_scatter_tag(bucket) - kSraScatterTag;
+}
+
+static_assert(kReduceScatterTag < hier_intra_tag(0),
+              "uncompressed collectives must stay below the intra lane");
+static_assert(kSraGatherTag + hier_inter_tag_base(0) == kHierInterGatherTag,
+              "the shifted SRA pair must land on the inter lane's pair");
 
 static_assert(hier_intra_tag(kMaxTagBuckets - 1) < kSraScatterTag,
               "hierarchical intra lane must stay below the compressed region");

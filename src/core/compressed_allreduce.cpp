@@ -1,7 +1,5 @@
 #include "core/compressed_allreduce.h"
 
-#include <array>
-
 #include "comm/tagspace.h"
 #include "tensor/tensor_ops.h"
 #include "util/check.h"
@@ -19,38 +17,6 @@ using comm::kTreeBcastTag;
 using comm::kTreeReduceTag;
 
 using comm::chunk_range;
-
-// Workspace slot assignment for this translation unit. Hierarchical.cpp
-// reuses the same numbers; that is safe because the two never hold spans
-// across a call into each other's helpers for the same slot.
-constexpr std::size_t kSlotPayload = 0;    // outbound payload
-constexpr std::size_t kSlotInPayload = 1;  // inbound payload
-constexpr std::size_t kSlotIncoming = 0;   // float accumulation buffer
-constexpr std::size_t kSlotRingBase = 2;   // ring: byte slot per chunk
-constexpr std::size_t kSlotRingSizes = 0;  // ring: written size per chunk
-
-// Arrival-order iteration over the peers of rank `r` (see
-// comm::for_each_by_arrival). Used only where service order cannot change
-// the final floats: receives into disjoint regions, or staged folds whose
-// adds run in fixed rank order afterwards.
-template <typename Fn>
-void for_each_peer_by_arrival(comm::Comm& comm, int tag, Fn&& fn) {
-  const int n = comm.size();
-  const int r = comm.rank();
-  std::array<int, static_cast<std::size_t>(comm::kMaxAnySourceWorld)> peers;
-  if (n - 1 > comm::kMaxAnySourceWorld) {
-    for (int p = 0; p < n; ++p) {
-      if (p != r) fn(p);
-    }
-    return;
-  }
-  int count = 0;
-  for (int p = 0; p < n; ++p) {
-    if (p != r) peers[static_cast<std::size_t>(count++)] = p;
-  }
-  comm::for_each_by_arrival(
-      comm, {peers.data(), static_cast<std::size_t>(count)}, tag, fn);
-}
 
 }  // namespace
 
@@ -77,83 +43,83 @@ void compressed_allreduce(comm::Comm& comm, std::span<float> data,
 void compressed_sra_begin(comm::Comm& comm, std::span<float> data,
                           std::span<Compressor* const> chunk_compressors,
                           util::Rng& rng, CollectiveWorkspace& ws,
-                          int tag_base) {
-  const int n = comm.size();
-  const int r = comm.rank();
+                          int tag_base, std::span<const int> group_ranks) {
+  const comm::RankGroup group(comm, group_ranks);
+  const int n = group.size;
   CGX_CHECK_EQ(chunk_compressors.size(), static_cast<std::size_t>(n));
   if (n == 1 || data.empty()) return;
 
-  // Round 1: compress chunk p once and ship it to its aggregator p.
-  for (int p = 0; p < n; ++p) {
-    if (p == r) continue;
-    const auto [first, last] = chunk_range(data.size(), n, p);
+  // Round 1: compress chunk j once and ship it to its aggregator, member j.
+  for (int j = 0; j < n; ++j) {
+    if (j == group.self) continue;
+    const auto [first, last] = chunk_range(data.size(), n, j);
     const std::span<const float> chunk = data.subspan(first, last - first);
     const std::span<std::byte> payload = ws.bytes(
-        kSlotPayload, chunk_compressors[p]->compressed_size(chunk.size()));
+        kSlotPayload, chunk_compressors[j]->compressed_size(chunk.size()));
     const std::size_t written =
-        chunk_compressors[p]->compress(chunk, payload, rng);
-    comm.send(p, payload.first(written), kSraScatterTag + tag_base);
+        chunk_compressors[j]->compress(chunk, payload, rng);
+    comm.send(group.rank(j), payload.first(written),
+              kSraScatterTag + tag_base);
   }
 }
 
 void compressed_sra_finish(comm::Comm& comm, std::span<float> data,
                            std::span<Compressor* const> chunk_compressors,
                            util::Rng& rng, CollectiveWorkspace& ws,
-                           int tag_base) {
-  const int n = comm.size();
-  const int r = comm.rank();
+                           int tag_base, std::span<const int> group_ranks) {
+  const comm::RankGroup group(comm, group_ranks);
+  const int n = group.size;
+  const int me = group.self;
   CGX_CHECK_EQ(chunk_compressors.size(), static_cast<std::size_t>(n));
   if (n == 1 || data.empty()) return;
   const int scatter_tag = kSraScatterTag + tag_base;
   const int gather_tag = kSraGatherTag + tag_base;
+  Compressor& mine_comp = *chunk_compressors[me];
 
-  // Aggregate my chunk: my raw contribution plus N-1 decompressed ones.
+  // Aggregate my chunk: my raw contribution plus n-1 decompressed ones.
   // Payloads are received AND decompressed in arrival order — each into its
   // sender's own slot, so the decompression of early arrivals overlaps the
-  // transit of slow peers — but the adds run in fixed rank order, keeping
+  // transit of slow peers — but the adds run in fixed member order, keeping
   // the sum bit-identical run to run.
-  const auto [mf, ml] = chunk_range(data.size(), n, r);
+  const auto [mf, ml] = chunk_range(data.size(), n, me);
   std::span<float> mine = data.subspan(mf, ml - mf);
   const std::size_t peers = static_cast<std::size_t>(n - 1);
   const std::span<float> staged =
       ws.floats(kSlotIncoming, peers * mine.size());
-  const std::span<std::byte> in_payload = ws.bytes(
-      kSlotInPayload, chunk_compressors[r]->compressed_size(mine.size()));
-  const auto slot_of = [r](int p) {
-    return static_cast<std::size_t>(p < r ? p : p - 1);
+  const std::span<std::byte> in_payload =
+      ws.bytes(kSlotInPayload, mine_comp.compressed_size(mine.size()));
+  const auto slot_of = [&](int j) {
+    return staged.subspan(static_cast<std::size_t>(j < me ? j : j - 1) *
+                              mine.size(),
+                          mine.size());
   };
-  for_each_peer_by_arrival(comm, scatter_tag, [&](int p) {
-    comm.recv(p, in_payload, scatter_tag);
-    chunk_compressors[r]->decompress(
-        in_payload, staged.subspan(slot_of(p) * mine.size(), mine.size()));
+  comm::for_each_member_by_arrival(comm, group, scatter_tag, [&](int j) {
+    comm.recv(group.rank(j), in_payload, scatter_tag);
+    mine_comp.decompress(in_payload, slot_of(j));
   });
-  for (int p = 0; p < n; ++p) {
-    if (p == r) continue;
-    tensor::add_inplace(
-        mine, staged.subspan(slot_of(p) * mine.size(), mine.size()));
+  for (int j = 0; j < n; ++j) {
+    if (j != me) tensor::add_inplace(mine, slot_of(j));
   }
 
   // Round 2: compress the reduced chunk once and broadcast it. Decompress
-  // our own payload too, so every rank ends bit-identical.
-  const std::span<std::byte> payload = ws.bytes(
-      kSlotPayload, chunk_compressors[r]->compressed_size(mine.size()));
-  const std::size_t written =
-      chunk_compressors[r]->compress(mine, payload, rng);
+  // our own payload too, so every member ends bit-identical.
+  const std::span<std::byte> payload =
+      ws.bytes(kSlotPayload, mine_comp.compressed_size(mine.size()));
+  const std::size_t written = mine_comp.compress(mine, payload, rng);
   const std::span<const std::byte> reduced = payload.first(written);
-  for (int p = 0; p < n; ++p) {
-    if (p == r) continue;
-    comm.send(p, reduced, gather_tag);
+  for (int j = 0; j < n; ++j) {
+    if (j != me) comm.send(group.rank(j), reduced, gather_tag);
   }
-  chunk_compressors[r]->decompress(reduced, mine);
+  mine_comp.decompress(reduced, mine);
   // Reduced chunks land in disjoint regions, so arrival order cannot
   // change the final bytes here.
-  for_each_peer_by_arrival(comm, gather_tag, [&](int p) {
-    const auto [first, last] = chunk_range(data.size(), n, p);
+  comm::for_each_member_by_arrival(comm, group, gather_tag, [&](int j) {
+    const auto [first, last] = chunk_range(data.size(), n, j);
     std::span<float> chunk = data.subspan(first, last - first);
     const std::span<std::byte> gathered = ws.bytes(
-        kSlotInPayload, chunk_compressors[p]->compressed_size(chunk.size()));
-    comm.recv(p, gathered, gather_tag);
-    chunk_compressors[p]->decompress(gathered, chunk);
+        kSlotInPayload, chunk_compressors[j]->compressed_size(chunk.size()));
+    comm.recv(group.rank(j), gathered, gather_tag);
+    chunk_compressors[j]->decompress(gathered, chunk);
   });
 }
 

@@ -76,14 +76,20 @@ void compressed_allreduce_tree(comm::Comm& comm, std::span<float> data,
 // compressed_allreduce_sra(b): same compressor calls in the same order on
 // the same RNG stream. The two halves must see the same arguments, and no
 // other traffic may use this tag range in between.
+//
+// `group` (comm::RankGroup) narrows the SRA to an ascending list of dense
+// ranks that includes the caller: member j aggregates chunk j with
+// chunk_compressors[j], and the span holds one compressor per member. The
+// default, empty, is the whole world. The two-level schedule runs its
+// leader exchange through these halves with group = the node leaders.
 void compressed_sra_begin(comm::Comm& comm, std::span<float> data,
                           std::span<Compressor* const> chunk_compressors,
                           util::Rng& rng, CollectiveWorkspace& ws,
-                          int tag_base = 0);
+                          int tag_base = 0, std::span<const int> group = {});
 void compressed_sra_finish(comm::Comm& comm, std::span<float> data,
                            std::span<Compressor* const> chunk_compressors,
                            util::Rng& rng, CollectiveWorkspace& ws,
-                           int tag_base = 0);
+                           int tag_base = 0, std::span<const int> group = {});
 
 // Back-compat convenience overloads: identical semantics, but each call
 // heap-allocates a transient workspace. Fine for tests and one-shot

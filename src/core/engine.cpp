@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 
 #include "comm/fault.h"
 #include "comm/membership.h"
@@ -19,12 +21,12 @@
 namespace cgx::core {
 namespace {
 
-constexpr int kGraceTag = 310;
+using comm::kGraceTag;
 
 // Engine-owned workspace slots. The compressed collectives own byte slots
-// 0..2+world and float/size slot 0 (see compressed_allreduce.cpp); engines
-// use high slot numbers so a collective call never invalidates a span the
-// engine still holds.
+// 0..2+world and float/size slot 0 (see workspace.h); engines use high slot
+// numbers so a collective call never invalidates a span the engine still
+// holds.
 constexpr std::size_t kSlotPacket = 16;       // fused FP32 packet (floats)
 constexpr std::size_t kSlotCommScratch = 17;  // comm::allreduce scratch
 constexpr std::size_t kSlotRoundSnapshot = 18;  // run_round rollback copy
@@ -152,6 +154,12 @@ CgxEngine::CgxEngine(const tensor::LayerLayout& layout,
       options_(std::move(options)),
       topo_(options_.node_of) {
   CGX_CHECK_GT(world_size, 0);
+  if (!options_.node_of.empty() && topo_.world_size() != world_size) {
+    throw std::invalid_argument(
+        "EngineOptions::node_of lists " +
+        std::to_string(topo_.world_size()) + " ranks but world is " +
+        std::to_string(world_size));
+  }
   active_ranks_.resize(static_cast<std::size_t>(world_size));
   std::iota(active_ranks_.begin(), active_ranks_.end(), 0);
   build_rank_state(/*drop_residuals=*/false);
@@ -182,8 +190,6 @@ void CgxEngine::build_rank_state(bool drop_residuals) {
     }
   }
   const bool two_level = !options_.node_of.empty();
-  if (two_level) hier_.node_of = topo_.node_map();
-  hier_.compress_intra = options_.compress_intra;
   // Chunk compressors the collectives expect: the flat schemes bind one
   // per dense chunk; the two-level schedule binds one per leader chunk
   // plus the intra-hop slot at index num_nodes.
@@ -465,7 +471,8 @@ void CgxEngine::bucket_begin(comm::Comm& comm, std::span<float> fused,
     const std::span<float> slice = layout_.slice(fused, l);
     if (two_level) {
       // Intra-node fold to the leader plus the leader scatter.
-      hierarchical_begin(comm, slice, state.chunk_ptrs[l], rng, hier_, ws,
+      hierarchical_begin(comm, slice, state.chunk_ptrs[l], rng, topo_,
+                         {.compress_intra = options_.compress_intra}, ws,
                          tag_base / comm::kBucketTagStride);
     } else {
       compressed_sra_begin(comm, slice, state.chunk_ptrs[l], rng, ws,
@@ -485,7 +492,8 @@ void CgxEngine::bucket_finish(comm::Comm& comm, std::span<float> fused,
   for (std::size_t l : layers) {
     const std::span<float> slice = layout_.slice(fused, l);
     if (two_level) {
-      hierarchical_finish(comm, slice, state.chunk_ptrs[l], rng, hier_, ws,
+      hierarchical_finish(comm, slice, state.chunk_ptrs[l], rng, topo_,
+                          {.compress_intra = options_.compress_intra}, ws,
                           tag_base / comm::kBucketTagStride);
     } else if (split) {
       compressed_sra_finish(comm, slice, state.chunk_ptrs[l], rng, ws,

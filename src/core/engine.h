@@ -48,6 +48,8 @@ struct EngineOptions {
   // reduction to node leaders (peer-direct where the link allows),
   // compressed SRA with node-boundary re-compression across nodes.
   // node_of[rank] -> node id; empty = flat (single-level) communication.
+  // Otherwise it must list exactly world_size ranks: the engine constructor
+  // throws std::invalid_argument when it does not.
   std::vector<int> node_of;
   // Compress the intra-node reduce hop too (two-level mode only; see
   // HierarchicalOptions::compress_intra).
@@ -330,11 +332,9 @@ class CgxEngine final : public GradientEngine {
   int world_size_;
   EngineOptions options_;
   // Placement of the active world (dense ranks; the launch node_of
-  // restricted to the survivors). Meaningful only in two-level mode.
+  // restricted to the survivors). Meaningful only in two-level mode, where
+  // the hierarchical collectives read it directly.
   comm::Topology topo_;
-  // Two-level routing options, built in build_rank_state() so the per-call
-  // hot path never copies the node map (zero steady-state allocations).
-  HierarchicalOptions hier_;
   std::vector<LayerCompression> resolved_;
   std::vector<std::size_t> filtered_layers_;  // layers routed to FP32
   std::vector<std::size_t> compressed_layers_;  // the rest, layout order

@@ -1,118 +1,82 @@
 #include "core/hierarchical.h"
 
-#include <array>
-
 #include "comm/tagspace.h"
+#include "core/compressed_allreduce.h"
 #include "tensor/tensor_ops.h"
 #include "util/check.h"
 
 namespace cgx::core {
 namespace {
 
-// Workspace slots (byte and float slots are independent namespaces; the
-// numbers match compressed_allreduce.cpp — safe because the two TUs never
-// hold spans across a call into each other for the same slot).
-constexpr std::size_t kSlotPayload = 0;    // outbound payload (bytes)
-constexpr std::size_t kSlotInPayload = 1;  // inbound payload (bytes)
-constexpr std::size_t kSlotIncoming = 0;   // float accumulation buffer
-
-// Role/topology queries over the raw node_of map. All O(world) / O(world²)
-// integer scans with no allocation: worlds here are a few hundred at most
-// and every call moves megabytes, so scans are noise — and avoiding
-// materialized leader lists is what keeps the steady state alloc-free.
-bool is_leader_rank(const std::vector<int>& node_of, int q) {
-  const int node = node_of[static_cast<std::size_t>(q)];
-  for (int s = 0; s < q; ++s) {
-    if (node_of[static_cast<std::size_t>(s)] == node) return false;
-  }
-  return true;
-}
-
-// Index of leader rank `q` among all leaders in ascending rank order.
-int leader_index_of(const std::vector<int>& node_of, int q) {
-  int idx = 0;
-  for (int s = 0; s < q; ++s) {
-    if (is_leader_rank(node_of, s)) ++idx;
-  }
-  return idx;
-}
-
-struct Roles {
-  int n;              // world size
-  int rank;
-  int my_leader;      // leader of this rank's node
-  int num_leaders;    // distinct nodes
-  int my_leader_idx;  // my_leader's position among leaders (SRA chunk id)
-  bool leader;        // rank == my_leader
-};
-
-Roles resolve_roles(const comm::Comm& comm, const HierarchicalOptions& o) {
-  Roles roles;
-  roles.n = comm.size();
-  roles.rank = comm.rank();
-  CGX_CHECK_EQ(o.node_of.size(), static_cast<std::size_t>(roles.n));
-  roles.my_leader = leader_of(o.node_of, roles.rank);
-  roles.leader = roles.rank == roles.my_leader;
-  roles.num_leaders = num_leaders(o.node_of);
-  roles.my_leader_idx = leader_index_of(o.node_of, roles.my_leader);
-  return roles;
+// The leader-level SRA's operators: compressor j aggregates leader chunk j.
+std::span<Compressor* const> leader_compressors(
+    std::span<Compressor* const> compressors,
+    const comm::Topology& topology) {
+  const auto nodes = static_cast<std::size_t>(topology.num_nodes());
+  CGX_CHECK_GE(compressors.size(), nodes);
+  return compressors.first(nodes);
 }
 
 Compressor& intra_compressor(std::span<Compressor* const> compressors,
-                             const Roles& roles) {
+                             const comm::Topology& topology) {
   // The intra hop gets its own operator AFTER the leader-chunk bindings so
   // its error-feedback never mixes with any node-boundary residual. The
   // slot exists whenever the hop is exercised: a world with members has
-  // num_leaders < world, and engines size the span by world.
-  CGX_CHECK_GT(compressors.size(),
-               static_cast<std::size_t>(roles.num_leaders));
-  return *compressors[static_cast<std::size_t>(roles.num_leaders)];
+  // fewer nodes than ranks, and engines size the span by world.
+  const auto slot = static_cast<std::size_t>(topology.num_nodes());
+  CGX_CHECK_GT(compressors.size(), slot);
+  return *compressors[slot];
 }
 
-// The reduce hop may go peer-direct only when the link offers it AND the
-// payload is raw floats (a compressed payload can't ride the pull-add
-// fold). Both endpoints compute the same answer from the same inputs.
-bool direct_reduce_link(comm::Comm& comm, const HierarchicalOptions& o,
-                        int a, int b) {
-  return !o.compress_intra && comm.supports_direct_exchange(a == comm.rank()
-                                                                ? b
-                                                                : a);
+// Calls fn(m) for every member (non-leader rank) of the calling leader's
+// node, in ascending rank order. Members rank above their leader, which is
+// the lowest rank on the node.
+template <typename Fn>
+void for_each_member(const comm::Comm& comm, const comm::Topology& topology,
+                     Fn&& fn) {
+  const int leader = comm.rank();
+  for (int m = leader + 1; m < topology.world_size(); ++m) {
+    if (topology.leader(m) == leader) fn(m);
+  }
 }
 
 // ---------------------------------------------------------------- members
 
 void member_begin(comm::Comm& comm, std::span<float> data,
                   std::span<Compressor* const> compressors, util::Rng& rng,
-                  const HierarchicalOptions& options, const Roles& roles,
-                  CollectiveWorkspace& ws, int tag) {
+                  const comm::Topology& topology,
+                  const HierarchicalOptions& options, CollectiveWorkspace& ws,
+                  int tag) {
+  const int leader = topology.leader(comm.rank());
   if (options.compress_intra) {
-    Compressor& intra = intra_compressor(compressors, roles);
+    Compressor& intra = intra_compressor(compressors, topology);
     const std::span<std::byte> payload =
         ws.bytes(kSlotPayload, intra.compressed_size(data.size()));
     const std::size_t written = intra.compress(data, payload, rng);
-    comm.send(roles.my_leader, payload.first(written), tag);
-  } else if (comm.supports_direct_exchange(roles.my_leader)) {
+    comm.send(leader, payload.first(written), tag);
+  } else if (comm.supports_direct_exchange(leader)) {
     // Post the span; the leader folds straight out of our memory. `data`
     // must stay untouched until the matching direct_wait in finish().
-    comm.direct_post(roles.my_leader, data, tag);
+    comm.direct_post(leader, data, tag);
   } else {
-    comm.send_floats(roles.my_leader, data, tag);
+    comm.send_floats(leader, data, tag);
   }
 }
 
 void member_finish(comm::Comm& comm, std::span<float> data,
-                   const HierarchicalOptions& options, const Roles& roles,
-                   int tag) {
-  const bool link_direct = comm.supports_direct_exchange(roles.my_leader);
+                   const comm::Topology& topology,
+                   const HierarchicalOptions& options, int tag) {
+  const int leader = topology.leader(comm.rank());
+  const bool link_direct = comm.supports_direct_exchange(leader);
   if (!options.compress_intra && link_direct) {
     // Our reduce post must be consumed before the broadcast may overwrite
     // the span it points at.
-    comm.direct_wait(roles.my_leader, tag);
+    comm.direct_wait(leader, tag);
   }
   if (link_direct) {
-    comm.direct_pull(roles.my_leader, data, /*add=*/false, tag);
+    comm.direct_pull(leader, data, /*add=*/false, tag);
   } else {
-    comm.recv_floats(roles.my_leader, data, tag);
+    comm.recv_floats(leader, data, tag);
   }
 }
 
@@ -120,15 +84,17 @@ void member_finish(comm::Comm& comm, std::span<float> data,
 
 void leader_fold_members(comm::Comm& comm, std::span<float> data,
                          std::span<Compressor* const> compressors,
+                         const comm::Topology& topology,
                          const HierarchicalOptions& options,
-                         const Roles& roles, CollectiveWorkspace& ws,
-                         int tag) {
+                         CollectiveWorkspace& ws, int tag) {
   // Members fold in fixed ascending rank order (bit-identical run to run;
   // intra-node members are symmetric, so arrival-order service would buy
   // little). Adjacent peer-direct members pair into one direct_pull2 pass —
   // bit-identical to two sequential pulls by the copy_add2 contract — and a
   // channel member in between flushes the pending pair first, preserving
-  // the ascending add order.
+  // the ascending add order. The reduce hop may go peer-direct only when
+  // the link offers it AND the payload is raw floats (a compressed payload
+  // can't ride the pull-add fold); both endpoints decide alike.
   int pending = -1;
   const auto flush = [&]() {
     if (pending >= 0) {
@@ -136,23 +102,19 @@ void leader_fold_members(comm::Comm& comm, std::span<float> data,
       pending = -1;
     }
   };
-  for (int m = 0; m < roles.n; ++m) {
-    if (m == roles.rank ||
-        leader_of(options.node_of, m) != roles.rank) {
-      continue;
-    }
-    if (direct_reduce_link(comm, options, roles.rank, m)) {
+  for_each_member(comm, topology, [&](int m) {
+    if (!options.compress_intra && comm.supports_direct_exchange(m)) {
       if (pending < 0) {
         pending = m;
       } else {
         comm.direct_pull2(pending, m, data, tag);
         pending = -1;
       }
-      continue;
+      return;
     }
     flush();
     if (options.compress_intra) {
-      Compressor& intra = intra_compressor(compressors, roles);
+      Compressor& intra = intra_compressor(compressors, topology);
       const std::span<std::byte> payload =
           ws.bytes(kSlotInPayload, intra.compressed_size(data.size()));
       comm.recv(m, payload, tag);
@@ -168,226 +130,90 @@ void leader_fold_members(comm::Comm& comm, std::span<float> data,
       comm.recv_floats(m, incoming, tag);
       tensor::add_inplace(data, incoming);
     }
-  }
+  });
   flush();
 }
 
 void leader_bcast_members(comm::Comm& comm, std::span<const float> data,
-                          const HierarchicalOptions& options,
-                          const Roles& roles, int tag) {
+                          const comm::Topology& topology, int tag) {
   // Post to every member first, then collect the acks: members pull
   // concurrently instead of serializing on one wait at a time.
-  for (int m = 0; m < roles.n; ++m) {
-    if (m == roles.rank || leader_of(options.node_of, m) != roles.rank) {
-      continue;
-    }
+  for_each_member(comm, topology, [&](int m) {
     if (comm.supports_direct_exchange(m)) {
       comm.direct_post(m, data, tag);
     } else {
       comm.send_floats(m, data, tag);
     }
-  }
-  for (int m = 0; m < roles.n; ++m) {
-    if (m == roles.rank || leader_of(options.node_of, m) != roles.rank) {
-      continue;
-    }
+  });
+  for_each_member(comm, topology, [&](int m) {
     if (comm.supports_direct_exchange(m)) comm.direct_wait(m, tag);
-  }
-}
-
-// Leader-level SRA round 1: compress leader-chunk j of the node-aggregated
-// vector with compressor j — the node-boundary re-compression whose
-// error-feedback lives in that leader-level instance — and ship it to
-// aggregator j.
-void leader_scatter(comm::Comm& comm, std::span<float> data,
-                    std::span<Compressor* const> compressors, util::Rng& rng,
-                    const HierarchicalOptions& options, const Roles& roles,
-                    CollectiveWorkspace& ws, int scatter_tag) {
-  const int L = roles.num_leaders;
-  CGX_CHECK_GE(compressors.size(), static_cast<std::size_t>(L));
-  int j = 0;
-  for (int q = 0; q < roles.n; ++q) {
-    if (!is_leader_rank(options.node_of, q)) continue;
-    if (q != roles.rank) {
-      const auto [first, last] = comm::chunk_range(data.size(), L, j);
-      const std::span<const float> chunk = data.subspan(first, last - first);
-      const std::span<std::byte> payload = ws.bytes(
-          kSlotPayload, compressors[static_cast<std::size_t>(j)]
-                            ->compressed_size(chunk.size()));
-      const std::size_t written =
-          compressors[static_cast<std::size_t>(j)]->compress(chunk, payload,
-                                                             rng);
-      comm.send(q, payload.first(written), scatter_tag);
-    }
-    ++j;
-  }
-}
-
-// Leader-level SRA drain: stage the other leaders' contributions to my
-// chunk in arrival order, fold in fixed leader order, re-compress the
-// reduced chunk once, allgather.
-void leader_drain(comm::Comm& comm, std::span<float> data,
-                  std::span<Compressor* const> compressors, util::Rng& rng,
-                  const HierarchicalOptions& options, const Roles& roles,
-                  CollectiveWorkspace& ws, int scatter_tag, int gather_tag) {
-  const int L = roles.num_leaders;
-  const int me = roles.my_leader_idx;
-  Compressor& mine_comp = *compressors[static_cast<std::size_t>(me)];
-
-  const auto [mf, ml] = comm::chunk_range(data.size(), L, me);
-  std::span<float> mine = data.subspan(mf, ml - mf);
-  const std::span<float> staged = ws.floats(
-      kSlotIncoming, static_cast<std::size_t>(L - 1) * mine.size());
-  const std::span<std::byte> in_payload =
-      ws.bytes(kSlotInPayload, mine_comp.compressed_size(mine.size()));
-  const auto slot_of = [me](int j) {
-    return static_cast<std::size_t>(j < me ? j : j - 1);
-  };
-  const auto stage = [&](int q) {
-    const int j = leader_index_of(options.node_of, q);
-    comm.recv(q, in_payload, scatter_tag);
-    mine_comp.decompress(
-        in_payload, staged.subspan(slot_of(j) * mine.size(), mine.size()));
-  };
-
-  std::array<int, static_cast<std::size_t>(comm::kMaxAnySourceWorld)> peers;
-  int peer_count = 0;
-  const bool any_source = L - 1 <= comm::kMaxAnySourceWorld;
-  if (any_source) {
-    for (int q = 0; q < roles.n; ++q) {
-      if (q != roles.rank && is_leader_rank(options.node_of, q)) {
-        peers[static_cast<std::size_t>(peer_count++)] = q;
-      }
-    }
-    comm::for_each_by_arrival(
-        comm, {peers.data(), static_cast<std::size_t>(peer_count)},
-        scatter_tag, stage);
-  } else {
-    for (int q = 0; q < roles.n; ++q) {
-      if (q != roles.rank && is_leader_rank(options.node_of, q)) stage(q);
-    }
-  }
-  for (int j = 0; j < L; ++j) {
-    if (j == me) continue;
-    tensor::add_inplace(
-        mine, staged.subspan(slot_of(j) * mine.size(), mine.size()));
-  }
-
-  // Round 2: one re-compression of the fully reduced chunk; everyone —
-  // including this leader, via its own payload — adopts the decompressed
-  // bytes, so all nodes stay bit-identical.
-  const std::span<std::byte> payload =
-      ws.bytes(kSlotPayload, mine_comp.compressed_size(mine.size()));
-  const std::size_t written = mine_comp.compress(mine, payload, rng);
-  const std::span<const std::byte> reduced = payload.first(written);
-  for (int q = 0; q < roles.n; ++q) {
-    if (q != roles.rank && is_leader_rank(options.node_of, q)) {
-      comm.send(q, reduced, gather_tag);
-    }
-  }
-  mine_comp.decompress(reduced, mine);
-
-  // Gathered chunks land in disjoint regions: arrival order can't change
-  // the final bytes.
-  const auto land = [&](int q) {
-    const int j = leader_index_of(options.node_of, q);
-    const auto [first, last] = comm::chunk_range(data.size(), L, j);
-    std::span<float> chunk = data.subspan(first, last - first);
-    const std::span<std::byte> gathered = ws.bytes(
-        kSlotInPayload, compressors[static_cast<std::size_t>(j)]
-                            ->compressed_size(chunk.size()));
-    comm.recv(q, gathered, gather_tag);
-    compressors[static_cast<std::size_t>(j)]->decompress(gathered, chunk);
-  };
-  if (any_source) {
-    comm::for_each_by_arrival(
-        comm, {peers.data(), static_cast<std::size_t>(peer_count)},
-        gather_tag, land);
-  } else {
-    for (int q = 0; q < roles.n; ++q) {
-      if (q != roles.rank && is_leader_rank(options.node_of, q)) land(q);
-    }
-  }
+  });
 }
 
 }  // namespace
 
-int leader_of(const std::vector<int>& node_of, int rank) {
-  CGX_CHECK(rank >= 0 && rank < static_cast<int>(node_of.size()));
-  const int node = node_of[static_cast<std::size_t>(rank)];
-  for (int r = 0; r < static_cast<int>(node_of.size()); ++r) {
-    if (node_of[static_cast<std::size_t>(r)] == node) return r;
-  }
-  return rank;
-}
-
-int num_leaders(const std::vector<int>& node_of) {
-  int count = 0;
-  for (int r = 0; r < static_cast<int>(node_of.size()); ++r) {
-    if (is_leader_rank(node_of, r)) ++count;
-  }
-  return count;
-}
-
 void hierarchical_begin(comm::Comm& comm, std::span<float> data,
                         std::span<Compressor* const> chunk_compressors,
-                        util::Rng& rng, const HierarchicalOptions& options,
+                        util::Rng& rng, const comm::Topology& topology,
+                        const HierarchicalOptions& options,
                         CollectiveWorkspace& ws, int bucket) {
   if (comm.size() == 1 || data.empty()) return;
   CGX_CHECK(bucket >= 0 && bucket < comm::kMaxTagBuckets);
-  CGX_CHECK(!chunk_compressors.empty());
-  const Roles roles = resolve_roles(comm, options);
+  CGX_CHECK_EQ(topology.world_size(), comm.size());
   const int intra_tag = comm::hier_intra_tag(bucket);
-  if (!roles.leader) {
-    member_begin(comm, data, chunk_compressors, rng, options, roles, ws,
+  if (!topology.is_leader(comm.rank())) {
+    member_begin(comm, data, chunk_compressors, rng, topology, options, ws,
                  intra_tag);
     return;
   }
-  leader_fold_members(comm, data, chunk_compressors, options, roles, ws,
+  leader_fold_members(comm, data, chunk_compressors, topology, options, ws,
                       intra_tag);
-  if (roles.num_leaders > 1) {
-    leader_scatter(comm, data, chunk_compressors, rng, options, roles, ws,
-                   comm::hier_inter_scatter_tag(bucket));
-  }
+  // Leader-level round 1: the node-aggregated vector is re-compressed at
+  // the node boundary, chunk j with leader compressor j.
+  compressed_sra_begin(comm, data, leader_compressors(chunk_compressors,
+                                                      topology),
+                       rng, ws, comm::hier_inter_tag_base(bucket),
+                       topology.leaders());
 }
 
 void hierarchical_finish(comm::Comm& comm, std::span<float> data,
                          std::span<Compressor* const> chunk_compressors,
-                         util::Rng& rng, const HierarchicalOptions& options,
+                         util::Rng& rng, const comm::Topology& topology,
+                         const HierarchicalOptions& options,
                          CollectiveWorkspace& ws, int bucket) {
   if (comm.size() == 1 || data.empty()) return;
   CGX_CHECK(bucket >= 0 && bucket < comm::kMaxTagBuckets);
-  const Roles roles = resolve_roles(comm, options);
+  CGX_CHECK_EQ(topology.world_size(), comm.size());
   const int intra_tag = comm::hier_intra_tag(bucket);
-  if (!roles.leader) {
-    member_finish(comm, data, options, roles, intra_tag);
+  if (!topology.is_leader(comm.rank())) {
+    member_finish(comm, data, topology, options, intra_tag);
     return;
   }
-  if (roles.num_leaders > 1) {
-    leader_drain(comm, data, chunk_compressors, rng, options, roles, ws,
-                 comm::hier_inter_scatter_tag(bucket),
-                 comm::hier_inter_gather_tag(bucket));
-  }
-  leader_bcast_members(comm, data, options, roles, intra_tag);
+  compressed_sra_finish(comm, data, leader_compressors(chunk_compressors,
+                                                       topology),
+                        rng, ws, comm::hier_inter_tag_base(bucket),
+                        topology.leaders());
+  leader_bcast_members(comm, data, topology, intra_tag);
 }
 
 void hierarchical_allreduce(comm::Comm& comm, std::span<float> data,
                             std::span<Compressor* const> chunk_compressors,
-                            util::Rng& rng,
+                            util::Rng& rng, const comm::Topology& topology,
                             const HierarchicalOptions& options,
                             CollectiveWorkspace& ws, int bucket) {
-  hierarchical_begin(comm, data, chunk_compressors, rng, options, ws,
-                     bucket);
-  hierarchical_finish(comm, data, chunk_compressors, rng, options, ws,
-                      bucket);
+  hierarchical_begin(comm, data, chunk_compressors, rng, topology, options,
+                     ws, bucket);
+  hierarchical_finish(comm, data, chunk_compressors, rng, topology, options,
+                      ws, bucket);
 }
 
 void hierarchical_allreduce(comm::Comm& comm, std::span<float> data,
                             std::span<Compressor* const> chunk_compressors,
-                            util::Rng& rng,
+                            util::Rng& rng, const comm::Topology& topology,
                             const HierarchicalOptions& options) {
   CollectiveWorkspace ws;
-  hierarchical_allreduce(comm, data, chunk_compressors, rng, options, ws, 0);
+  hierarchical_allreduce(comm, data, chunk_compressors, rng, topology,
+                         options, ws, 0);
 }
 
 }  // namespace cgx::core

@@ -33,30 +33,35 @@
 // therefore run while bucket k's finish is still waiting on the NICs.
 // begin(); finish() back to back is the plain allreduce.
 //
-// Error-feedback contract (who owns which residual):
-//   chunk_compressors[j], j < num-leaders   leader-level SRA chunk j
-//                                           (the node-boundary EF)
-//   chunk_compressors[num-leaders]          the intra-node hop when
-//                                           compress_intra is on (member-
-//                                           side EF over the full vector)
+// The leader exchange is compressed_sra_begin/finish itself, run over the
+// group topology.leaders() with the first num_nodes compressors, on the
+// inter-node tag lane (comm::hier_inter_tag_base).
+//
+// Placement comes from a comm::Topology (node ids, leaders, dense node
+// indices), the same object the engine plans with; its world must be the
+// communicator's.
+//
+// Error-feedback contract (who owns which residual), L = num_nodes():
+//   chunk_compressors[j], j < L   leader-level SRA chunk j
+//                                 (the node-boundary EF)
+//   chunk_compressors[L]          the intra-node hop when compress_intra
+//                                 is on (member-side EF over the full
+//                                 vector)
 // The two levels never share a compressor instance, so one level's
 // residual can never leak into the other's stream. Every rank passes its
 // own instances; a rank only exercises the entries its role touches.
 #pragma once
 
 #include <span>
-#include <vector>
 
 #include "comm/collectives.h"
+#include "comm/topology.h"
 #include "core/compressor.h"
 #include "core/workspace.h"
 
 namespace cgx::core {
 
 struct HierarchicalOptions {
-  // node_of[rank] -> node id; ranks of a node must be assigned the same id.
-  // Ids may be arbitrary (non-contiguous) integers.
-  std::vector<int> node_of;
   // Compress the intra-node REDUCE hop too (costs an extra compression
   // round, saves local bandwidth; off by default per §4). Forces the
   // channel path for the reduce hop — a compressed payload cannot ride the
@@ -71,13 +76,13 @@ struct HierarchicalOptions {
 // without it allocates a transient one per call.
 void hierarchical_allreduce(comm::Comm& comm, std::span<float> data,
                             std::span<Compressor* const> chunk_compressors,
-                            util::Rng& rng,
+                            util::Rng& rng, const comm::Topology& topology,
                             const HierarchicalOptions& options,
                             CollectiveWorkspace& ws, int bucket = 0);
 void hierarchical_allreduce(comm::Comm& comm, std::span<float> data,
                             std::span<Compressor* const> chunk_compressors,
-                            util::Rng& rng,
-                            const HierarchicalOptions& options);
+                            util::Rng& rng, const comm::Topology& topology,
+                            const HierarchicalOptions& options = {});
 
 // Split halves for the overlap engine (see file comment). `data` and the
 // workspace arena must stay untouched between the two calls; members on
@@ -85,19 +90,13 @@ void hierarchical_allreduce(comm::Comm& comm, std::span<float> data,
 // window.
 void hierarchical_begin(comm::Comm& comm, std::span<float> data,
                         std::span<Compressor* const> chunk_compressors,
-                        util::Rng& rng, const HierarchicalOptions& options,
+                        util::Rng& rng, const comm::Topology& topology,
+                        const HierarchicalOptions& options,
                         CollectiveWorkspace& ws, int bucket = 0);
 void hierarchical_finish(comm::Comm& comm, std::span<float> data,
                          std::span<Compressor* const> chunk_compressors,
-                         util::Rng& rng, const HierarchicalOptions& options,
+                         util::Rng& rng, const comm::Topology& topology,
+                         const HierarchicalOptions& options,
                          CollectiveWorkspace& ws, int bucket = 0);
-
-// Leader rank of `rank`'s node under this assignment (lowest rank with the
-// same node id). Exposed for tests.
-int leader_of(const std::vector<int>& node_of, int rank);
-
-// Number of distinct nodes in the assignment. Exposed for sizing the
-// compressor span (the intra operator lives at index num_leaders).
-int num_leaders(const std::vector<int>& node_of);
 
 }  // namespace cgx::core

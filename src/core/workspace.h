@@ -12,8 +12,8 @@
 //    locking; a workspace must never be shared across concurrently running
 //    ranks.
 //  * A slot span is valid until the next request for the SAME slot; nested
-//    helpers must use disjoint slot numbers (see the kSlot* constants in
-//    compressed_allreduce.cpp).
+//    helpers must use disjoint slot numbers (the collectives' slots are
+//    the kSlot* constants below).
 //  * Storage never shrinks mid-epoch: high_water_bytes() is monotone and
 //    stabilizes once the biggest message has been seen.
 #pragma once
@@ -39,6 +39,17 @@ std::span<T> ensure_span(util::ArenaBuffer<T>& v, std::size_t n) {
   if (v.size() < n) v.resize(n);
   return {v.data(), n};
 }
+
+// Slots of the compressed collectives (compressed_allreduce.h and
+// hierarchical.h). Byte, float and size slots are independent namespaces.
+// The two-level schedule's intra hop reuses the SRA's numbers: it never
+// holds a span across its call into the SRA. Engine-private slots live in
+// engine.cpp, numbered high so a collective never invalidates them.
+inline constexpr std::size_t kSlotPayload = 0;    // bytes: outbound payload
+inline constexpr std::size_t kSlotInPayload = 1;  // bytes: inbound payload
+inline constexpr std::size_t kSlotRingBase = 2;   // bytes: ring, per chunk
+inline constexpr std::size_t kSlotIncoming = 0;   // floats: staging / sums
+inline constexpr std::size_t kSlotRingSizes = 0;  // sizes: ring, per chunk
 
 class CollectiveWorkspace {
  public:

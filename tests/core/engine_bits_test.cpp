@@ -3,9 +3,11 @@
 // step by step, into one FNV-1a hash. The expected hashes were recorded
 // from the engine before its monolithic step was rerouted through the
 // bucket entry points, so any drift in arithmetic order, RNG draw order,
-// compressor binding or averaging shows up here. The hashes are the same
-// under CGX_SIMD=off/auto and CGX_NUMA=off (the kernels and NUMA placement
-// are bit-identical by contract).
+// compressor binding or averaging shows up here. The three- and four-node
+// two-level pins were recorded before the leader exchange became the flat
+// SRA run over the node leaders. The hashes are the same under
+// CGX_SIMD=off/auto and CGX_NUMA=off (the kernels and NUMA placement are
+// bit-identical by contract).
 #include "core/engine.h"
 
 #include <gtest/gtest.h>
@@ -116,6 +118,30 @@ TEST(EngineBits, TwoLevelTwoByTwoMatchesRecordedHash) {
   EngineOptions options;
   options.node_of = {0, 0, 1, 1};
   EXPECT_EQ(run_hash(4, options), 7586766135932794597ull);
+}
+
+TEST(EngineBits, TwoLevelUnevenInterleavedNodesMatchRecordedHashes) {
+  // Three nodes of two, two and three ranks with non-contiguous ids whose
+  // ranks interleave: leaders 0, 2 and 3 run a three-member leader SRA, so
+  // the leader fold order, uneven member counts and the intra hop's own
+  // compressor (compress_intra) are all part of the pinned bits.
+  const std::uint64_t hashes[] = {750376774018967074ull,
+                                  13623153823845277146ull};
+  for (const bool compress_intra : {false, true}) {
+    EngineOptions options;
+    options.node_of = {5, 5, 2, 9, 2, 9, 9};
+    options.compress_intra = compress_intra;
+    EXPECT_EQ(run_hash(7, options), hashes[compress_intra ? 1 : 0])
+        << "compress_intra " << compress_intra;
+  }
+}
+
+TEST(EngineBits, TwoLevelOneRankPerNodeMatchesRecordedHash) {
+  // Every rank its own leader: no intra hop, and the leader SRA is the
+  // flat SRA over the whole world — so the pin is the flat world-4 hash.
+  EngineOptions options;
+  options.node_of = {4, 1, 9, 2};
+  EXPECT_EQ(run_hash(4, options), 12732479121844911061ull);
 }
 
 TEST(EngineBits, RetriedRoundMatchesRecordedHash) {

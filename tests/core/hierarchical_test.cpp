@@ -3,9 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <mutex>
+#include <stdexcept>
+#include <vector>
 
+#include "comm/topology.h"
 #include "comm/transports.h"
+#include "core/async_engine.h"
+#include "core/compressed_allreduce.h"
 #include "core/compression_config.h"
 #include "core/engine.h"
 #include "simgpu/machines.h"
@@ -43,13 +49,14 @@ struct PerRank {
 };
 
 TEST(LeaderOf, LowestRankOfNode) {
-  const std::vector<int> node_of = {0, 0, 1, 1, 0, 2};
-  EXPECT_EQ(leader_of(node_of, 0), 0);
-  EXPECT_EQ(leader_of(node_of, 1), 0);
-  EXPECT_EQ(leader_of(node_of, 2), 2);
-  EXPECT_EQ(leader_of(node_of, 3), 2);
-  EXPECT_EQ(leader_of(node_of, 4), 0);
-  EXPECT_EQ(leader_of(node_of, 5), 5);
+  const comm::Topology topo({0, 0, 1, 1, 0, 2});
+  EXPECT_EQ(topo.leader(0), 0);
+  EXPECT_EQ(topo.leader(1), 0);
+  EXPECT_EQ(topo.leader(2), 2);
+  EXPECT_EQ(topo.leader(3), 2);
+  EXPECT_EQ(topo.leader(4), 0);
+  EXPECT_EQ(topo.leader(5), 5);
+  EXPECT_EQ(topo.leaders(), (std::vector<int>{0, 2, 5}));
 }
 
 TEST(Hierarchical, LosslessMatchesPlainSum) {
@@ -59,14 +66,13 @@ TEST(Hierarchical, LosslessMatchesPlainSum) {
   none.method = Method::None;
   PerRank compressors(kWorld, none);
   const auto want = true_sum(kWorld, kD);
-  HierarchicalOptions options;
-  options.node_of = {0, 0, 0, 0, 1, 1, 1, 1};
+  const comm::Topology topo({0, 0, 0, 0, 1, 1, 1, 1});
   comm::ShmTransport transport(kWorld);
   comm::run_world(transport, [&](comm::Comm& comm) {
     auto data = rank_input(comm.rank(), kD);
     util::Rng rng(1 + static_cast<std::uint64_t>(comm.rank()));
     auto chunks = compressors.rank(comm.rank());
-    hierarchical_allreduce(comm, data, chunks, rng, options);
+    hierarchical_allreduce(comm, data, chunks, rng, topo);
     for (std::size_t i = 0; i < kD; ++i) {
       EXPECT_NEAR(data[i], want[i], 1e-4f) << "rank " << comm.rank();
     }
@@ -81,8 +87,8 @@ TEST_P(HierarchicalModes, AllRanksBitIdenticalWithQuantization) {
   constexpr std::size_t kD = 2048;
   LayerCompression qsgd;  // 4/128
   PerRank compressors(kWorld, qsgd);
+  const comm::Topology topo({0, 0, 0, 0, 1, 1, 1, 1});
   HierarchicalOptions options;
-  options.node_of = {0, 0, 0, 0, 1, 1, 1, 1};
   options.compress_intra = compress_intra;
   std::vector<std::vector<float>> results(kWorld);
   std::mutex mutex;
@@ -91,7 +97,7 @@ TEST_P(HierarchicalModes, AllRanksBitIdenticalWithQuantization) {
     auto data = rank_input(comm.rank(), kD);
     util::Rng rng(50 + static_cast<std::uint64_t>(comm.rank()));
     auto chunks = compressors.rank(comm.rank());
-    hierarchical_allreduce(comm, data, chunks, rng, options);
+    hierarchical_allreduce(comm, data, chunks, rng, topo, options);
     std::lock_guard<std::mutex> lock(mutex);
     results[static_cast<std::size_t>(comm.rank())] = std::move(data);
   });
@@ -129,9 +135,8 @@ TEST(Hierarchical, CutsCrossNodeTraffic) {
       util::Rng rng(60 + static_cast<std::uint64_t>(comm.rank()));
       auto chunks = compressors.rank(comm.rank());
       if (hierarchical) {
-        HierarchicalOptions options;
-        options.node_of = node_of;
-        hierarchical_allreduce(comm, data, chunks, rng, options);
+        hierarchical_allreduce(comm, data, chunks, rng,
+                               comm::Topology(node_of));
       } else {
         compressed_allreduce(comm, data, chunks, rng,
                              comm::ReductionScheme::ScatterReduceAllgather);
@@ -159,15 +164,14 @@ TEST(Hierarchical, SingleNodeDegeneratesToIntraOnly) {
   LayerCompression none;
   none.method = Method::None;
   PerRank compressors(kWorld, none);
-  HierarchicalOptions options;
-  options.node_of = {0, 0, 0, 0};
+  const comm::Topology topo = comm::Topology::single_node(kWorld);
   const auto want = true_sum(kWorld, kD);
   comm::ShmTransport transport(kWorld);
   comm::run_world(transport, [&](comm::Comm& comm) {
     auto data = rank_input(comm.rank(), kD);
     util::Rng rng(2);
     auto chunks = compressors.rank(comm.rank());
-    hierarchical_allreduce(comm, data, chunks, rng, options);
+    hierarchical_allreduce(comm, data, chunks, rng, topo);
     for (std::size_t i = 0; i < kD; ++i) {
       EXPECT_NEAR(data[i], want[i], 1e-4f);
     }
@@ -182,9 +186,8 @@ TEST(Hierarchical, OneRankPerNode) {
   constexpr std::size_t kD = 777;
   LayerCompression qsgd;
   PerRank compressors(kWorld, qsgd);
-  HierarchicalOptions options;
-  options.node_of = {0, 1, 2, 3};
-  EXPECT_EQ(num_leaders(options.node_of), kWorld);
+  const comm::Topology topo({0, 1, 2, 3});
+  EXPECT_EQ(topo.num_nodes(), kWorld);
   std::vector<std::vector<float>> results(kWorld);
   std::mutex mutex;
   comm::ShmTransport transport(kWorld);
@@ -192,13 +195,60 @@ TEST(Hierarchical, OneRankPerNode) {
     auto data = rank_input(comm.rank(), kD);
     util::Rng rng(80 + static_cast<std::uint64_t>(comm.rank()));
     auto chunks = compressors.rank(comm.rank());
-    hierarchical_allreduce(comm, data, chunks, rng, options);
+    hierarchical_allreduce(comm, data, chunks, rng, topo);
     std::lock_guard<std::mutex> lock(mutex);
     results[static_cast<std::size_t>(comm.rank())] = std::move(data);
   });
   for (int r = 1; r < kWorld; ++r) {
     EXPECT_EQ(results[static_cast<std::size_t>(r)], results[0])
         << "rank " << r;
+  }
+}
+
+TEST(Hierarchical, OneRankPerNodeIsFlatSra) {
+  // With every rank its own node the two-level schedule is exactly the
+  // leader exchange, and that exchange is the flat compressed SRA run over
+  // the leaders — here the whole world. Identically seeded compressors and
+  // RNGs must therefore land the same bits, step after step, with
+  // error-feedback residuals carrying over between steps.
+  constexpr int kWorld = 5;
+  constexpr int kSteps = 3;
+  constexpr std::size_t kD = 777;
+  LayerCompression qsgd_ef;
+  qsgd_ef.method = Method::Qsgd;
+  qsgd_ef.bits = 3;
+  qsgd_ef.bucket_size = 64;
+  qsgd_ef.error_feedback = true;
+  const comm::Topology topo({4, 1, 9, 2, 0});
+
+  const auto run = [&](bool two_level) {
+    PerRank compressors(kWorld, qsgd_ef);
+    std::vector<std::vector<float>> results(kWorld * kSteps);
+    comm::ShmTransport transport(kWorld);
+    comm::run_world(transport, [&](comm::Comm& comm) {
+      const int r = comm.rank();
+      util::Rng rng(40 + static_cast<std::uint64_t>(r));
+      auto chunks = compressors.rank(r);
+      CollectiveWorkspace ws;
+      for (int step = 0; step < kSteps; ++step) {
+        auto data = rank_input(10 * step + r, kD);
+        if (two_level) {
+          hierarchical_allreduce(comm, data, chunks, rng, topo, {}, ws);
+        } else {
+          compressed_allreduce_sra(comm, data, chunks, rng, ws);
+        }
+        results[static_cast<std::size_t>(step * kWorld + r)] =
+            std::move(data);
+      }
+    });
+    return results;
+  };
+
+  const auto two_level = run(true);
+  const auto flat = run(false);
+  for (std::size_t i = 0; i < flat.size(); ++i) {
+    EXPECT_EQ(two_level[i], flat[i]) << "step " << i / kWorld << " rank "
+                                     << i % kWorld;
   }
 }
 
@@ -210,19 +260,18 @@ TEST(Hierarchical, NonContiguousNodeIds) {
   LayerCompression none;
   none.method = Method::None;
   PerRank compressors(kWorld, none);
-  HierarchicalOptions options;
-  options.node_of = {7, 7, 3, 3, 9, 9};
-  EXPECT_EQ(leader_of(options.node_of, 1), 0);
-  EXPECT_EQ(leader_of(options.node_of, 3), 2);
-  EXPECT_EQ(leader_of(options.node_of, 5), 4);
-  EXPECT_EQ(num_leaders(options.node_of), 3);
+  const comm::Topology topo({7, 7, 3, 3, 9, 9});
+  EXPECT_EQ(topo.leader(1), 0);
+  EXPECT_EQ(topo.leader(3), 2);
+  EXPECT_EQ(topo.leader(5), 4);
+  EXPECT_EQ(topo.num_nodes(), 3);
   const auto want = true_sum(kWorld, kD);
   comm::ShmTransport transport(kWorld);
   comm::run_world(transport, [&](comm::Comm& comm) {
     auto data = rank_input(comm.rank(), kD);
     util::Rng rng(4);
     auto chunks = compressors.rank(comm.rank());
-    hierarchical_allreduce(comm, data, chunks, rng, options);
+    hierarchical_allreduce(comm, data, chunks, rng, topo);
     for (std::size_t i = 0; i < kD; ++i) {
       EXPECT_NEAR(data[i], want[i], 1e-4f) << "rank " << comm.rank();
     }
@@ -236,8 +285,7 @@ TEST(Hierarchical, BeginFinishSplitMatchesMonolithic) {
   constexpr int kWorld = 8;
   constexpr std::size_t kD = 1024;
   LayerCompression qsgd;
-  HierarchicalOptions options;
-  options.node_of = {0, 0, 0, 0, 1, 1, 1, 1};
+  const comm::Topology topo({0, 0, 0, 0, 1, 1, 1, 1});
 
   const auto run = [&](bool split) {
     PerRank compressors(kWorld, qsgd);
@@ -250,12 +298,12 @@ TEST(Hierarchical, BeginFinishSplitMatchesMonolithic) {
       auto chunks = compressors.rank(comm.rank());
       CollectiveWorkspace ws;
       if (split) {
-        hierarchical_begin(comm, data, chunks, rng, options, ws,
+        hierarchical_begin(comm, data, chunks, rng, topo, {}, ws,
                            /*bucket=*/3);
-        hierarchical_finish(comm, data, chunks, rng, options, ws,
+        hierarchical_finish(comm, data, chunks, rng, topo, {}, ws,
                             /*bucket=*/3);
       } else {
-        hierarchical_allreduce(comm, data, chunks, rng, options, ws,
+        hierarchical_allreduce(comm, data, chunks, rng, topo, {}, ws,
                                /*bucket=*/0);
       }
       std::lock_guard<std::mutex> lock(mutex);
@@ -279,15 +327,14 @@ TEST(Hierarchical, UnevenNodeSizes) {
   LayerCompression none;
   none.method = Method::None;
   PerRank compressors(kWorld, none);
-  HierarchicalOptions options;
-  options.node_of = {0, 0, 0, 1, 1, 2, 2};
+  const comm::Topology topo({0, 0, 0, 1, 1, 2, 2});
   const auto want = true_sum(kWorld, kD);
   comm::ShmTransport transport(kWorld);
   comm::run_world(transport, [&](comm::Comm& comm) {
     auto data = rank_input(comm.rank(), kD);
     util::Rng rng(3);
     auto chunks = compressors.rank(comm.rank());
-    hierarchical_allreduce(comm, data, chunks, rng, options);
+    hierarchical_allreduce(comm, data, chunks, rng, topo);
     for (std::size_t i = 0; i < kD; ++i) {
       EXPECT_NEAR(data[i], want[i], 1e-4f);
     }
@@ -328,6 +375,28 @@ TEST(CgxEngineHierarchical, EndToEndGradientAverage) {
   const auto b1_want = layout.slice(std::span<const float>(want), 1);
   for (std::size_t i = 0; i < b1.size(); ++i) {
     EXPECT_NEAR(b1[i], b1_want[i], 1e-4f);
+  }
+}
+
+TEST(CgxEngineHierarchical, MisSizedNodeMapThrowsAtConstruction) {
+  // A node map that does not cover the world is rejected when the engine
+  // is built — never by an abort inside the first compressed layer.
+  tensor::LayerLayout layout;
+  layout.add_layer("w", tensor::Shape{64, 32});
+  for (const std::vector<int>& node_of :
+       {std::vector<int>{0, 0, 1}, std::vector<int>{0, 0, 1, 1, 2}}) {
+    EngineOptions options;
+    options.node_of = node_of;
+    EXPECT_THROW(CgxEngine(layout, CompressionConfig::cgx_default(), 4,
+                           options),
+                 std::invalid_argument)
+        << node_of.size() << " ranks";
+    EXPECT_THROW(AsyncGradientEngine(
+                     std::make_unique<CgxEngine>(
+                         layout, CompressionConfig::cgx_default(), 4,
+                         options)),
+                 std::invalid_argument)
+        << node_of.size() << " ranks";
   }
 }
 

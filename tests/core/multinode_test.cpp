@@ -62,21 +62,19 @@ TEST(Multinode, HierarchicalOverSimNetBitIdenticalAcrossRanksAndRuns) {
   constexpr int kWorld = 16;
   constexpr std::size_t kD = 4096;
   LayerCompression qsgd;
-  HierarchicalOptions options;
-  options.node_of = grouped_node_of(kWorld, 8);
+  const comm::Topology topo = comm::Topology::grouped(kWorld, 8);
 
   const auto run_once = [&](std::vector<std::vector<float>>* results) {
     PerRank compressors(kWorld, qsgd);
     comm::ShmTransport shm(kWorld);
-    comm::SimNetTransport net(shm, comm::Topology(options.node_of),
-                              comm::SimNetParams{});
+    comm::SimNetTransport net(shm, topo, comm::SimNetParams{});
     results->assign(static_cast<std::size_t>(kWorld), {});
     std::mutex mutex;
     comm::run_world(net, [&](comm::Comm& comm) {
       auto data = rank_input(comm.rank(), kD);
       util::Rng rng(50 + static_cast<std::uint64_t>(comm.rank()));
       auto chunks = compressors.rank(comm.rank());
-      hierarchical_allreduce(comm, data, chunks, rng, options);
+      hierarchical_allreduce(comm, data, chunks, rng, topo);
       std::lock_guard<std::mutex> lock(mutex);
       (*results)[static_cast<std::size_t>(comm.rank())] = std::move(data);
     });
@@ -165,7 +163,7 @@ TEST(MultinodeFault, DroppedLeaderLinkRaisesTimeoutNamingIt) {
   // exactly that leader link, within twice the configured deadline.
   constexpr int kWorld = 4;
   constexpr auto kDeadline = 150ms;
-  const std::vector<int> node_of = {0, 0, 1, 1};
+  const comm::Topology topo({0, 0, 1, 1});
 
   comm::ShmTransport shm(kWorld);
   comm::FaultInjector injector(/*seed=*/3, kWorld);
@@ -173,8 +171,7 @@ TEST(MultinodeFault, DroppedLeaderLinkRaisesTimeoutNamingIt) {
   drop.drop_prob = 1.0;
   injector.set_link(2, 0, drop);
   comm::FaultyTransport faulty(shm, injector);
-  comm::SimNetTransport net(faulty, comm::Topology(node_of),
-                            comm::SimNetParams{});
+  comm::SimNetTransport net(faulty, topo, comm::SimNetParams{});
   comm::CommPolicy pol;
   pol.timeout = kDeadline;
   // Drops bite the CRC-verified copy-out path, and the retry budget must
@@ -187,15 +184,13 @@ TEST(MultinodeFault, DroppedLeaderLinkRaisesTimeoutNamingIt) {
   LayerCompression none;
   none.method = Method::None;
   PerRank compressors(kWorld, none);
-  HierarchicalOptions options;
-  options.node_of = node_of;
 
   try {
     comm::run_world(net, [&](comm::Comm& comm) {
       auto data = rank_input(comm.rank(), 512);
       util::Rng rng(9 + static_cast<std::uint64_t>(comm.rank()));
       auto chunks = compressors.rank(comm.rank());
-      hierarchical_allreduce(comm, data, chunks, rng, options);
+      hierarchical_allreduce(comm, data, chunks, rng, topo);
     });
     FAIL() << "expected WorkerError";
   } catch (const comm::WorkerError& e) {
@@ -219,8 +214,7 @@ TEST(MultinodeFault, DelayedFabricSoakBitIdenticalAcrossSeeds) {
   constexpr int kWorld = 8;
   constexpr std::size_t kD = 2048;
   LayerCompression qsgd;
-  HierarchicalOptions options;
-  options.node_of = grouped_node_of(kWorld, 4);
+  const comm::Topology topo = comm::Topology::grouped(kWorld, 4);
 
   const auto run_once = [&](comm::FaultInjector* injector,
                             std::uint64_t* elapsed_ns) {
@@ -228,15 +222,14 @@ TEST(MultinodeFault, DelayedFabricSoakBitIdenticalAcrossSeeds) {
     comm::ShmTransport shm(kWorld);
     comm::FaultInjector no_faults(/*seed=*/1, kWorld);
     comm::FaultyTransport faulty(shm, injector ? *injector : no_faults);
-    comm::SimNetTransport net(faulty, comm::Topology(options.node_of),
-                              comm::SimNetParams{});
+    comm::SimNetTransport net(faulty, topo, comm::SimNetParams{});
     std::vector<std::vector<float>> results(static_cast<std::size_t>(kWorld));
     std::mutex mutex;
     comm::run_world(net, [&](comm::Comm& comm) {
       auto data = rank_input(comm.rank(), kD);
       util::Rng rng(50 + static_cast<std::uint64_t>(comm.rank()));
       auto chunks = compressors.rank(comm.rank());
-      hierarchical_allreduce(comm, data, chunks, rng, options);
+      hierarchical_allreduce(comm, data, chunks, rng, topo);
       std::lock_guard<std::mutex> lock(mutex);
       results[static_cast<std::size_t>(comm.rank())] = std::move(data);
     });
