@@ -111,8 +111,7 @@ int main(int argc, char** argv) {
   core::CgxEngine multi_static(txl.layout, static4, 16);
   const double t1_static = bench::step_seconds(txl, node, single_static);
   const double tn_static = bench::step_seconds(txl, cluster, multi_static);
-  const double size_static = single_static.wire_bytes_per_rank(
-      comm::ReductionScheme::ScatterReduceAllgather);
+  const double size_static = single_static.wire_bytes_per_rank();
 
   const auto scaled = bench::collect_scaled_stats(txl, single_static);
   core::AdaptiveOptions options;
@@ -140,8 +139,7 @@ int main(int argc, char** argv) {
     bench::apply_to_engine(assignment, scaled, multi, options.bucket_size);
 
     const double rel_size =
-        single.wire_bytes_per_rank(
-            comm::ReductionScheme::ScatterReduceAllgather) /
+        single.wire_bytes_per_rank() /
         size_static;
     if (assigner == &dp) dp_rel_size_sim = rel_size;
     if (assigner == &kmeans) km_rel_size_sim = rel_size;
@@ -193,7 +191,8 @@ int main(int argc, char** argv) {
   std::filesystem::create_directories("results");
   std::ofstream out("results/BENCH_adaptive.json");
   char buf[1024];
-  out << "{\n  \"bench\": \"adaptive\",\n  \"rows\": [\n";
+  out << "{\n  \"bench\": \"adaptive\",\n  \"provenance\": "
+      << bench::provenance_json() << ",\n  \"rows\": [\n";
   std::snprintf(buf, sizeof(buf),
                 "    {\"planner\": \"kmeans\", \"avg_wire_bytes_per_step\": "
                 "%.1f, \"tail_loss\": %.6f, \"rel_size_sim\": %.4f},\n",

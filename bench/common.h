@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -47,18 +48,53 @@ inline std::string git_commit() {
 #define CGX_BENCH_BUILD_TYPE "unknown"
 #endif
 
-// Where a results/BENCH_*.json's numbers came from — commit, host, core
-// count, best SIMD level, build type, compiler — as one JSON object, so a
-// change of machine or build cannot pass for a speed-up.
+// The CPU's "model name" from /proc/cpuinfo, or "unknown". Quotes and
+// backslashes are dropped so the name can sit in a JSON string.
+inline std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("model name", 0) != 0) continue;
+    std::string name = line.substr(line.find(':') + 1);
+    std::erase_if(name, [](char c) { return c == '"' || c == '\\'; });
+    name.erase(0, name.find_first_not_of(' '));
+    return name;
+  }
+  return "unknown";
+}
+
+// CPU 0's unified cache of `level` in KiB, from sysfs; 0 when unknown.
+inline long cache_kib(int level) {
+  for (int i = 0;; ++i) {
+    const std::string dir =
+        "/sys/devices/system/cpu/cpu0/cache/index" + std::to_string(i) + "/";
+    std::ifstream level_file(dir + "level");
+    if (!level_file) return 0;
+    int l = 0;
+    std::string type;
+    std::ifstream(dir + "type") >> type;
+    if (!(level_file >> l) || l != level || type == "Instruction") continue;
+    long size = 0;
+    char unit = 'K';
+    std::ifstream(dir + "size") >> size >> unit;
+    return unit == 'M' ? size * 1024 : size;
+  }
+}
+
+// Where a results/BENCH_*.json's numbers came from — commit, host, CPU
+// model and L2/L3 sizes, core count, best SIMD level, build type, compiler
+// — as one JSON object, so a change of machine or build cannot pass for a
+// speed-up (two VMs can share a host name and a core count).
 inline std::string provenance_json() {
   char host[256] = {};
   gethostname(host, sizeof(host) - 1);
   char buf[1024];
   std::snprintf(buf, sizeof(buf),
                 "{\"git_commit\": \"%s\", \"host\": \"%s\", "
+                "\"cpu_model\": \"%s\", \"l2_kib\": %ld, \"l3_kib\": %ld, "
                 "\"nproc\": %ld, \"simd\": \"%s\", "
                 "\"build_type\": \"%s\", \"compiler\": \"%s\"}",
-                git_commit().c_str(), host, sysconf(_SC_NPROCESSORS_ONLN),
+                git_commit().c_str(), host, cpu_model().c_str(), cache_kib(2),
+                cache_kib(3), sysconf(_SC_NPROCESSORS_ONLN),
                 util::simd::level_name(util::simd::max_supported_level()),
                 CGX_BENCH_BUILD_TYPE, __VERSION__);
   return buf;

@@ -94,12 +94,11 @@ int main() {
   }();
   core::CgxEngine engine(layout, core::CompressionConfig::cgx_default(),
                          kWorldSize);
-  const auto scheme = comm::ReductionScheme::ScatterReduceAllgather;
   std::cout << "  gradient bytes per step per worker: "
-            << engine.raw_wire_bytes_per_rank(scheme) << " -> "
-            << engine.wire_bytes_per_rank(scheme) << " ("
-            << engine.raw_wire_bytes_per_rank(scheme) /
-                   engine.wire_bytes_per_rank(scheme)
+            << engine.raw_wire_bytes_per_rank() << " -> "
+            << engine.wire_bytes_per_rank() << " ("
+            << engine.raw_wire_bytes_per_rank() /
+                   engine.wire_bytes_per_rank()
             << "x smaller)\n";
 
   // Persist and restore the trained model (checkpoint API).

@@ -29,10 +29,6 @@
 // supports_direct_exchange(a, b) query is the routing point; the global
 // form goes false as soon as the topology has two nodes.
 //
-// HierarchicalTransport is the same per-link gating WITHOUT the clock — a
-// thin decorator for unit tests and deployments that want topology-aware
-// routing over an un-simulated fabric.
-//
 // Env knobs (SimNetParams::from_env, used by benches and tests):
 //   CGX_TOPO    rank→node map, see comm/topology.h
 //   CGX_SIMNET  comma list of key=value overriding SimNetParams fields,
@@ -160,61 +156,6 @@ class SimNetTransport final : public Transport {
   util::VirtualClock* clock_;
   std::vector<PairState> pairs_;  // world², row-major by src
   TransportProfile profile_;
-};
-
-// Topology-aware routing without timing: peer-direct stays available
-// inside a node and is refused across nodes, everything else forwards.
-// Compose as Hierarchical(SimNet(Shm)) for simulated benches or
-// Hierarchical(Shm) for fast functional tests — the collectives only ask
-// the per-link capability question, so both compose the same way.
-class HierarchicalTransport final : public Transport {
- public:
-  HierarchicalTransport(Transport& inner, Topology topology);
-
-  void send(int src, int dst, std::span<const std::byte> data,
-            int tag) override;
-  void recv(int dst, int src, std::span<std::byte> data, int tag) override;
-  bool supports_recv_add() const override;
-  void recv_add(int dst, int src, std::span<float> data, int tag) override;
-
-  bool supports_direct_exchange() const override;
-  bool supports_direct_exchange(int a, int b) const override;
-  void direct_post(int src, int dst, std::span<const float> data,
-                   int tag) override;
-  void direct_pull(int dst, int src, std::span<float> data, bool add,
-                   int tag) override;
-  void direct_pull2(int dst, int src1, int src2, std::span<float> data,
-                    int tag) override;
-  void direct_wait(int src, int dst, int tag) override;
-
-  int select_source(int dst, std::span<const int> candidates,
-                    int tag) override;
-  const TransportProfile& profile() const override {
-    return inner_.profile();
-  }
-
-  TrafficRecorder& recorder() override { return inner_.recorder(); }
-  const TrafficRecorder& recorder() const override {
-    return inner_.recorder();
-  }
-  HealthMonitor& health() override { return inner_.health(); }
-  const HealthMonitor& health() const override { return inner_.health(); }
-
-  void set_policy(const CommPolicy& policy) override;
-  void set_fault_injector(FaultInjector* injector) override;
-  void reset_inbound(int rank) override;
-  void set_epoch(std::uint64_t epoch) override { inner_.set_epoch(epoch); }
-  std::uint64_t epoch() const override { return inner_.epoch(); }
-  std::uint64_t stale_frames_discarded() const override {
-    return inner_.stale_frames_discarded();
-  }
-
-  const Topology& topology() const { return topo_; }
-  Transport& inner() { return inner_; }
-
- private:
-  Transport& inner_;
-  Topology topo_;
 };
 
 }  // namespace cgx::comm

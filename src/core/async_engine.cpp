@@ -152,29 +152,21 @@ void AsyncGradientEngine::rebuild() {
 void AsyncGradientEngine::build_lane_map() {
   const std::size_t total = plan_.total_submissions();
   lane_of_.assign(total, 0);
-  // Greedy byte-balancing over POST-compression wire estimates: each
-  // submission (plan order) goes to the least-loaded lane, ties to the
-  // lowest id. Counting bytes rather than buckets matters once the
-  // adaptive planner mixes codecs — a 0.1% top-k bucket occupies its lane
-  // for a fraction of an 8-bit quantized one. The map is a pure function
-  // of the shared plan + resolved policy, so every rank computes the same
-  // map: per-lane bucket sequences stay identical across ranks (deadlock
-  // freedom) and each bucket keeps a FIXED lane (begun[] stays race-free).
-  const tensor::LayerLayout& layout = inner_->layout();
-  const std::span<const LayerCompression> resolved = inner_->resolved();
+  // Greedy byte-balancing over the engine's traffic account
+  // (CgxEngine::wire_bytes_of): each submission (plan order) goes to the
+  // least-loaded lane, ties to the lowest id. Counting bytes rather than
+  // buckets matters once the adaptive planner mixes codecs — a 0.1% top-k
+  // bucket occupies its lane for a fraction of an 8-bit quantized one. The
+  // map is a pure function of the shared plan + resolved policy, so every
+  // rank computes the same map: per-lane bucket sequences stay identical
+  // across ranks (deadlock freedom) and each bucket keeps a FIXED lane
+  // (begun[] stays race-free).
   std::vector<double> load(static_cast<std::size_t>(lanes_), 0.0);
   for (std::size_t idx = 0; idx < total; ++idx) {
-    double bytes = 0.0;
-    if (plan_.has_packet && idx == plan_.packet_index()) {
-      bytes = 4.0 * static_cast<double>(inner_->packet_numel());
-    } else {
-      for (std::size_t l : plan_.buckets[idx].layers) {
-        const auto& info = layout.layer(l);
-        const std::size_t rows = info.shape.empty() ? 0 : info.shape.front();
-        bytes +=
-            static_cast<double>(wire_bytes(resolved[l], info.numel, rows));
-      }
-    }
+    const double bytes = inner_->wire_bytes_of(
+        plan_.has_packet && idx == plan_.packet_index()
+            ? std::span<const std::size_t>(inner_->filtered_layers())
+            : std::span<const std::size_t>(plan_.buckets[idx].layers));
     std::size_t best = 0;
     for (std::size_t ln = 1; ln < load.size(); ++ln) {
       if (load[ln] < load[best]) best = ln;

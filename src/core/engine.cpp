@@ -77,37 +77,6 @@ double compress_kernel_seconds(Method method, double raw_bytes,
          (compress_gbps * 1e9);
 }
 
-double scheme_seconds(const simgpu::CostModel& cost,
-                      std::span<const int> devices,
-                      comm::ReductionScheme scheme, double chunk_wire_bytes,
-                      double full_wire_bytes) {
-  const auto n = static_cast<double>(devices.size());
-  if (n <= 1.0) return 0.0;
-  switch (scheme) {
-    case comm::ReductionScheme::ScatterReduceAllgather:
-      return cost.sra_seconds(devices, chunk_wire_bytes, chunk_wire_bytes);
-    case comm::ReductionScheme::Ring:
-      return 2.0 * (n - 1.0) * cost.ring_step_seconds(devices,
-                                                      chunk_wire_bytes);
-    case comm::ReductionScheme::Tree:
-      return cost.allreduce_seconds(devices, full_wire_bytes, scheme);
-  }
-  return 0.0;
-}
-
-double scheme_egress_bytes(comm::ReductionScheme scheme, std::size_t n,
-                           double chunk_wire_bytes, double full_wire_bytes) {
-  if (n <= 1) return 0.0;
-  switch (scheme) {
-    case comm::ReductionScheme::ScatterReduceAllgather:
-    case comm::ReductionScheme::Ring:
-      return 2.0 * static_cast<double>(n - 1) * chunk_wire_bytes;
-    case comm::ReductionScheme::Tree:
-      return 2.0 * full_wire_bytes;  // up once, relay down once (worst path)
-  }
-  return 0.0;
-}
-
 // Field-wise policy equality for the differential rebuild: a layer whose
 // resolved config is unchanged keeps its warmed compressors (and their
 // error-feedback residuals / PowerSGD warm starts) across rebuild().
@@ -118,27 +87,6 @@ bool same_policy(const LayerCompression& a, const LayerCompression& b) {
          a.error_feedback == b.error_feedback &&
          a.powersgd_fp16 == b.powersgd_fp16 && a.dgc == b.dgc &&
          a.dgc_momentum == b.dgc_momentum && a.dgc_clip == b.dgc_clip;
-}
-
-// Cost of the two-level schedule: intra-node member->leader reduce (full
-// precision), compressed SRA among leaders, intra-node broadcast back.
-double hierarchical_layer_seconds(const simgpu::CostModel& cost,
-                                  const comm::Topology& topo,
-                                  double raw_bytes,
-                                  double leader_chunk_wire_bytes) {
-  std::vector<simgpu::Flow> up, down;
-  for (int r = 0; r < topo.world_size(); ++r) {
-    const int leader = topo.leader(r);
-    if (leader == r) continue;
-    up.push_back(simgpu::Flow{r, leader, raw_bytes});
-    down.push_back(simgpu::Flow{leader, r, raw_bytes});
-  }
-  double total = cost.round_seconds(up) + cost.round_seconds(down);
-  if (topo.num_nodes() > 1) {
-    total += cost.sra_seconds(topo.leaders(), leader_chunk_wire_bytes,
-                              leader_chunk_wire_bytes);
-  }
-  return total;
 }
 
 }  // namespace
@@ -237,7 +185,7 @@ void CgxEngine::build_rank_state(bool drop_residuals) {
       }
     }
   }
-  wire_bytes_cached_ = wire_bytes_per_rank(options_.scheme);
+  wire_bytes_cached_ = wire_bytes_per_rank();
 }
 
 void CgxEngine::finish_report(RankState& state) {
@@ -565,91 +513,161 @@ std::size_t CgxEngine::scratch_high_water_bytes() const {
   return total;
 }
 
-double CgxEngine::layer_wire_bytes(std::size_t layer_index,
-                                   comm::ReductionScheme scheme,
-                                   bool compressed) const {
-  const auto& info = layout_.layer(layer_index);
-  const LayerCompression& cfg = resolved_[layer_index];
-  const std::size_t rows = info.shape.empty() ? 0 : info.shape.front();
-  const auto n = static_cast<std::size_t>(active_world());
-  const std::size_t chunk_numel = (info.numel + n - 1) / n;
-  const double chunk_bytes =
-      compressed && cfg.method != Method::None
-          ? static_cast<double>(wire_bytes(cfg, chunk_numel, rows))
-          : 4.0 * static_cast<double>(chunk_numel);
-  const double full_bytes =
-      compressed && cfg.method != Method::None
-          ? static_cast<double>(wire_bytes(cfg, info.numel, rows))
-          : 4.0 * static_cast<double>(info.numel);
-  return scheme_egress_bytes(scheme, n, chunk_bytes, full_bytes);
+void CgxEngine::for_each_round(
+    std::span<const std::size_t> layers, bool fp32,
+    util::FunctionRef<void(std::size_t, std::span<const simgpu::Flow>)> round)
+    const {
+  const int n = active_world();
+  if (n <= 1) return;
+  std::vector<int> world(static_cast<std::size_t>(n));
+  std::iota(world.begin(), world.end(), 0);
+  std::vector<simgpu::Flow> flows;
+  std::size_t unit = kPacket;           // the layer the rounds serve
+  std::span<Compressor* const> comps;  // empty: FP32 payloads
+  const auto emit = [&] {
+    if (!flows.empty()) round(unit, flows);
+    flows.clear();
+  };
+  // Wire size of `len` floats sent through chunk compressor c.
+  const auto bytes = [&](std::size_t c, std::size_t len) {
+    return comps.empty()
+               ? 4.0 * static_cast<double>(len)
+               : static_cast<double>(comps[c]->compressed_size(len));
+  };
+  // SRA over the ascending dense ranks `group` (the flat SRA, and the
+  // two-level leader exchange): member j aggregates chunk j, so every
+  // other member sends it chunk j, then it sends its reduced chunk j back.
+  const auto full_exchange = [&](std::span<const int> group,
+                                 std::size_t numel) {
+    const int m = static_cast<int>(group.size());
+    for (const bool gather : {false, true}) {
+      for (int i = 0; i < m; ++i) {
+        for (int j = 0; j < m; ++j) {
+          if (i == j) continue;
+          const auto [first, last] = comm::chunk_range(numel, m, j);
+          const double b = bytes(static_cast<std::size_t>(j), last - first);
+          flows.push_back(gather ? simgpu::Flow{group[j], group[i], b}
+                                 : simgpu::Flow{group[i], group[j], b});
+        }
+      }
+      emit();
+    }
+  };
+  const auto flat = [&](std::size_t numel) {
+    switch (options_.scheme) {
+      case comm::ReductionScheme::ScatterReduceAllgather:
+        full_exchange(world, numel);
+        return;
+      case comm::ReductionScheme::Ring:
+        // n-1 reduce steps (rank r sends chunk r-s), then n-1 gather steps
+        // relaying the owners' payloads (rank r sends chunk r+1-s).
+        for (const int phase : {0, 1}) {
+          for (int s = 0; s < n - 1; ++s) {
+            for (int r = 0; r < n; ++r) {
+              const int c = (r + phase - s + n) % n;
+              const auto [first, last] = comm::chunk_range(numel, n, c);
+              flows.push_back(simgpu::Flow{
+                  r, (r + 1) % n,
+                  bytes(static_cast<std::size_t>(c), last - first)});
+            }
+            emit();
+          }
+        }
+        return;
+      case comm::ReductionScheme::Tree: {
+        // Binomial reduce to rank 0, then binomial broadcast; every hop
+        // carries the whole vector through compressor 0.
+        const double full = bytes(0, numel);
+        int top = 1;
+        while (top < n) top <<= 1;
+        for (int mask = top >> 1; mask >= 1; mask >>= 1) {
+          for (int r = mask; r < std::min(2 * mask, n); ++r) {
+            flows.push_back(simgpu::Flow{r, r - mask, full});
+          }
+          emit();
+        }
+        for (int mask = 1; mask < n; mask <<= 1) {
+          for (int r = 0; r < mask && r + mask < n; ++r) {
+            flows.push_back(simgpu::Flow{r, r + mask, full});
+          }
+          emit();
+        }
+        return;
+      }
+    }
+  };
+  std::size_t packet_numel = 0;
+  for (const std::size_t l : layers) {
+    const std::size_t numel = layout_.layer(l).numel;
+    if (resolved_[l].method == Method::None) {
+      packet_numel += numel;
+      continue;
+    }
+    if (numel == 0) continue;
+    unit = l;
+    comps = fp32 ? std::span<Compressor* const>{}
+                 : ranks_[static_cast<std::size_t>(active_ranks_.front())]
+                       .chunk_ptrs[l];
+    if (options_.node_of.empty()) {
+      flat(numel);
+      continue;
+    }
+    // Two-level (hierarchical.cpp): members send to their leader (through
+    // the intra compressor with compress_intra), the leaders run the SRA,
+    // and each leader sends the FP32 result back to its members.
+    const double raw = 4.0 * static_cast<double>(numel);
+    const double up =
+        comps.empty() || !options_.compress_intra
+            ? raw
+            : bytes(static_cast<std::size_t>(topo_.num_nodes()), numel);
+    for (const bool down : {false, true}) {
+      for (int r = 0; r < n; ++r) {
+        if (topo_.is_leader(r)) continue;
+        flows.push_back(down ? simgpu::Flow{topo_.leader(r), r, raw}
+                             : simgpu::Flow{r, topo_.leader(r), up});
+      }
+      emit();
+      if (!down) full_exchange(topo_.leaders(), numel);
+    }
+  }
+  if (packet_numel > 0) {
+    // The packet is one flat FP32 collective (packet_allreduce).
+    unit = kPacket;
+    comps = {};
+    flat(packet_numel);
+  }
 }
 
-double CgxEngine::wire_bytes_per_rank(comm::ReductionScheme scheme) const {
+double CgxEngine::wire_bytes_of(std::span<const std::size_t> layers,
+                                bool fp32) const {
   double total = 0.0;
-  for (std::size_t l = 0; l < resolved_.size(); ++l) {
-    total += layer_wire_bytes(l, scheme, /*compressed=*/true);
-  }
-  return total;
-}
-
-double CgxEngine::raw_wire_bytes_per_rank(
-    comm::ReductionScheme scheme) const {
-  double total = 0.0;
-  for (std::size_t l = 0; l < resolved_.size(); ++l) {
-    total += layer_wire_bytes(l, scheme, /*compressed=*/false);
-  }
+  for_each_round(layers, fp32,
+                 [&](std::size_t, std::span<const simgpu::Flow> flows) {
+                   for (const simgpu::Flow& f : flows) total += f.bytes;
+                 });
   return total;
 }
 
 CommPlan CgxEngine::comm_plan(const simgpu::CostModel& cost,
                               double compress_gbps) const {
+  // Dense rank r runs on device r; each round of the traffic account is
+  // priced as flows that start together.
+  CGX_CHECK_GE(cost.topology().num_devices(), active_world());
   CommPlan plan;
   plan.per_layer_s.assign(layout_.layer_count(), 0.0);
-  const std::vector<int> devices = participating_devices(cost, active_world());
-  const auto n = static_cast<std::size_t>(active_world());
-  double fused_packet_bytes = 0.0;
-
-  for (std::size_t l = 0; l < layout_.layer_count(); ++l) {
-    const auto& info = layout_.layer(l);
-    const LayerCompression& cfg = resolved_[l];
-    if (cfg.method == Method::None) {
-      fused_packet_bytes += 4.0 * static_cast<double>(info.numel);
-      continue;
-    }
-    const std::size_t rows = info.shape.empty() ? 0 : info.shape.front();
-    const std::size_t chunk_numel = (info.numel + n - 1) / n;
-    const double chunk_wire =
-        static_cast<double>(wire_bytes(cfg, chunk_numel, rows));
-    const double full_wire =
-        static_cast<double>(wire_bytes(cfg, info.numel, rows));
-    const double raw_bytes = 4.0 * static_cast<double>(info.numel);
-    const double kernel =
-        compress_kernel_seconds(cfg.method, raw_bytes, compress_gbps);
-    if (!options_.node_of.empty()) {
-      // Heterogeneous two-level schedule (§4).
-      const auto leaders = static_cast<std::size_t>(topo_.num_nodes());
-      const std::size_t leader_chunk_numel =
-          (info.numel + leaders - 1) / leaders;
-      const double leader_chunk_wire =
-          static_cast<double>(wire_bytes(cfg, leader_chunk_numel, rows));
-      plan.per_layer_s[l] =
-          hierarchical_layer_seconds(cost, topo_, raw_bytes,
-                                     leader_chunk_wire) +
-          0.5 * kernel;
-    } else {
-      plan.per_layer_s[l] = scheme_seconds(cost, devices, options_.scheme,
-                                           chunk_wire, full_wire) +
-                            0.5 * kernel;
-    }
+  for_each_round(all_layers_, /*fp32=*/false,
+                 [&](std::size_t l, std::span<const simgpu::Flow> flows) {
+                   (l == kPacket ? plan.fused_packet_s : plan.per_layer_s[l]) +=
+                       cost.round_seconds(flows);
+                 });
+  for (const std::size_t l : compressed_layers_) {
+    const double kernel = compress_kernel_seconds(
+        resolved_[l].method, 4.0 * static_cast<double>(layout_.layer(l).numel),
+        compress_gbps);
+    plan.per_layer_s[l] += 0.5 * kernel;
     plan.kernel_contention_s += 0.5 * kernel;
   }
-
-  if (fused_packet_bytes > 0.0) {
-    plan.fused_packet_s = scheme_seconds(
-        cost, devices, options_.scheme,
-        fused_packet_bytes / static_cast<double>(n), fused_packet_bytes);
-  }
-  plan.wire_bytes_per_rank = wire_bytes_per_rank(options_.scheme);
+  plan.wire_bytes_per_rank = wire_bytes_per_rank();
   return plan;
 }
 

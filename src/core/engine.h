@@ -126,9 +126,11 @@ struct StepReport {
   int world = 0;
   int departed = 0;
   int joined = 0;
-  // Compressed egress per rank for this step under the engine's current
-  // policy (cached at rebuild time — wire_bytes_per_rank() is too expensive
-  // to evaluate per step). The adaptive policy controller's telemetry.
+  // Mean bytes an active rank put on the wire for this step under the
+  // engine's current policy and world: CgxEngine::wire_bytes_per_rank(),
+  // cached when the rank state is (re)built. Exact for a fault-free step:
+  // times the world, it equals what the transport records. The adaptive
+  // policy controller's telemetry.
   double wire_bytes = 0.0;
   std::vector<Incident> incidents;
   Timing timing;
@@ -273,14 +275,26 @@ class CgxEngine final : public GradientEngine {
   // World the next allreduce will run in (shrinks/grows with re-shards).
   int active_world() const { return static_cast<int>(active_ranks_.size()); }
 
-  // Bytes each rank puts on the wire per step (compressed), and the FP32
-  // baseline's, for compression-ratio reporting (Fig. 5b / Table 7). Uses
-  // the flat formula over the active world.
-  double wire_bytes_per_rank(comm::ReductionScheme scheme) const;
-  double raw_wire_bytes_per_rank(comm::ReductionScheme scheme) const;
+  // The traffic account: the bytes all active ranks together put on the
+  // wire in one step for `layers` — each compressed layer through its own
+  // collective, the filtered ones as one fused FP32 packet — summed over
+  // the messages the collectives send (see for_each_round). `fp32` prices
+  // every payload as raw floats over the same schedule.
+  double wire_bytes_of(std::span<const std::size_t> layers,
+                       bool fp32 = false) const;
 
-  // wire_bytes_per_rank(options().scheme), cached at rebuild()/apply_view()
-  // time so StepReport::wire_bytes costs nothing per step.
+  // Mean bytes an active rank puts on the wire per step, and the same
+  // schedule's with every layer sent as FP32, for compression-ratio
+  // reporting (Fig. 5b / Table 7).
+  double wire_bytes_per_rank() const {
+    return wire_bytes_of(all_layers_) / active_world();
+  }
+  double raw_wire_bytes_per_rank() const {
+    return wire_bytes_of(all_layers_, /*fp32=*/true) / active_world();
+  }
+
+  // wire_bytes_per_rank(), cached at rebuild()/apply_view() time so
+  // StepReport::wire_bytes costs nothing per step.
   double cached_wire_bytes() const { return wire_bytes_cached_; }
 
   // Total L2 norm of `rank`'s unsent compression residuals (ErrorFeedback
@@ -324,8 +338,17 @@ class CgxEngine final : public GradientEngine {
   // Fills the StepReport's world-movement fields on every allreduce exit.
   void finish_report(RankState& state);
 
-  double layer_wire_bytes(std::size_t layer_index,
-                          comm::ReductionScheme scheme, bool compressed) const;
+  // The one generator behind wire_bytes_of() and comm_plan(): calls
+  // `round` once per round of messages the step's collectives send for
+  // `layers`, as flows between the active world's dense ranks, with the
+  // layer they serve (kPacket for the fused FP32 packet). Payload sizes
+  // come from the compressors the collective calls over exact
+  // comm::chunk_range lengths, or 4 bytes per float when `fp32` is set.
+  static constexpr std::size_t kPacket = static_cast<std::size_t>(-1);
+  void for_each_round(
+      std::span<const std::size_t> layers, bool fp32,
+      util::FunctionRef<void(std::size_t, std::span<const simgpu::Flow>)>
+          round) const;
 
   tensor::LayerLayout layout_;  // owned copy: engines outlive callers' layouts
   CompressionConfig config_;

@@ -29,6 +29,9 @@ class Optimizer {
   // Applies one update from the params' current gradients, then zeroes
   // them.
   virtual void step() = 0;
+  // True when the update depends on state carried across steps (moments,
+  // velocity), which a replica must receive to rejoin in lockstep.
+  virtual bool stateful() const = 0;
   std::size_t steps_taken() const { return steps_; }
 
  protected:
@@ -40,6 +43,7 @@ class Sgd final : public Optimizer {
   Sgd(std::vector<Param*> params, LrSchedule lr, double momentum = 0.0,
       double weight_decay = 0.0);
   void step() override;
+  bool stateful() const override { return momentum_ != 0.0; }
 
  private:
   std::vector<Param*> params_;
@@ -54,6 +58,7 @@ class Adam final : public Optimizer {
   Adam(std::vector<Param*> params, LrSchedule lr, double beta1 = 0.9,
        double beta2 = 0.999, double eps = 1e-8, double weight_decay = 0.0);
   void step() override;
+  bool stateful() const override { return true; }
 
  private:
   std::vector<Param*> params_;

@@ -2,6 +2,8 @@
 
 #include <cstdlib>
 #include <mutex>
+#include <stdexcept>
+#include <string>
 
 #include "comm/collectives.h"
 #include "comm/membership.h"
@@ -108,6 +110,15 @@ TrainResult train_distributed(const ModelFactory& model_factory,
   util::Rng probe_rng(options.seed);
   std::unique_ptr<Module> probe = model_factory(probe_rng);
   const tensor::LayerLayout layout = build_layout(parameters(*probe));
+  const bool elastic = options.elastic || elastic_env_enabled();
+  // A readmitted rank receives parameters by broadcast but not optimizer
+  // state, so a stateful optimizer would silently desync it.
+  if (elastic && !options.rejoins.empty() &&
+      optimizer_factory(parameters(*probe))->stateful()) {
+    throw std::invalid_argument(
+        "elastic rejoin requires a stateless optimizer (momentum-0 SGD): a "
+        "rejoined rank does not receive optimizer state");
+  }
   probe.reset();
 
   std::unique_ptr<core::GradientEngine> engine =
@@ -130,19 +141,23 @@ TrainResult train_distributed(const ModelFactory& model_factory,
   if (async != nullptr) cgx = &async->inner();
   const bool adaptive = options.assigner != nullptr &&
                         options.reassign_every > 0 && cgx != nullptr;
-  const bool elastic = options.elastic || elastic_env_enabled();
   if (elastic) {
     // Elastic membership needs the CgxEngine recovery protocol and a fixed
     // per-step collective structure; the streaming facade and the adaptive
-    // stats pipeline both assume the world never changes shape.
-    CGX_CHECK(cgx != nullptr && async == nullptr)
-        << "elastic training requires a plain CgxEngine factory";
-    CGX_CHECK(!options.overlap) << "elastic training excludes overlap";
-    CGX_CHECK(!adaptive) << "elastic training excludes adaptive compression";
-    if (options.fault_injector != nullptr) {
-      CGX_CHECK(options.policy.bounded())
-          << "elastic fault runs need a bounded CommPolicy (crash detection "
-             "rides the deadline machinery)";
+    // stats pipeline both assume the world never changes shape. Rejected
+    // here, before any worker starts.
+    const auto reject = [](const char* why) {
+      throw std::invalid_argument(std::string("elastic training ") + why);
+    };
+    if (options.overlap) reject("excludes overlap");
+    if (cgx == nullptr || async != nullptr) {
+      reject("requires a plain CgxEngine factory");
+    }
+    if (adaptive) reject("excludes adaptive compression");
+    if (options.fault_injector != nullptr && !options.policy.bounded()) {
+      reject(
+          "with a fault injector needs a bounded CommPolicy (crash "
+          "detection rides the deadline machinery)");
     }
   }
 

@@ -103,6 +103,8 @@ struct TrainOptions {
   // boundaries. CGX_ELASTIC=1 in the environment also enables it. Requires
   // a CgxEngine factory; incompatible with overlap and adaptive (the
   // streaming facade and the stats pipeline assume a fixed world).
+  // train_distributed throws std::invalid_argument for these, before any
+  // worker starts.
   bool elastic = false;
   // Reliability policy installed on the transport before traffic flows.
   // Elastic runs with a fault injector must be bounded (crash detection
@@ -113,7 +115,9 @@ struct TrainOptions {
   // into the membership schedule automatically.
   comm::FaultInjector* fault_injector = nullptr;
   // (global rank, step): readmit `rank` at the top of `step`. The rank
-  // receives parameters by broadcast from the lowest surviving rank.
+  // receives parameters by broadcast from the lowest surviving rank, but
+  // not optimizer state: with a stateful optimizer (Optimizer::stateful)
+  // train_distributed throws std::invalid_argument.
   std::vector<std::pair<int, std::size_t>> rejoins;
   // Called on rank 0 after every step with the step's loss.
   std::function<void(std::size_t, double)> on_step;

@@ -210,12 +210,10 @@ TEST(ApplyAssignment, UpdatesEngineConfig) {
       assigner.assign(stats, all_compressible(layout), options, rng);
 
   CgxEngine engine(layout, CompressionConfig::cgx_default(), 4);
-  const double before = engine.wire_bytes_per_rank(
-      comm::ReductionScheme::ScatterReduceAllgather);
+  const double before = engine.wire_bytes_per_rank();
   apply_assignment(a, layout, engine.config(), options.bucket_size);
   engine.rebuild();
-  const double after = engine.wire_bytes_per_rank(
-      comm::ReductionScheme::ScatterReduceAllgather);
+  const double after = engine.wire_bytes_per_rank();
   EXPECT_LE(after, before * 1.05);
   // The specific layer bits took effect.
   for (std::size_t l = 0; l < layout.layer_count(); ++l) {

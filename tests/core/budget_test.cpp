@@ -163,10 +163,8 @@ TEST(DpAssigner, CompressesAtLeastAsHardAsKmeans) {
   apply_assignment(ad, layout, dp_engine.config(), options.bucket_size);
   km_engine.rebuild();
   dp_engine.rebuild();
-  const double km_wire = km_engine.wire_bytes_per_rank(
-      comm::ReductionScheme::ScatterReduceAllgather);
-  const double dp_wire = dp_engine.wire_bytes_per_rank(
-      comm::ReductionScheme::ScatterReduceAllgather);
+  const double km_wire = km_engine.wire_bytes_per_rank();
+  const double dp_wire = dp_engine.wire_bytes_per_rank();
   EXPECT_LE(dp_wire, km_wire);
   // And the cached telemetry agrees with the on-demand computation.
   EXPECT_EQ(dp_engine.cached_wire_bytes(), dp_wire);

@@ -183,21 +183,13 @@ TEST(DagAsync, LaneMapBalancesBytesUnderSkewedPolicies) {
   engine.rebuild();
 
   const BucketPlan& plan = engine.plan();
-  const std::span<const LayerCompression> resolved =
-      engine.inner().resolved();
   std::vector<double> load(kLanes, 0.0);
   double max_item = 0.0;
   for (std::size_t idx = 0; idx < plan.total_submissions(); ++idx) {
-    double bytes = 0.0;
-    if (plan.has_packet && idx == plan.packet_index()) {
-      bytes = 4.0 * static_cast<double>(engine.inner().packet_numel());
-    } else {
-      for (std::size_t l : plan.buckets[idx].layers) {
-        const auto& info = layout.layer(l);
-        const std::size_t rows = info.shape.empty() ? 0 : info.shape.front();
-        bytes += static_cast<double>(wire_bytes(resolved[l], info.numel, rows));
-      }
-    }
+    const double bytes = engine.inner().wire_bytes_of(
+        plan.has_packet && idx == plan.packet_index()
+            ? std::span<const std::size_t>(engine.inner().filtered_layers())
+            : std::span<const std::size_t>(plan.buckets[idx].layers));
     const int lane = engine.lane_of(idx);
     ASSERT_GE(lane, 0);
     ASSERT_LT(lane, kLanes);

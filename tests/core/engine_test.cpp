@@ -189,9 +189,8 @@ TEST(CgxEngine, ThreadedCompressionPoolKeepsResultsInEnvelope) {
 TEST(CgxEngine, WireBytesBelowBaseline) {
   const auto layout = transformer_like_layout();
   CgxEngine engine(layout, CompressionConfig::cgx_default(), 8);
-  const auto scheme = comm::ReductionScheme::ScatterReduceAllgather;
-  const double compressed = engine.wire_bytes_per_rank(scheme);
-  const double raw = engine.raw_wire_bytes_per_rank(scheme);
+  const double compressed = engine.wire_bytes_per_rank();
+  const double raw = engine.raw_wire_bytes_per_rank();
   EXPECT_LT(compressed, raw / 5.0);
   EXPECT_GT(compressed, raw / 10.0);
 }
@@ -227,12 +226,10 @@ TEST(CgxEngine, CommPlanFasterThanBaselineOnCommodityBox) {
 TEST(CgxEngine, RebuildPicksUpConfigChanges) {
   const auto layout = transformer_like_layout();
   CgxEngine engine(layout, CompressionConfig::cgx_default(), 2);
-  const double before = engine.wire_bytes_per_rank(
-      comm::ReductionScheme::ScatterReduceAllgather);
+  const double before = engine.wire_bytes_per_rank();
   engine.config().set_layer_quantization("embed.weight", 2, 128);
   engine.rebuild();
-  const double after = engine.wire_bytes_per_rank(
-      comm::ReductionScheme::ScatterReduceAllgather);
+  const double after = engine.wire_bytes_per_rank();
   EXPECT_LT(after, before);
   EXPECT_EQ(engine.resolved()[layout.index_of("embed.weight")].bits, 2u);
 }

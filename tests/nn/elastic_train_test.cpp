@@ -9,6 +9,12 @@
 
 #include <chrono>
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
+#include <functional>
+#include <mutex>
+#include <stdexcept>
+#include <vector>
 
 #include "comm/fault.h"
 #include "data/synthetic.h"
@@ -148,6 +154,122 @@ TEST(ElasticTrain, CrashedRankRejoinsAndConverges) {
   EXPECT_LT(result.final_loss, 1.0);
   EXPECT_GT(result.loss_history.front(), result.final_loss);
   ASSERT_NE(result.model, nullptr);
+}
+
+TrainOptions rejoin_options(comm::FaultInjector& injector) {
+  TrainOptions options;
+  options.world_size = 4;
+  options.steps = 80;
+  options.seed = 12;
+  options.elastic = true;
+  options.policy.timeout = 40ms;
+  options.policy.checksums = true;
+  options.fault_injector = &injector;
+  options.rejoins = {{1, 40}};
+  return options;
+}
+
+TEST(ElasticTrain, RejoinWithAStatefulOptimizerIsRejected) {
+  // A readmitted rank gets parameters but not optimizer state, so moments
+  // or velocity would silently desync it: the trainer refuses up front.
+  data::BlobDataset dataset(kClasses, kDim, 55);
+  const OptimizerFactory adam = [](std::vector<Param*> params) {
+    return std::make_unique<Adam>(std::move(params), constant_lr(0.01));
+  };
+  const OptimizerFactory momentum = [](std::vector<Param*> params) {
+    return std::make_unique<Sgd>(std::move(params), constant_lr(0.05), 0.9);
+  };
+  for (const OptimizerFactory& optimizer : {adam, momentum}) {
+    comm::FaultInjector injector(/*seed=*/5, /*world=*/4);
+    injector.schedule_crash(/*rank=*/1, /*op_index=*/150);
+    EXPECT_THROW(train_distributed(mlp_factory(), optimizer, cgx_engine(),
+                                   blob_batches(dataset, 16),
+                                   make_xent_loss(kClasses),
+                                   rejoin_options(injector)),
+                 std::invalid_argument);
+  }
+}
+
+TEST(ElasticTrain, OverlapIsRejectedBeforeAnyWorkerStarts) {
+  data::BlobDataset dataset(kClasses, kDim, 56);
+  TrainOptions options;
+  options.world_size = 2;
+  options.steps = 5;
+  options.elastic = true;
+  options.overlap = true;
+  EXPECT_THROW(train_distributed(mlp_factory(), plain_sgd(0.05), cgx_engine(),
+                                 blob_batches(dataset, 16),
+                                 make_xent_loss(kClasses), options),
+               std::invalid_argument);
+}
+
+// Momentum SGD that, when its rank's worker tears down (the model is still
+// alive: it is declared before the optimizer), reports how many steps it
+// took and an FNV-1a hash of the rank's parameters.
+class HashingMomentumSgd final : public Optimizer {
+ public:
+  using Sink = std::function<void(std::size_t steps, std::uint64_t hash)>;
+  HashingMomentumSgd(std::vector<Param*> params, Sink sink)
+      : params_(params),
+        inner_(std::move(params), constant_lr(0.05), 0.9),
+        sink_(std::move(sink)) {}
+  ~HashingMomentumSgd() override {
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const Param* p : params_) {
+      for (const std::byte b : std::as_bytes(p->value.data())) {
+        h = (h ^ std::to_integer<std::uint64_t>(b)) * 0x100000001b3ull;
+      }
+    }
+    sink_(steps_, h);
+  }
+  void step() override {
+    inner_.step();
+    ++steps_;
+  }
+  bool stateful() const override { return inner_.stateful(); }
+
+ private:
+  std::vector<Param*> params_;
+  Sgd inner_;
+  Sink sink_;
+};
+
+TEST(ElasticTrain, CrashWithoutRejoinKeepsMomentumSurvivorsInLockstep) {
+  // Without a rejoin no replica lacks state the others have: momentum SGD
+  // trains through a crash and every survivor ends with the same
+  // parameters.
+  data::BlobDataset dataset(kClasses, kDim, 53);
+  comm::FaultInjector injector(/*seed=*/3, /*world=*/4);
+  injector.schedule_crash(/*rank=*/2, /*op_index=*/120);
+  TrainOptions options;
+  options.world_size = 4;
+  options.steps = 60;
+  options.seed = 10;
+  options.elastic = true;
+  options.policy.timeout = 40ms;
+  options.policy.checksums = true;
+  options.fault_injector = &injector;
+  std::mutex mutex;
+  std::vector<std::uint64_t> finished;  // hashes of ranks that ran every step
+  int torn_down = 0;
+  const OptimizerFactory momentum = [&](std::vector<Param*> params) {
+    return std::make_unique<HashingMomentumSgd>(
+        std::move(params), [&](std::size_t steps, std::uint64_t hash) {
+          std::lock_guard<std::mutex> lock(mutex);
+          ++torn_down;
+          if (steps == options.steps) finished.push_back(hash);
+        });
+  };
+  TrainResult result = train_distributed(
+      mlp_factory(), momentum, cgx_engine(), blob_batches(dataset, 16),
+      make_xent_loss(kClasses), options);
+  EXPECT_EQ(result.loss_history.size(), options.steps);
+  EXPECT_FALSE(std::isnan(result.final_loss));
+  EXPECT_LT(result.final_loss, result.loss_history.front());
+  EXPECT_EQ(torn_down, 4);
+  ASSERT_EQ(finished.size(), 3u) << "three survivors run every step";
+  EXPECT_EQ(finished[1], finished[0]);
+  EXPECT_EQ(finished[2], finished[0]);
 }
 
 }  // namespace

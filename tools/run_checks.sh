@@ -5,6 +5,8 @@
 #   tsan     (ThreadSanitizer; runs only tests labeled concurrency-sensitive)
 #   bench-smoke (Release build; one tiny config of each BENCH_*-writing
 #                bench, JSON written under build-release/results)
+#   figures  (Release build; the deterministic figure benches must
+#             reproduce the committed results/ files byte for byte)
 # Usage: tools/run_checks.sh [preset ...]   (no args = default+asan+tsan)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -37,6 +39,37 @@ for preset in "${presets[@]}"; do
     (cd build-release && ./bench/bench_micro_compressors --smoke)
     (cd build-release && ./bench/bench_micro_compute --smoke)
     (cd build-release && ./bench/bench_micro_memory --smoke)
+    continue
+  fi
+  if [ "$preset" = figures ]; then
+    # The analytic figure benches are deterministic: rerun them in a temp
+    # dir (they write their CSVs to the working directory, table5 under
+    # results/) and compare with the committed files. fig03 is compared on
+    # its analytic columns 1-7 only; columns 8-9 are wall-clock timings of
+    # the real engine.
+    figs=(bench_ablation_buckets bench_ablation_hierarchical
+      bench_fig01_compression_sweep bench_fig04_adaptive_training
+      bench_fig05_adaptive_error bench_table5_multinode bench_fig03_throughput)
+    echo "==== [figures] configure"
+    cmake --preset release
+    echo "==== [figures] build"
+    cmake --build build-release -j "$jobs" --target "${figs[@]}"
+    echo "==== [figures] run"
+    tmp=$(mktemp -d)
+    trap 'rm -rf "$tmp"' EXIT
+    root=$PWD
+    for bench in "${figs[@]}"; do
+      (cd "$tmp" && "$root/build-release/bench/$bench" > /dev/null)
+    done
+    for f in ablation_buckets.csv ablation_hierarchical.csv \
+      fig01_compression_sweep.csv fig04_adaptive_training.csv \
+      fig05_adaptive_error.csv results/table5_multinode.csv \
+      results/table5_multinode.json; do
+      cmp "$tmp/$f" "results/$(basename "$f")"
+    done
+    cmp <(cut -d, -f1-7 "$tmp/fig03_throughput.csv") \
+      <(cut -d, -f1-7 results/fig03_throughput.csv)
+    echo "==== [figures] results/ reproduced"
     continue
   fi
   echo "==== [$preset] configure"
