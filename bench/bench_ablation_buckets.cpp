@@ -30,7 +30,7 @@ int main() {
   util::Table table("Ablation - QSGD bucket size (4 bits, 1M elements)");
   table.set_header({"bucket", "wire bytes", "ratio vs fp32",
                     "rel. L2 error", "norm overhead %"});
-  util::CsvWriter csv("ablation_buckets.csv",
+  util::CsvWriter csv(bench::results_path("ablation_buckets.csv"),
                       {"bucket", "wire_bytes", "rel_error"});
   for (std::size_t bucket :
        {std::size_t{32}, std::size_t{128}, std::size_t{512},

@@ -23,7 +23,7 @@ int main() {
       "5 GBps NICs");
   table.set_header({"intra fabric GBps", "flat SRA (ms)",
                     "hierarchical (ms)", "winner"});
-  util::CsvWriter csv("ablation_hierarchical.csv",
+  util::CsvWriter csv(bench::results_path("ablation_hierarchical.csv"),
                       {"intra_gbps", "flat_ms", "hier_ms"});
   for (double intra_gbps : {3.3, 10.0, 25.0, 50.0, 100.0, 160.0}) {
     const auto topology = simgpu::make_multinode_topology(

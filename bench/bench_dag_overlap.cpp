@@ -356,8 +356,7 @@ int main(int argc, char** argv) {
   }
   table.print();
 
-  std::filesystem::create_directories("results");
-  std::ofstream out("results/BENCH_dag.json");
+  std::ofstream out(bench::results_path("BENCH_dag.json"));
   out << "[\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const auto& row = rows[i];

@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/common.h"
 #include "comm/fault.h"
 #include "comm/membership.h"
 #include "comm/simnet.h"
@@ -260,8 +261,7 @@ int main(int argc, char** argv) {
   const bool gate_pass =
       all_lockstep && all_shrank && (smoke || worst_recovery <= budget_ms);
 
-  std::filesystem::create_directories("results");
-  std::ofstream out("results/BENCH_elastic.json");
+  std::ofstream out(bench::results_path("BENCH_elastic.json"));
   out << "{\n  \"configs\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const ConfigResult& r = results[i];

@@ -17,7 +17,7 @@ int main() {
   for (double g : gammas) header.push_back("x" + util::Table::num(g, 0));
   table.set_header(header);
 
-  util::CsvWriter csv("fig01_compression_sweep.csv",
+  util::CsvWriter csv(bench::results_path("fig01_compression_sweep.csv"),
                       {"model", "gamma", "step_ms", "ideal_ms"});
 
   for (const auto& model : models::all_paper_models()) {
@@ -46,7 +46,7 @@ int main() {
     table.add_row(row);
   }
   table.print();
-  std::cout << "\nSeries written to fig01_compression_sweep.csv\n"
+  std::cout << "\nSeries written to results/fig01_compression_sweep.csv\n"
             << "Shape check: step time monotonically approaches the ideal\n"
             << "column as gamma grows; Transformers need ~1-2 orders of\n"
             << "magnitude of compression, ResNet50 saturates earlier.\n";

@@ -76,7 +76,7 @@ int main() {
   const std::string kMeasuredMachine = "RTX-3090";
   const int kMeasuredGpus = 8;
 
-  util::CsvWriter csv("fig03_throughput.csv",
+  util::CsvWriter csv(bench::results_path("fig03_throughput.csv"),
                       {"machine", "model", "engine", "gpus", "items_per_s",
                        "pct_of_linear", "analytic_hidden_pct",
                        "measured_hidden_pct", "overlap_gap_pct"});
@@ -140,7 +140,7 @@ int main() {
     table.print();
     std::cout << "\n";
   }
-  std::cout << "Series written to fig03_throughput.csv "
+  std::cout << "Series written to results/fig03_throughput.csv "
                "(CGX rows carry analytic/measured hidden-comm and the "
                "overlap gap at RTX-3090 x8)\n";
   return 0;

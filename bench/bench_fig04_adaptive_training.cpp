@@ -119,7 +119,7 @@ int main() {
   series.push_back(run_scheme("Linear", &linear, txl, machine));
   series.push_back(run_scheme("DP", &dp, txl, machine));
 
-  util::CsvWriter csv("fig04_adaptive_training.csv",
+  util::CsvWriter csv(bench::results_path("fig04_adaptive_training.csv"),
                       {"scheme", "step", "sim_time_s", "perplexity"});
   util::Table table("Fig 4 - perplexity vs simulated time (final snapshot)");
   table.set_header({"scheme", "final ppl", "sim time to finish (s)",
@@ -142,7 +142,7 @@ int main() {
                        "x"});
   }
   table.print();
-  std::cout << "\nSeries written to fig04_adaptive_training.csv\n"
+  std::cout << "\nSeries written to results/fig04_adaptive_training.csv\n"
             << "Shape check: all schemes converge to the same perplexity;\n"
             << "adaptive schemes reach it in less simulated time.\n";
   return 0;

@@ -28,7 +28,7 @@ int main() {
 
   util::Table table("Fig 5 - error (a) and size (b) relative to static 4-bit");
   table.set_header({"method", "(a) error ratio", "(b) size ratio"});
-  util::CsvWriter csv("fig05_adaptive_error.csv",
+  util::CsvWriter csv(bench::results_path("fig05_adaptive_error.csv"),
                       {"method", "error_ratio", "size_ratio"});
   for (core::Assigner* assigner : assigners) {
     util::Rng rng(42);
@@ -41,7 +41,7 @@ int main() {
                  util::Table::num(a.relative_size, 4)});
   }
   table.print();
-  std::cout << "\nSeries written to fig05_adaptive_error.csv\n"
+  std::cout << "\nSeries written to results/fig05_adaptive_error.csv\n"
             << "Shape check: all error ratios <= alpha = " << options.alpha
             << "; kmeans leads the bits-only assigners, and the DP budget\n"
             << "planner (mixing in sparsification) compresses hardest.\n";

@@ -25,6 +25,7 @@
 #include <string_view>
 #include <tuple>
 
+#include "bench/common.h"
 #include "comm/collectives.h"
 #include "comm/transports.h"
 #include "core/compressed_allreduce.h"
@@ -396,8 +397,7 @@ void write_collectives_json(bool smoke) {
     kBackends = {"shm"};
   }
 
-  std::filesystem::create_directories("results");
-  std::ofstream out("results/BENCH_collectives.json");
+  std::ofstream out(bench::results_path("BENCH_collectives.json"));
   out << "[\n";
   bool first = true;
   for (const char* backend : kBackends) {

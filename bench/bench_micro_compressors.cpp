@@ -159,8 +159,7 @@ void write_compressor_json(bool smoke) {
   const auto input = make_input(kNumel);
   util::ThreadPool pool;
 
-  std::filesystem::create_directories("results");
-  std::ofstream out("results/BENCH_compressors.json");
+  std::ofstream out(bench::results_path("BENCH_compressors.json"));
   out << "{\"provenance\": " << bench::provenance_json()
       << ",\n \"rows\": [\n";
   bool first = true;

@@ -324,8 +324,7 @@ void run_suite(bool smoke, bool json) {
   }
 
   if (!json) return;
-  std::filesystem::create_directories("results");
-  std::ofstream out("results/BENCH_compute.json");
+  std::ofstream out(bench::results_path("BENCH_compute.json"));
   out << "{\"provenance\": " << bench::provenance_json()
       << ",\n \"rows\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {

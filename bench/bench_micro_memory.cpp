@@ -3,15 +3,15 @@
 //
 // Emits results/BENCH_memory.json with, per size:
 //  * memcpy_gbps        — std::memcpy, the machine roofline for that size;
-//  * copy_gbps          — util::simd::copy_bytes (prefetch + NT dispatch);
+//  * copy_gbps          — util::simd::copy_bytes (the counting memcpy);
 //  * copy_add_gbps      — util::simd::copy_add (the fused-receive reduce);
 // and one trailer object with the copy-engine counters (bytes routed
-// through the dispatcher during the run), the arena/NUMA configuration, and
-// the non-temporal threshold, so a regression in dispatch coverage is
-// visible as counters that stop tracking the measured traffic.
+// through the dispatcher during the run) and the arena/NUMA configuration,
+// so a regression in dispatch coverage is visible as counters that stop
+// tracking the measured traffic. The rows sit under a provenance block
+// (bench/common.h): {"provenance": {...}, "rows": [...]}.
 //
-// Sizes straddle non_temporal_threshold() so both the cached and streaming
-// store paths appear in the table. GB/s counts bytes READ + bytes WRITTEN
+// Sizes run from 64 KiB to 64 MiB. GB/s counts bytes READ + bytes WRITTEN
 // (2x for copies, 3x for copy_add: two loads and a store per element), the
 // convention memory benches use so numbers compare against STREAM.
 //
@@ -26,6 +26,7 @@
 #include <string_view>
 #include <vector>
 
+#include "bench/common.h"
 #include "util/arena.h"
 #include "util/numa.h"
 #include "util/simd.h"
@@ -103,9 +104,8 @@ int main(int argc, char** argv) {
   std::vector<Row> rows;
   rows.reserve(sizes.size());
   std::printf("%s\n", cgx::util::numa::topology_summary().c_str());
-  std::printf("simd level: %s   NT threshold: %zu bytes\n",
-              cgx::util::simd::level_name(cgx::util::simd::active_level()),
-              cgx::util::simd::non_temporal_threshold());
+  std::printf("simd level: %s\n",
+              cgx::util::simd::level_name(cgx::util::simd::active_level()));
   std::printf("%10s  %12s  %12s  %12s\n", "bytes", "memcpy GB/s",
               "copy GB/s", "copy_add GB/s");
   for (std::size_t n : sizes) {
@@ -140,9 +140,9 @@ int main(int argc, char** argv) {
   const cgx::util::simd::CopyStats stats =
       cgx::util::simd::copy_engine_stats();
 
-  std::filesystem::create_directories("results");
-  std::ofstream out("results/BENCH_memory.json");
-  out << "[\n";
+  std::ofstream out(cgx::bench::results_path("BENCH_memory.json"));
+  out << "{\"provenance\": " << cgx::bench::provenance_json()
+      << ",\n \"rows\": [\n";
   for (const Row& row : rows) {
     char line[256];
     std::snprintf(line, sizeof(line),
@@ -164,20 +164,19 @@ int main(int argc, char** argv) {
   char trailer[512];
   std::snprintf(
       trailer, sizeof(trailer),
-      "  {\"simd_level\": \"%s\", \"nt_threshold_bytes\": %zu, "
+      "  {\"simd_level\": \"%s\", "
       "\"numa_nodes\": %d, \"numa_enabled\": %s, "
       "\"huge_pages\": %s, "
       "\"engine_copied_bytes\": %llu, \"engine_copy_add_bytes\": %llu, "
       "\"engine_calls\": %llu}\n",
       cgx::util::simd::level_name(cgx::util::simd::active_level()),
-      cgx::util::simd::non_temporal_threshold(),
       cgx::util::numa::node_count(),
       cgx::util::numa::enabled() ? "true" : "false",
       cgx::util::Arena::huge_pages_enabled() ? "true" : "false",
       static_cast<unsigned long long>(stats.copied_bytes),
       static_cast<unsigned long long>(stats.copy_add_bytes),
       static_cast<unsigned long long>(stats.calls));
-  out << trailer << "]\n";
+  out << trailer << "]}\n";
   std::printf("wrote results/BENCH_memory.json\n");
   return 0;
 }

@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/common.h"
 #include "comm/simnet.h"
 #include "comm/transports.h"
 #include "comm/world.h"
@@ -247,8 +248,7 @@ int main(int argc, char** argv) {
   }
   const bool gate_pass = smoke || gate_speedup >= 1.5;
 
-  std::filesystem::create_directories("results");
-  std::ofstream out("results/BENCH_multinode.json");
+  std::ofstream out(bench::results_path("BENCH_multinode.json"));
   out << "{\n  \"sweep\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& row = rows[i];

@@ -79,8 +79,7 @@ int main(int argc, char** argv) {
   }
   table.print();
 
-  std::filesystem::create_directories("results");
-  std::ofstream out("results/BENCH_overlap.json");
+  std::ofstream out(bench::results_path("BENCH_overlap.json"));
   out << "[\n";
   for (std::size_t i = 0; i < points.size(); ++i) {
     const auto& p = points[i];

@@ -53,10 +53,9 @@ int main() {
       "Table 5 - items/s on 4 nodes x 4x RTX3090 (5 GBps NICs)");
   table.set_header({"model", "Baseline (NCCL)", "CGX (flat)",
                     "CGX (two-level)", "speedup", "% of linear"});
-  std::filesystem::create_directories("results");
-  util::CsvWriter csv("results/table5_multinode.csv",
+  util::CsvWriter csv(bench::results_path("table5_multinode.csv"),
                       {"model", "engine", "items_per_s"});
-  std::ofstream json("results/table5_multinode.json");
+  std::ofstream json(bench::results_path("table5_multinode.json"));
   json << "[\n";
   for (const auto& model : models::all_paper_models()) {
     const double base =

@@ -188,8 +188,7 @@ int main(int argc, char** argv) {
                       util::Table::num(dprun.tail_loss, 4)});
   gate_table.print();
 
-  std::filesystem::create_directories("results");
-  std::ofstream out("results/BENCH_adaptive.json");
+  std::ofstream out(bench::results_path("BENCH_adaptive.json"));
   char buf[1024];
   out << "{\n  \"bench\": \"adaptive\",\n  \"provenance\": "
       << bench::provenance_json() << ",\n  \"rows\": [\n";

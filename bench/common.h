@@ -2,18 +2,21 @@
 //
 // Each bench binary regenerates one of the paper's tables or figures: it
 // prints the same rows/series the paper reports and, for figures, dumps the
-// series as CSV next to the binary. Absolute numbers come from the
-// calibrated performance model (DESIGN.md §1); what must match the paper is
-// the SHAPE — who wins, by what factor, where the crossovers sit.
+// series as CSV under results/ (results_path below). Absolute numbers
+// come from the calibrated performance model (DESIGN.md §1); what must
+// match the paper is the SHAPE — who wins, by what factor, where the
+// crossovers sit.
 #pragma once
 
 #include <unistd.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "comm/transports.h"
 #include "core/engine.h"
@@ -25,6 +28,14 @@
 #include "util/table.h"
 
 namespace cgx::bench {
+
+// Where every bench writes an output file: results/<name> under the
+// working directory, created if missing. Run the benches from the
+// repository root and they regenerate the committed results/ files.
+inline std::string results_path(std::string_view name) {
+  std::filesystem::create_directories("results");
+  return "results/" + std::string(name);
+}
 
 // The working directory's commit, suffixed "-dirty" when the tree has
 // uncommitted changes, or "unknown" outside a checkout.

@@ -80,7 +80,8 @@ void compressed_sra_finish(comm::Comm& comm, std::span<float> data,
   // Payloads are received AND decompressed in arrival order — each into its
   // sender's own slot, so the decompression of early arrivals overlaps the
   // transit of slow peers — but the adds run in fixed member order, keeping
-  // the sum bit-identical run to run.
+  // the sum bit-identical run to run. With one peer there is one add, so
+  // its payload decodes straight into my chunk (Compressor::decompress_add).
   const auto [mf, ml] = chunk_range(data.size(), n, me);
   std::span<float> mine = data.subspan(mf, ml - mf);
   const std::size_t peers = static_cast<std::size_t>(n - 1);
@@ -95,22 +96,28 @@ void compressed_sra_finish(comm::Comm& comm, std::span<float> data,
   };
   comm::for_each_member_by_arrival(comm, group, scatter_tag, [&](int j) {
     comm.recv(group.rank(j), in_payload, scatter_tag);
-    mine_comp.decompress(in_payload, slot_of(j));
+    if (peers == 1) {
+      mine_comp.decompress_add(in_payload, mine, staged);
+    } else {
+      mine_comp.decompress(in_payload, slot_of(j));
+    }
   });
-  for (int j = 0; j < n; ++j) {
-    if (j != me) tensor::add_inplace(mine, slot_of(j));
+  if (peers > 1) {
+    for (int j = 0; j < n; ++j) {
+      if (j != me) tensor::add_inplace(mine, slot_of(j));
+    }
   }
 
-  // Round 2: compress the reduced chunk once and broadcast it. Decompress
-  // our own payload too, so every member ends bit-identical.
+  // Round 2: compress the reduced chunk once and broadcast it. Our own copy
+  // becomes the decoded payload too, so every member ends bit-identical.
   const std::span<std::byte> payload =
       ws.bytes(kSlotPayload, mine_comp.compressed_size(mine.size()));
-  const std::size_t written = mine_comp.compress(mine, payload, rng);
+  const std::size_t written =
+      mine_comp.compress_reconstruct(mine, payload, rng);
   const std::span<const std::byte> reduced = payload.first(written);
   for (int j = 0; j < n; ++j) {
     if (j != me) comm.send(group.rank(j), reduced, gather_tag);
   }
-  mine_comp.decompress(reduced, mine);
   // Reduced chunks land in disjoint regions, so arrival order cannot
   // change the final bytes here.
   comm::for_each_member_by_arrival(comm, group, gather_tag, [&](int j) {
@@ -167,10 +174,8 @@ void compressed_allreduce_ring(comm::Comm& comm, std::span<float> data,
           kSlotInPayload,
           chunk_compressors[recv_idx]->compressed_size(chunk.size()));
       comm.recv(left, payload, reduce_tag);
-      const std::span<float> incoming =
-          ws.floats(kSlotIncoming, chunk.size());
-      chunk_compressors[recv_idx]->decompress(payload, incoming);
-      tensor::add_inplace(chunk, incoming);
+      chunk_compressors[recv_idx]->decompress_add(
+          payload, chunk, ws.floats(kSlotIncoming, chunk.size()));
     }
   }
 
@@ -186,11 +191,9 @@ void compressed_allreduce_ring(comm::Comm& comm, std::span<float> data,
     const std::span<std::byte> buf =
         ws.bytes(kSlotRingBase + static_cast<std::size_t>(owned),
                  chunk_compressors[owned]->compressed_size(chunk.size()));
-    sizes[static_cast<std::size_t>(owned)] =
-        chunk_compressors[owned]->compress(chunk, buf, rng);
     // Canonicalize our own copy to the decompressed payload.
-    chunk_compressors[owned]->decompress(
-        buf.first(sizes[static_cast<std::size_t>(owned)]), chunk);
+    sizes[static_cast<std::size_t>(owned)] =
+        chunk_compressors[owned]->compress_reconstruct(chunk, buf, rng);
   }
   for (int s = 0; s < n - 1; ++s) {
     const int send_idx = (r + 1 - s + n) % n;
@@ -239,16 +242,15 @@ void compressed_allreduce_tree(comm::Comm& comm, std::span<float> data,
       comm.send(r - mask, payload.first(written), reduce_tag);
     } else if (r < mask && r + mask < n) {
       comm.recv(r + mask, payload, reduce_tag);
-      compressor.decompress(payload, incoming);
-      tensor::add_inplace(data, incoming);
+      compressor.decompress_add(payload, data, incoming);
     }
   }
 
   // Root compresses the final sum once; bytes are relayed down unchanged.
   if (r == 0) {
-    const std::size_t written = compressor.compress(data, payload, rng);
-    payload = payload.first(written);
-    compressor.decompress(payload, data);  // root matches everyone else
+    // The root's copy becomes the decoded payload, matching everyone else.
+    payload =
+        payload.first(compressor.compress_reconstruct(data, payload, rng));
   }
   for (int mask = 1; mask < n; mask <<= 1) {
     if (r < mask && r + mask < n) {

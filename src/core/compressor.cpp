@@ -3,10 +3,27 @@
 #include <algorithm>
 #include <cstring>
 
+#include "tensor/tensor_ops.h"
 #include "util/check.h"
 #include "util/half.h"
 
 namespace cgx::core {
+
+void Compressor::decompress_add(std::span<const std::byte> in,
+                                std::span<float> dst,
+                                std::span<float> scratch) {
+  const std::span<float> decoded = scratch.first(dst.size());
+  decompress(in, decoded);
+  tensor::add_inplace(dst, decoded);
+}
+
+std::size_t Compressor::compress_reconstruct(std::span<float> inout,
+                                             std::span<std::byte> out,
+                                             util::Rng& rng) {
+  const std::size_t written = compress(inout, out, rng);
+  decompress(out.first(written), inout);
+  return written;
+}
 
 std::size_t NoneCompressor::compress(std::span<const float> in,
                                      std::span<std::byte> out,

@@ -47,6 +47,22 @@ class Compressor {
   virtual void decompress(std::span<const std::byte> in,
                           std::span<float> out) = 0;
 
+  // Fused fold: dst += decompress(in), bit-identical to decompress() into
+  // `scratch` (at least dst.size() floats) followed by tensor::add_inplace.
+  // The default does exactly that; an operator that can decode where the
+  // sum lands (QSGD, per bucket) overrides it and leaves `scratch` unused.
+  virtual void decompress_add(std::span<const std::byte> in,
+                              std::span<float> dst, std::span<float> scratch);
+
+  // Fused round trip: compresses `inout` into `out`, then overwrites
+  // `inout` with the decoded payload — bit-identical to compress() followed
+  // by decompress() of its output, in the payload bytes, the floats and the
+  // RNG draws. Aggregators use it to canonicalize their own copy of a chunk
+  // they broadcast. Returns the bytes written.
+  virtual std::size_t compress_reconstruct(std::span<float> inout,
+                                           std::span<std::byte> out,
+                                           util::Rng& rng);
+
   virtual std::string name() const = 0;
 
   // True if decompress(compress(v)) == v bit-exactly.

@@ -803,13 +803,9 @@ void GraceEngine::allreduce(comm::Comm& comm, std::span<float> fused,
     const std::span<std::byte> incoming =
         ws.bytes(kSlotGraceIncoming, payload.size());
     for (int p = 0; p < n; ++p) {
-      if (p == r) {
-        compressor.decompress(payload, decompressed);
-      } else {
-        comm.recv(p, incoming, kGraceTag);
-        compressor.decompress(incoming, decompressed);
-      }
-      tensor::add_inplace(slice, decompressed);
+      if (p != r) comm.recv(p, incoming, kGraceTag);
+      compressor.decompress_add(p == r ? payload : incoming, slice,
+                                decompressed);
     }
   }
   if (n > 1) tensor::scale(fused, 1.0f / static_cast<float>(n));

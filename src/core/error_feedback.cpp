@@ -44,6 +44,21 @@ void ErrorFeedback::decompress(std::span<const std::byte> in,
   inner_->decompress(in, out);
 }
 
+void ErrorFeedback::decompress_add(std::span<const std::byte> in,
+                                   std::span<float> dst,
+                                   std::span<float> scratch) {
+  inner_->decompress_add(in, dst, scratch);
+}
+
+std::size_t ErrorFeedback::compress_reconstruct(std::span<float> inout,
+                                                std::span<std::byte> out,
+                                                util::Rng& rng) {
+  const std::size_t written = compress(inout, out, rng);
+  util::simd::copy_floats(
+      std::span<const float>(reconstructed_.data(), inout.size()), inout);
+  return written;
+}
+
 std::string ErrorFeedback::name() const { return "ef+" + inner_->name(); }
 
 double ErrorFeedback::residual_norm() const {

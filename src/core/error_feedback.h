@@ -30,6 +30,13 @@ class ErrorFeedback final : public Compressor {
                        util::Rng& rng) override;
   void decompress(std::span<const std::byte> in,
                   std::span<float> out) override;
+  void decompress_add(std::span<const std::byte> in, std::span<float> dst,
+                      std::span<float> scratch) override;
+  // compress() already decodes its payload to update the residual; the
+  // round trip hands that decode back instead of decoding twice.
+  std::size_t compress_reconstruct(std::span<float> inout,
+                                   std::span<std::byte> out,
+                                   util::Rng& rng) override;
   std::string name() const override;
 
   // L2 norm of the current residual; tests use it to verify accumulation.

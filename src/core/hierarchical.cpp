@@ -118,10 +118,8 @@ void leader_fold_members(comm::Comm& comm, std::span<float> data,
       const std::span<std::byte> payload =
           ws.bytes(kSlotInPayload, intra.compressed_size(data.size()));
       comm.recv(m, payload, tag);
-      const std::span<float> incoming =
-          ws.floats(kSlotIncoming, data.size());
-      intra.decompress(payload, incoming);
-      tensor::add_inplace(data, incoming);
+      intra.decompress_add(payload, data,
+                           ws.floats(kSlotIncoming, data.size()));
     } else if (comm.transport().supports_recv_add()) {
       comm.recv_add_floats(m, data, tag);
     } else {

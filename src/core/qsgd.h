@@ -16,18 +16,21 @@
 //
 // Defaults follow the paper: 4 bits, bucket 128 "always recovers full
 // accuracy" (§4); CNNs tolerate bucket 1024 (§6.2).
-// Implementation note (performance): compress/decompress are fused batch
-// kernels. A whole call quantizes into a grow-only uint32 symbol scratch
-// (stochastic rounding randomness drawn bucket-at-a-time via
-// Rng::fill_floats), then packs all symbols with the word-level
-// pack_symbols fast path. Buckets are independent, so large inputs can
-// split buckets across a ThreadPool (enable_threading); every bucket draws
-// from its own RNG stream derived from one seed taken off the caller's
-// generator, which makes the payload bit-identical for any thread count.
+// Implementation note (performance): compress runs one L1-resident pass
+// per group of buckets. Each bucket's stochastic-rounding stream is split
+// off one seed taken from the caller's generator (streams.split(b)), so the
+// streams are independent, and util::simd::bucket_uniforms advances four of
+// them side by side in SIMD lanes. A group's norms, uniforms and symbols
+// live in stack tiles, and the symbols pack straight into the payload; a
+// group that does not end on a 64-bit word carries its last symbols into
+// the next. Large inputs split word-aligned bucket ranges across a
+// ThreadPool (enable_threading); the payload is bit-identical for any
+// thread count and to Rng::fill_floats drawn bucket by bucket. Decoding
+// unpacks tile by tile, and the fused decompress_add / compress_reconstruct
+// decode each tile where it lands (compressor.h).
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
 #include "core/compressor.h"
 
@@ -46,11 +49,15 @@ class QsgdCompressor final : public Compressor {
                        util::Rng& rng) override;
   void decompress(std::span<const std::byte> in,
                   std::span<float> out) override;
+  void decompress_add(std::span<const std::byte> in, std::span<float> dst,
+                      std::span<float> scratch) override;
+  std::size_t compress_reconstruct(std::span<float> inout,
+                                   std::span<std::byte> out,
+                                   util::Rng& rng) override;
   std::string name() const override;
 
   void enable_threading(util::ThreadPool* pool,
                         std::size_t min_numel) override;
-  std::size_t scratch_bytes() const override;
 
   unsigned bits() const { return bits_; }
   std::size_t bucket_size() const { return bucket_size_; }
@@ -62,14 +69,27 @@ class QsgdCompressor final : public Compressor {
 
  private:
   bool use_pool(std::size_t n, std::size_t buckets) const;
+  // compress, and with `reconstruct` non-null also the decode of the
+  // payload written there (compress_reconstruct).
+  std::size_t encode(std::span<const float> in, std::span<std::byte> out,
+                     util::Rng& rng, float* reconstruct);
+  // Quantizes and packs buckets [first, last) into the payload; the first
+  // bucket's first symbol must start a 64-bit word.
+  void encode_buckets(std::span<const float> in, std::span<std::byte> out,
+                      const util::Rng& streams, std::size_t first,
+                      std::size_t last, float* reconstruct) const;
+  // decompress (add == false) or decompress_add (add == true).
+  void decode(std::span<const std::byte> in, std::span<float> out, bool add);
+  // Decodes symbols [first, last) of the payload into out (or adds them);
+  // `first` must start a 64-bit word.
+  void decode_symbols(std::span<const std::byte> in, std::span<float> out,
+                      std::size_t first, std::size_t last, bool add) const;
 
   unsigned bits_;
   std::size_t bucket_size_;
   QsgdNorm norm_;
   util::ThreadPool* pool_ = nullptr;
   std::size_t threading_min_numel_ = 0;
-  std::vector<std::uint32_t> symbol_scratch_;
-  std::vector<float> rand_scratch_;
 };
 
 }  // namespace cgx::core

@@ -11,6 +11,7 @@
 // state.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 
@@ -46,6 +47,12 @@ class Rng {
 
   // Derives an independent child stream; deterministic in (parent state, i).
   Rng split(std::uint64_t i) const;
+
+  // The four xoshiro256** state words. Kernels that advance several
+  // streams side by side (util::simd::bucket_uniforms) start from these.
+  std::array<std::uint64_t, 4> state() const {
+    return {s_[0], s_[1], s_[2], s_[3]};
+  }
 
  private:
   std::uint64_t s_[4];

@@ -266,16 +266,19 @@ void adam_update_scalar(const AdamCoeffs& c, float* w, float* grad, float* m,
   }
 }
 
+// ------------------------------------------------------------ uniforms
+
+void bucket_uniforms_scalar(std::uint64_t (*states)[4], std::size_t count,
+                            std::size_t len, float* out) {
+  for (std::size_t k = 0; k < count; ++k) {
+    fill_uniforms_tail(states[k], 0, len, out + k * len);
+  }
+}
+
 // ------------------------------------------------------------- copy engine
 //
-// The scalar copy IS std::memcpy: byte moves have no rounding, so the
-// "scalar reference" for copies is simply the libc copy. copy_add reuses
-// the elementwise add loop — same per-element sequence the vector levels
-// reproduce.
-
-void copy_bytes_scalar(std::byte* dst, const std::byte* src, std::size_t n) {
-  if (n != 0) std::memcpy(dst, src, n);
-}
+// copy_add reuses the elementwise add loop — same per-element sequence the
+// vector levels reproduce.
 
 void copy_add2_scalar(float* dst, const float* a, const float* b,
                       std::size_t n) {
@@ -295,7 +298,8 @@ constexpr SimdOps kScalarOps = {
     gemm_tile_scalar,  gemm_tile_at_scalar,
     dot_tile_scalar,   adam_update_scalar,
     nullptr,           nullptr,
-    copy_bytes_scalar, add_scalar,  // copy_add == the elementwise add loop
+    bucket_uniforms_scalar,
+    add_scalar,  // copy_add == the elementwise add loop
     copy_add2_scalar,
     nullptr,           nullptr,     // no scalar vector path for half (see half.cpp)
 };
@@ -510,6 +514,12 @@ void adam_update(const AdamCoeffs& coeffs, std::span<float> w,
                     w.size());
 }
 
+void bucket_uniforms(std::uint64_t (*states)[4], std::size_t count,
+                     std::size_t len, float* out) {
+  CGX_DCHECK(count <= 4);
+  ops().bucket_uniforms(states, count, len, out);
+}
+
 bool pack_words(const std::uint32_t* sym, std::size_t nwords, unsigned bits,
                 std::byte* out) {
   const auto fn = ops().pack_words;
@@ -557,15 +567,12 @@ void reset_copy_engine_stats() {
   c.calls.store(0, std::memory_order_relaxed);
 }
 
-std::size_t non_temporal_threshold() { return detail::kNonTemporalCopyBytes; }
-
 void copy_bytes(void* dst, const void* src, std::size_t n) {
   if (n == 0) return;
   CopyCounters& c = copy_counters();
   c.copied_bytes.fetch_add(n, std::memory_order_relaxed);
   c.calls.fetch_add(1, std::memory_order_relaxed);
-  ops().copy_bytes(static_cast<std::byte*>(dst),
-                   static_cast<const std::byte*>(src), n);
+  std::memcpy(dst, src, n);
 }
 
 void copy_floats(std::span<const float> src, std::span<float> dst) {

@@ -169,6 +169,25 @@ void adam_update(const AdamCoeffs& coeffs, std::span<float> w,
                  std::span<float> v);
 
 // ---------------------------------------------------------------------------
+// Stochastic-rounding uniforms, several streams at once.
+//
+// states[k] (k < count <= 4) is the four-word xoshiro256** state of one
+// util::Rng stream (Rng::state()). Stream k writes out[k*len .. k*len+len)
+// with exactly what Rng::fill_floats writes for len floats: one draw per
+// four floats, each draw's 16-bit windows high first, (r >> 48) * 2^-16,
+// then (r >> 32) & 0xffff, (r >> 16) & 0xffff, r & 0xffff; a ragged end
+// takes one more draw and keeps its leading windows. states[k] advances by
+// ceil(len / 4) draws, so a stream filled in pieces whose lengths are
+// multiples of 4 (except the last) matches one fill of the whole. The
+// streams are independent, so vector levels run them side by side in
+// 64-bit lanes (four on AVX2, two pairs on SSE2) with the generator's own
+// integer ops; the scalar level runs them one after another.
+// ---------------------------------------------------------------------------
+
+void bucket_uniforms(std::uint64_t (*states)[4], std::size_t count,
+                     std::size_t len, float* out);
+
+// ---------------------------------------------------------------------------
 // Bit pack/unpack fast paths for util/bitio. Operates on complete 64-bit
 // payload words only (nwords words, 64/bits symbols each); the caller packs
 // the ragged tail with its scalar loop. Returns false when the active level
@@ -182,14 +201,15 @@ bool unpack_words(const std::byte* in, std::size_t nwords, unsigned bits,
                   std::uint32_t* sym);
 
 // ---------------------------------------------------------------------------
-// Streaming copy engine. The data plane's ring-channel copy-in/copy-out,
-// peer-direct pulls, and tensor copies all route through these instead of
-// raw std::memcpy / element loops. Vector levels prefetch ahead of the
-// stream and use non-temporal stores for copies at or above
-// non_temporal_threshold() bytes (past-L2 buffers that would otherwise be
-// streamed through the cache twice). Results are bit-identical at every
-// level: byte copies move the same bytes, and copy_add applies the exact
-// scalar per-element sequence dst[i] += src[i] in increasing index order.
+// Copy engine. The data plane's ring-channel copy-in/copy-out, peer-direct
+// pulls, and tensor copies all route through these instead of raw
+// std::memcpy / element loops, so the byte counters below see the whole
+// hot path. copy_bytes IS std::memcpy at every level: every large copy on
+// the step's path is read back at once (a hook gather by the compressor, a
+// scatter by the optimizer, a ring write by its peer, a pull by the fold),
+// so the destination should stay in cache. copy_add applies the exact
+// scalar per-element sequence dst[i] += src[i] in increasing index order,
+// so it is bit-identical at every level.
 // ---------------------------------------------------------------------------
 
 // Process-wide copy-engine counters (relaxed atomics; cheap enough for the
@@ -201,9 +221,6 @@ struct CopyStats {
 };
 CopyStats copy_engine_stats();
 void reset_copy_engine_stats();
-
-// Byte size at which copy_bytes switches to non-temporal stores.
-std::size_t non_temporal_threshold();
 
 // memcpy contract (regions must not overlap); n == 0 is a no-op.
 void copy_bytes(void* dst, const void* src, std::size_t n);

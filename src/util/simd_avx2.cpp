@@ -740,50 +740,86 @@ void adam_update_avx2(const AdamCoeffs& c, float* w, float* grad, float* m,
   for (; i < n; ++i) adam_element(c, w[i], grad[i], m[i], v[i]);
 }
 
-// ------------------------------------------------------------- copy engine
+// ------------------------------------------------------------ uniforms
 
-void copy_bytes_avx2(std::byte* dst, const std::byte* src, std::size_t n) {
-  // Cache-resident sizes: libc memcpy (ERMS / tuned AVX loops) beats an
-  // explicit vector loop — measured ~12% on bench_micro_memory — so the
-  // custom path exists only for the non-temporal regime.
-  if (n < kNonTemporalCopyBytes) {
-    std::memcpy(dst, src, n);
-    return;
-  }
-  const std::size_t head =
-      (32 - reinterpret_cast<std::uintptr_t>(dst) % 32) % 32;
-  if (head != 0) {
-    std::memcpy(dst, src, head);
-    dst += head;
-    src += head;
-    n -= head;
-  }
-  std::size_t i = 0;
-  {
-    // Past-L2 copy: non-temporal stores keep the destination out of the
-    // cache so the working set survives. Identical bytes either way.
-    for (; i + 128 <= n; i += 128) {
-      _mm_prefetch(reinterpret_cast<const char*>(src + i) + 1024,
-                   _MM_HINT_NTA);
-      _mm_prefetch(reinterpret_cast<const char*>(src + i) + 1088,
-                   _MM_HINT_NTA);
-      const __m256i a =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
-      const __m256i b =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i + 32));
-      const __m256i c =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i + 64));
-      const __m256i d =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i + 96));
-      _mm256_stream_si256(reinterpret_cast<__m256i*>(dst + i), a);
-      _mm256_stream_si256(reinterpret_cast<__m256i*>(dst + i + 32), b);
-      _mm256_stream_si256(reinterpret_cast<__m256i*>(dst + i + 64), c);
-      _mm256_stream_si256(reinterpret_cast<__m256i*>(dst + i + 96), d);
-    }
-    _mm_sfence();
-  }
-  if (i < n) std::memcpy(dst + i, src + i, n - i);
+template <int K>
+inline __m256i rotl64(__m256i x) {
+  return _mm256_or_si256(_mm256_slli_epi64(x, K), _mm256_srli_epi64(x, 64 - K));
 }
+
+// xoshiro_next on four streams at once, one per 64-bit lane. The multiplies
+// by 5 and 9 are shift-and-adds, exact mod 2^64 like the scalar products.
+struct Xoshiro4 {
+  __m256i s0, s1, s2, s3;
+  __m256i next() {
+    const __m256i x5 = _mm256_add_epi64(_mm256_slli_epi64(s1, 2), s1);
+    const __m256i r = rotl64<7>(x5);
+    const __m256i result = _mm256_add_epi64(_mm256_slli_epi64(r, 3), r);
+    const __m256i t = _mm256_slli_epi64(s1, 17);
+    s2 = _mm256_xor_si256(s2, s0);
+    s3 = _mm256_xor_si256(s3, s1);
+    s1 = _mm256_xor_si256(s1, s2);
+    s0 = _mm256_xor_si256(s0, s3);
+    s2 = _mm256_xor_si256(s2, t);
+    s3 = rotl64<45>(s3);
+    return result;
+  }
+};
+
+// Eight 16-bit windows (two draws of one stream, high window first) to
+// eight floats — the same exact u16 * 2^-16 the scalar fill computes.
+inline void store_windows(__m128i w, float* out) {
+  const __m256 f = _mm256_cvtepi32_ps(_mm256_cvtepu16_epi32(w));
+  _mm256_storeu_ps(out, _mm256_mul_ps(f, _mm256_set1_ps(0x1.0p-16f)));
+}
+
+void bucket_uniforms_avx2(std::uint64_t (*states)[4], std::size_t count,
+                          std::size_t len, float* out) {
+  // Lane k runs stream k; unused lanes run an all-zero state, which stays
+  // zero and is never stored.
+  alignas(32) std::uint64_t words[4][4] = {};
+  for (std::size_t k = 0; k < count; ++k) {
+    for (unsigned w = 0; w < 4; ++w) words[w][k] = states[k][w];
+  }
+  const auto load = [&](unsigned w) {
+    return _mm256_load_si256(reinterpret_cast<const __m256i*>(words[w]));
+  };
+  Xoshiro4 g{load(0), load(1), load(2), load(3)};
+  // Within each 64-bit draw, reverse the four 16-bit windows so the high
+  // one comes first, as in Rng::fill_floats.
+  const __m256i reverse = _mm256_setr_epi8(
+      6, 7, 4, 5, 2, 3, 0, 1, 14, 15, 12, 13, 10, 11, 8, 9,
+      6, 7, 4, 5, 2, 3, 0, 1, 14, 15, 12, 13, 10, 11, 8, 9);
+  std::size_t i = 0;
+  for (; i + 8 <= len; i += 8) {
+    const __m256i ra = g.next();
+    const __m256i rb = g.next();
+    // [a0 b0 | a2 b2] and [a1 b1 | a3 b3]: each 128-bit half is one
+    // stream's two consecutive draws.
+    const __m256i even =
+        _mm256_shuffle_epi8(_mm256_unpacklo_epi64(ra, rb), reverse);
+    const __m256i odd =
+        _mm256_shuffle_epi8(_mm256_unpackhi_epi64(ra, rb), reverse);
+    store_windows(_mm256_castsi256_si128(even), out + i);
+    if (count > 1) store_windows(_mm256_castsi256_si128(odd), out + len + i);
+    if (count > 2) {
+      store_windows(_mm256_extracti128_si256(even, 1), out + 2 * len + i);
+    }
+    if (count > 3) {
+      store_windows(_mm256_extracti128_si256(odd, 1), out + 3 * len + i);
+    }
+  }
+  _mm256_store_si256(reinterpret_cast<__m256i*>(words[0]), g.s0);
+  _mm256_store_si256(reinterpret_cast<__m256i*>(words[1]), g.s1);
+  _mm256_store_si256(reinterpret_cast<__m256i*>(words[2]), g.s2);
+  _mm256_store_si256(reinterpret_cast<__m256i*>(words[3]), g.s3);
+  for (std::size_t k = 0; k < count; ++k) {
+    for (unsigned w = 0; w < 4; ++w) states[k][w] = words[w][k];
+    fill_uniforms_tail(states[k], i, len, out + k * len);
+  }
+}
+
+// ------------------------------------------------------------- copy engine
 
 // dst[i] += src[i] in index order — the scalar sequence, eight lanes at a
 // time. Prefetch both streams; dst is read back, so no non-temporal path.
@@ -997,7 +1033,7 @@ constexpr SimdOps kAvx2Ops = {
     gemm_tile_avx2,  gemm_tile_at_avx2,
     dot_tile_avx2,   adam_update_avx2,
     pack_words_avx2, unpack_words_avx2,
-    copy_bytes_avx2, copy_add_avx2, copy_add2_avx2,
+    bucket_uniforms_avx2, copy_add_avx2, copy_add2_avx2,
     f32_to_f16_avx2, f16_to_f32_avx2,
 };
 

@@ -56,15 +56,17 @@ struct SimdOps {
   bool (*unpack_words)(const std::byte* in, std::size_t nwords, unsigned bits,
                        std::uint32_t* sym);
 
-  // Streaming copy engine (see simd.h). copy_bytes moves raw bytes —
-  // trivially bit-identical at every level; vector levels add software
-  // prefetch and switch to non-temporal stores at kNonTemporalCopyBytes.
-  // copy_add performs dst[i] += src[i] in increasing index order, the same
-  // per-element rounding as the scalar loop (bit-identical at any width).
-  // copy_add2 folds two sources in one pass over dst with the exact
-  // per-element sequence dst[i] += a[i]; dst[i] += b[i]; — bit-identical to
-  // two copy_add calls, but dst is read and written once instead of twice.
-  void (*copy_bytes)(std::byte* dst, const std::byte* src, std::size_t n);
+  // Stochastic-rounding uniforms for up to four independent xoshiro256**
+  // streams at once (see simd.h bucket_uniforms).
+  void (*bucket_uniforms)(std::uint64_t (*states)[4], std::size_t count,
+                          std::size_t len, float* out);
+
+  // Copy-engine folds (see simd.h). copy_add performs dst[i] += src[i] in
+  // increasing index order, the same per-element rounding as the scalar
+  // loop (bit-identical at any width). copy_add2 folds two sources in one
+  // pass over dst with the exact per-element sequence dst[i] += a[i];
+  // dst[i] += b[i]; — bit-identical to two copy_add calls, but dst is read
+  // and written once instead of twice.
   void (*copy_add)(float* dst, const float* src, std::size_t n);
   void (*copy_add2)(float* dst, const float* a, const float* b,
                     std::size_t n);
@@ -78,11 +80,36 @@ struct SimdOps {
   bool (*f16_to_f32)(const std::uint16_t* in, float* out, std::size_t n);
 };
 
-// Copies at or above this size bypass the cache on the store side
-// (non-temporal): a buffer this large is past L2, and streaming it through
-// the cache would evict the working set twice. Non-temporal stores write the
-// same bytes — the threshold affects cache state, never results.
-inline constexpr std::size_t kNonTemporalCopyBytes = 2u << 20;
+// One xoshiro256** step on a stream's four state words — the generator
+// util::Rng runs. Every bucket_uniforms level reproduces it lane by lane.
+inline std::uint64_t xoshiro_next(std::uint64_t s[4]) {
+  const auto rotl = [](std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  };
+  const std::uint64_t result = rotl(s[1] * 5, 7) * 9;
+  const std::uint64_t t = s[1] << 17;
+  s[2] ^= s[0];
+  s[3] ^= s[1];
+  s[1] ^= s[2];
+  s[0] ^= s[3];
+  s[2] ^= t;
+  s[3] = rotl(s[3], 45);
+  return result;
+}
+
+// Rng::fill_floats' tail for one stream: floats [i, len) of out, four
+// 16-bit windows per draw, high window first. The vector levels run it
+// after their lane body, so their ragged ends match by construction.
+inline void fill_uniforms_tail(std::uint64_t s[4], std::size_t i,
+                               std::size_t len, float* out) {
+  for (; i < len; i += 4) {
+    const std::uint64_t r = xoshiro_next(s);
+    for (unsigned k = 0; k < 4 && i + k < len; ++k) {
+      out[i + k] =
+          static_cast<float>((r >> (48 - 16 * k)) & 0xffffu) * 0x1.0p-16f;
+    }
+  }
+}
 
 // Canonical lane fold shared by every reduction implementation. The tree
 // shape is part of the bit-exactness contract — do not reassociate.

@@ -589,50 +589,82 @@ void adam_update_sse2(const AdamCoeffs& c, float* w, float* grad, float* m,
   for (; i < n; ++i) adam_element(c, w[i], grad[i], m[i], v[i]);
 }
 
-// ------------------------------------------------------------- copy engine
+// ------------------------------------------------------------ uniforms
 
-void copy_bytes_sse2(std::byte* dst, const std::byte* src, std::size_t n) {
-  // Below the non-temporal threshold libc memcpy wins (see the AVX2 kernel
-  // note); only the streaming regime needs explicit stores.
-  if (n < kNonTemporalCopyBytes) {
-    std::memcpy(dst, src, n);
-    return;
-  }
-  // Align the store side to 16 so the vector body never splits a line.
-  const std::size_t head =
-      (16 - reinterpret_cast<std::uintptr_t>(dst) % 16) % 16;
-  if (head != 0) {
-    std::memcpy(dst, src, head);
-    dst += head;
-    src += head;
-    n -= head;
-  }
-  std::size_t i = 0;
-  {
-    // Past-L2 copy: stream the stores around the cache. Same bytes land in
-    // memory; only cache state differs (see the bit-exactness note in
-    // simd_internal.h).
-    for (; i + 64 <= n; i += 64) {
-      _mm_prefetch(reinterpret_cast<const char*>(src + i) + 512,
-                   _MM_HINT_NTA);
-      const __m128i a =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + i));
-      const __m128i b =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + i + 16));
-      const __m128i c =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + i + 32));
-      const __m128i d =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + i + 48));
-      _mm_stream_si128(reinterpret_cast<__m128i*>(dst + i), a);
-      _mm_stream_si128(reinterpret_cast<__m128i*>(dst + i + 16), b);
-      _mm_stream_si128(reinterpret_cast<__m128i*>(dst + i + 32), c);
-      _mm_stream_si128(reinterpret_cast<__m128i*>(dst + i + 48), d);
-    }
-    // Order the streamed stores before any subsequent flag publish.
-    _mm_sfence();
-  }
-  if (i < n) std::memcpy(dst + i, src + i, n - i);
+template <int K>
+inline __m128i rotl64(__m128i x) {
+  return _mm_or_si128(_mm_slli_epi64(x, K), _mm_srli_epi64(x, 64 - K));
 }
+
+// xoshiro_next on two streams at once, one per 64-bit lane (SSE2 has the
+// 64-bit adds and shifts; the multiplies by 5 and 9 are shift-and-adds).
+struct Xoshiro2 {
+  __m128i s0, s1, s2, s3;
+  __m128i next() {
+    const __m128i x5 = _mm_add_epi64(_mm_slli_epi64(s1, 2), s1);
+    const __m128i r = rotl64<7>(x5);
+    const __m128i result = _mm_add_epi64(_mm_slli_epi64(r, 3), r);
+    const __m128i t = _mm_slli_epi64(s1, 17);
+    s2 = _mm_xor_si128(s2, s0);
+    s3 = _mm_xor_si128(s3, s1);
+    s1 = _mm_xor_si128(s1, s2);
+    s0 = _mm_xor_si128(s0, s3);
+    s2 = _mm_xor_si128(s2, t);
+    s3 = rotl64<45>(s3);
+    return result;
+  }
+};
+
+// Two draws of one stream (low and high 64 bits of `draws`) to eight
+// floats, each draw's 16-bit windows high first: the exact u16 * 2^-16 of
+// the scalar fill.
+inline void store_windows(__m128i draws, float* out) {
+  const __m128i rev = _mm_shufflehi_epi16(
+      _mm_shufflelo_epi16(draws, _MM_SHUFFLE(0, 1, 2, 3)),
+      _MM_SHUFFLE(0, 1, 2, 3));
+  const __m128i zero = _mm_setzero_si128();
+  const __m128 scale = _mm_set1_ps(0x1.0p-16f);
+  _mm_storeu_ps(out, _mm_mul_ps(_mm_cvtepi32_ps(_mm_unpacklo_epi16(rev, zero)),
+                                scale));
+  _mm_storeu_ps(out + 4,
+                _mm_mul_ps(_mm_cvtepi32_ps(_mm_unpackhi_epi16(rev, zero)),
+                           scale));
+}
+
+void bucket_uniforms_sse2(std::uint64_t (*states)[4], std::size_t count,
+                          std::size_t len, float* out) {
+  // Streams run in pairs; the second lane of an odd pair runs an all-zero
+  // state, which stays zero and is never stored.
+  for (std::size_t p = 0; p < count; p += 2) {
+    const std::size_t pair = count - p < 2 ? count - p : 2;
+    alignas(16) std::uint64_t words[4][2] = {};
+    for (std::size_t k = 0; k < pair; ++k) {
+      for (unsigned w = 0; w < 4; ++w) words[w][k] = states[p + k][w];
+    }
+    const auto load = [&](unsigned w) {
+      return _mm_load_si128(reinterpret_cast<const __m128i*>(words[w]));
+    };
+    Xoshiro2 g{load(0), load(1), load(2), load(3)};
+    float* first = out + p * len;
+    std::size_t i = 0;
+    for (; i + 8 <= len; i += 8) {
+      const __m128i ra = g.next();
+      const __m128i rb = g.next();
+      store_windows(_mm_unpacklo_epi64(ra, rb), first + i);
+      if (pair > 1) store_windows(_mm_unpackhi_epi64(ra, rb), first + len + i);
+    }
+    _mm_store_si128(reinterpret_cast<__m128i*>(words[0]), g.s0);
+    _mm_store_si128(reinterpret_cast<__m128i*>(words[1]), g.s1);
+    _mm_store_si128(reinterpret_cast<__m128i*>(words[2]), g.s2);
+    _mm_store_si128(reinterpret_cast<__m128i*>(words[3]), g.s3);
+    for (std::size_t k = 0; k < pair; ++k) {
+      for (unsigned w = 0; w < 4; ++w) states[p + k][w] = words[w][k];
+      fill_uniforms_tail(states[p + k], i, len, first + k * len);
+    }
+  }
+}
+
+// ------------------------------------------------------------- copy engine
 
 // dst[i] += src[i], same order as the scalar loop; prefetch both streams
 // (dst is read-modify-write, so no non-temporal path here).
@@ -692,7 +724,7 @@ constexpr SimdOps kSse2Ops = {
     gemm_tile_sse2,  gemm_tile_at_sse2,
     dot_tile_sse2,   adam_update_sse2,
     nullptr,         nullptr,  // no SSE2 pack/unpack (needs AVX2 vpsrlvd)
-    copy_bytes_sse2, copy_add_sse2, copy_add2_sse2,
+    bucket_uniforms_sse2, copy_add_sse2, copy_add2_sse2,
     nullptr,         nullptr,  // no SSE2 half path (needs AVX2 vpsrlvd)
 };
 

@@ -690,11 +690,10 @@ TEST(SimdCopyEngine, CopyAndCopyAddBitIdenticalAcrossLevels) {
   }
 }
 
-// Above non_temporal_threshold() the kernels switch to streaming stores;
-// the bytes written must still be identical (only cache residency may
-// differ). One size past the threshold exercises that branch.
-TEST(SimdCopyEngine, NonTemporalPathBitIdentical) {
-  const std::size_t bytes = non_temporal_threshold() + (1u << 16) + 52;
+// A copy past L2 (2 MiB plus a ragged tail) moves the same bytes, and
+// copy_add over it applies the scalar sequence, at every level.
+TEST(SimdCopyEngine, LargeCopyBitIdentical) {
+  const std::size_t bytes = (2u << 20) + (1u << 16) + 52;
   const std::size_t n = bytes / sizeof(float);
   const auto src = random_floats(n, 1234);
   std::vector<float> add_ref(n, 0.25f);
@@ -710,7 +709,7 @@ TEST(SimdCopyEngine, NonTemporalPathBitIdentical) {
     EXPECT_TRUE(bytes_equal(dst.data(), src.data(), n * sizeof(float)));
     std::vector<float> added(n, 0.25f);
     copy_add(added, src);
-    expect_bits_equal(add_ref, added, "copy_add past NT threshold");
+    expect_bits_equal(add_ref, added, "copy_add past L2");
   }
 }
 
@@ -727,6 +726,48 @@ TEST(SimdCopyEngine, StatsTrackDispatchedBytes) {
   EXPECT_EQ(stats.copied_bytes, 100 * sizeof(float) + 64);
   EXPECT_EQ(stats.copy_add_bytes, 100 * sizeof(float));
   EXPECT_EQ(stats.calls, 3u);
+}
+
+// ----------------------------------------------------- bucket uniforms
+
+// bucket_uniforms is Rng::fill_floats run on up to four streams at once:
+// every level must write what one fill_floats per stream writes and leave
+// each stream where fill_floats leaves it. Lengths 0..260 cover every
+// ragged tail around the vector bodies; 1..9 streams run as full and
+// partial batches of four, the way QSGD hands out its buckets.
+TEST(SimdRng, BucketStreamsMatchScalarFill) {
+  for (Level l : reachable_levels()) {
+    SCOPED_TRACE(level_name(l));
+    ScopedLevel lvl(l);
+    for (std::size_t len = 0; len <= 260; ++len) {
+      for (std::size_t streams = 1; streams <= 9; ++streams) {
+        const Rng parent(len * 131 + streams);
+        std::vector<float> got(streams * len, -1.0f);
+        std::vector<float> want(streams * len, -2.0f);
+        std::vector<Rng> refs;
+        for (std::size_t k = 0; k < streams; ++k) {
+          refs.push_back(parent.split(k));
+          refs.back().fill_floats({want.data() + k * len, len});
+        }
+        for (std::size_t k0 = 0; k0 < streams; k0 += 4) {
+          const std::size_t count = std::min<std::size_t>(4, streams - k0);
+          std::uint64_t states[4][4];
+          for (std::size_t k = 0; k < count; ++k) {
+            const auto st = parent.split(k0 + k).state();
+            std::copy(st.begin(), st.end(), states[k]);
+          }
+          bucket_uniforms(states, count, len, got.data() + k0 * len);
+          for (std::size_t k = 0; k < count; ++k) {
+            const auto after = refs[k0 + k].state();
+            EXPECT_TRUE(std::equal(after.begin(), after.end(), states[k]))
+                << "state of stream " << k0 + k << " len=" << len;
+          }
+        }
+        expect_bits_equal(want, got, "bucket_uniforms");
+        if (::testing::Test::HasFailure()) return;
+      }
+    }
+  }
 }
 
 // --------------------------------------------------------- half precision

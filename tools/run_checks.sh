@@ -43,10 +43,10 @@ for preset in "${presets[@]}"; do
   fi
   if [ "$preset" = figures ]; then
     # The analytic figure benches are deterministic: rerun them in a temp
-    # dir (they write their CSVs to the working directory, table5 under
-    # results/) and compare with the committed files. fig03 is compared on
-    # its analytic columns 1-7 only; columns 8-9 are wall-clock timings of
-    # the real engine.
+    # dir (every bench writes under results/ in its working directory) and
+    # compare with the committed files. fig03 is compared on its analytic
+    # columns 1-7 only; columns 8-9 are wall-clock timings of the real
+    # engine.
     figs=(bench_ablation_buckets bench_ablation_hierarchical
       bench_fig01_compression_sweep bench_fig04_adaptive_training
       bench_fig05_adaptive_error bench_table5_multinode bench_fig03_throughput)
@@ -63,11 +63,11 @@ for preset in "${presets[@]}"; do
     done
     for f in ablation_buckets.csv ablation_hierarchical.csv \
       fig01_compression_sweep.csv fig04_adaptive_training.csv \
-      fig05_adaptive_error.csv results/table5_multinode.csv \
-      results/table5_multinode.json; do
-      cmp "$tmp/$f" "results/$(basename "$f")"
+      fig05_adaptive_error.csv table5_multinode.csv \
+      table5_multinode.json; do
+      cmp "$tmp/results/$f" "results/$f"
     done
-    cmp <(cut -d, -f1-7 "$tmp/fig03_throughput.csv") \
+    cmp <(cut -d, -f1-7 "$tmp/results/fig03_throughput.csv") \
       <(cut -d, -f1-7 results/fig03_throughput.csv)
     echo "==== [figures] results/ reproduced"
     continue
