@@ -9,10 +9,12 @@
 // numbers tied to the machine and build that produced them.
 #include <benchmark/benchmark.h>
 
+#include <cctype>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <string>
 #include <string_view>
 
 #include "bench/common.h"
@@ -234,10 +236,36 @@ BENCHMARK(BM_PackSymbols)
 BENCHMARK(BM_UnpackSymbols)
     ->ArgsProduct({{1 << 20}, {2, 3, 4, 8, 16}});
 
+// True when google-benchmark is asked only to list its cases:
+// --benchmark_list_tests with no value or a truthy one, read as
+// google-benchmark reads it (case-insensitive; "0", "f", "n", "false", "no"
+// and "off" are false; the last occurrence wins).
+bool only_listing(int argc, char** argv) {
+  constexpr std::string_view kFlag = "--benchmark_list_tests";
+  bool listing = false;
+  for (int i = 1; i < argc; ++i) {
+    std::string_view arg(argv[i]);
+    if (!arg.starts_with(kFlag)) continue;
+    arg.remove_prefix(kFlag.size());
+    if (arg.empty()) {
+      listing = true;
+      continue;
+    }
+    if (arg.front() != '=') continue;
+    std::string v(arg.substr(1));
+    for (char& ch : v) ch = static_cast<char>(std::tolower(ch));
+    listing = v.size() == 1
+                  ? std::isalnum(v[0]) != 0 && v != "0" && v != "f" && v != "n"
+                  : v != "false" && v != "no" && v != "off";
+  }
+  return listing;
+}
+
 // Custom main: the usual google-benchmark CLI, then the JSON perf gate
-// (skipped with --no_json for quick interactive runs).
+// (skipped with --no_json for quick interactive runs, and when the CLI only
+// lists the cases, so listing never overwrites the committed JSON).
 int main(int argc, char** argv) {
-  bool json = true;
+  bool json = !only_listing(argc, argv);
   bool smoke = false;
   for (int i = 1; i < argc;) {
     const std::string_view arg(argv[i]);

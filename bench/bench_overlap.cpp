@@ -8,7 +8,8 @@
 // submission) against the overlapped mode and reports the step-throughput
 // speedup plus the StepReport phase breakdown.
 //
-// Writes results/BENCH_overlap.json. Target: >= 1.3x at world 8 with the
+// Writes results/BENCH_overlap.json as {"provenance": {...}, "rows": [...]}
+// (provenance from bench/common.h). Target: >= 1.3x at world 8 with the
 // default 256 KiB buckets. `--smoke` runs one tiny configuration (used by
 // tools/run_checks.sh bench-smoke).
 #include <cstdio>
@@ -80,7 +81,8 @@ int main(int argc, char** argv) {
   table.print();
 
   std::ofstream out(bench::results_path("BENCH_overlap.json"));
-  out << "[\n";
+  out << "{\"provenance\": " << bench::provenance_json()
+      << ",\n \"rows\": [\n";
   for (std::size_t i = 0; i < points.size(); ++i) {
     const auto& p = points[i];
     char line[512];
@@ -98,7 +100,7 @@ int main(int argc, char** argv) {
         i + 1 < points.size() ? ",\n" : "\n");
     out << line;
   }
-  out << "]\n";
+  out << "]}\n";
   std::printf("wrote results/BENCH_overlap.json\n");
 
   if (!smoke) {

@@ -149,7 +149,10 @@ const tensor::Tensor& Conv2d::backward(const tensor::Tensor& grad_out) {
   const std::size_t cols = oh * ow;
   col_.resize(ck2 * cols);
   dcol_.resize(ck2 * cols);
-  dw_.resize(out_c_ * ck2);
+  // Parameter gradients first, image by image: bias sums and
+  // dW += go_n[out_c x cols] * col^T, added into the gradient in the GEMM's
+  // epilogue. They are final after this loop, so the hook fires before the
+  // input gradient, which needs only W and go.
   for (std::size_t n = 0; n < b; ++n) {
     const std::span<const float> go_n =
         go.subspan(n * out_c_ * cols, out_c_ * cols);
@@ -159,10 +162,15 @@ const tensor::Tensor& Conv2d::backward(const tensor::Tensor& grad_out) {
             util::simd::reduce_sum(go_n.subspan(oc * cols, cols)));
       }
     }
-    // dW += go_n[out_c x cols] * col^T; dcol = W^T * go_n; then col2im.
     im2col(in.subspan(n * in_c_ * h * w, in_c_ * h * w), h, w, oh, ow);
-    tensor::matmul_a_bt(go_n, col_, dw_, out_c_, cols, ck2);
-    util::simd::add(wg, dw_);
+    tensor::matmul_a_bt(go_n, col_, wg, out_c_, cols, ck2,
+                        tensor::Store::kAccumulate);
+  }
+  params_ready();
+  for (std::size_t n = 0; n < b; ++n) {
+    // dcol = W^T * go_n; then col2im.
+    const std::span<const float> go_n =
+        go.subspan(n * out_c_ * cols, out_c_ * cols);
     tensor::matmul_at_b(wgt, go_n, dcol_, out_c_, ck2, cols);
     // col2im scatter-add (serial: output pixels overlap under stride < k).
     // Every input pixel receives its terms in (ic, ky, kx, oy) order; within
@@ -366,10 +374,11 @@ const tensor::Tensor& BatchNorm2d::backward(const tensor::Tensor& grad_out) {
   auto bg = bias_.grad.data();
   auto gi = grad_in_.data();
 
+  // Per-channel sums first: they are the parameter gradients, so the hook
+  // fires before the input-gradient loop that reuses them.
+  sums_.resize(2 * channels_);
   for (std::size_t c = 0; c < channels_; ++c) {
-    // Per-(image, channel) rows reduce through the canonical simd kernels;
-    // dxhat = go * gain[c] is a constant scale per channel, so its sums are
-    // the gain-scaled go sums.
+    // Per-(image, channel) rows reduce through the canonical simd kernels.
     double sum_go = 0.0, sum_go_xhat = 0.0;
     for (std::size_t n = 0; n < b; ++n) {
       const std::span<const float> go_row =
@@ -381,8 +390,16 @@ const tensor::Tensor& BatchNorm2d::backward(const tensor::Tensor& grad_out) {
     }
     gg[c] += static_cast<float>(sum_go_xhat);
     bg[c] += static_cast<float>(sum_go);
-    const double sum_dxhat = static_cast<double>(g[c]) * sum_go;
-    const double sum_dxhat_xhat = static_cast<double>(g[c]) * sum_go_xhat;
+    sums_[2 * c] = sum_go;
+    sums_[2 * c + 1] = sum_go_xhat;
+  }
+  params_ready();
+
+  for (std::size_t c = 0; c < channels_; ++c) {
+    // dxhat = go * gain[c] is a constant scale per channel, so its sums are
+    // the gain-scaled go sums.
+    const double sum_dxhat = static_cast<double>(g[c]) * sums_[2 * c];
+    const double sum_dxhat_xhat = static_cast<double>(g[c]) * sums_[2 * c + 1];
     if (!train_mode_) {
       // Eval mode: statistics are constants; dx = dxhat * inv_std.
       for (std::size_t n = 0; n < b; ++n) {

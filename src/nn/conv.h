@@ -38,7 +38,6 @@ class Conv2d final : public Module {
   // Grow-only scratch (steady state allocates nothing).
   std::vector<float> col_;   // im2col of one image
   std::vector<float> dcol_;  // gradient wrt col_
-  std::vector<float> dw_;    // per-image weight-gradient accumulator
 };
 
 class MaxPool2d final : public Module {
@@ -88,6 +87,7 @@ class BatchNorm2d final : public Module {
   // caches (train-mode backward)
   tensor::Tensor normalized_;
   std::vector<float> inv_std_;
+  std::vector<double> sums_;  // backward: per channel, sum go, sum go*xhat
   tensor::Tensor output_;
   tensor::Tensor grad_in_;
   bool train_mode_ = false;

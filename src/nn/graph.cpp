@@ -96,10 +96,10 @@ const tensor::Tensor& Graph::consumer_grad(NodeId i) {
 void Graph::node_backward(NodeId i) {
   Node& n = nodes_[i];
   const tensor::Tensor& g = i == sink_ ? *grad_out_ : consumer_grad(i);
-  n.d_in = &n.module->backward(g);
-  // Parameter gradients are final for the step; let streaming consumers
-  // (AsyncGradientEngine hooks) ship them while other branches still run.
-  n.module->fire_grad_ready();
+  // The gradient-ready hook fires inside, once the node's parameter
+  // gradients are final, so streaming consumers (AsyncGradientEngine
+  // hooks) ship them while other branches still run.
+  n.d_in = &n.module->backward_notify(g);
 }
 
 void Graph::input_grad_backward() {

@@ -64,11 +64,10 @@ const tensor::Tensor& Linear::forward(const tensor::Tensor& x, bool train) {
 const tensor::Tensor& Linear::backward(const tensor::Tensor& grad_out) {
   const std::size_t rows = input_.numel() / in_;
   CGX_CHECK_EQ(grad_out.numel(), rows * out_);
-  // dW += x^T g   (x: [rows x in], g: [rows x out]); matmul_at_b overwrites
-  // the reused scratch.
-  dw_.resize(in_ * out_);
-  tensor::matmul_at_b(input_.data(), grad_out.data(), dw_, rows, in_, out_);
-  tensor::add_inplace(weight_.grad.data(), dw_);
+  // dW += x^T g   (x: [rows x in], g: [rows x out]), added into the
+  // gradient in the GEMM's epilogue.
+  tensor::matmul_at_b(input_.data(), grad_out.data(), weight_.grad.data(),
+                      rows, in_, out_, tensor::Store::kAccumulate);
   if (has_bias_) {
     auto bg = bias_.grad.data();
     const auto g = grad_out.data();
@@ -76,6 +75,7 @@ const tensor::Tensor& Linear::backward(const tensor::Tensor& grad_out) {
       util::simd::add(bg, g.subspan(r * out_, out_));
     }
   }
+  params_ready();
   // dx = g W^T  (W: [in x out])
   grad_in_.reset(input_.shape());
   tensor::matmul_a_bt(grad_out.data(), weight_.value.data(), grad_in_.data(),
@@ -238,6 +238,12 @@ const tensor::Tensor& LayerNorm::backward(const tensor::Tensor& grad_out) {
   auto gg = gain_.grad.data();
   auto bg = bias_.grad.data();
   auto gi = grad_in_.data();
+  for (std::size_t r = 0; r < rows; ++r) {
+    const std::span<const float> go_row = go.subspan(r * dim_, dim_);
+    util::simd::madd(gg, go_row, xhat.subspan(r * dim_, dim_));
+    util::simd::add(bg, go_row);
+  }
+  params_ready();
   dxhat_.resize(dim_);
   const std::span<float> dxhat{dxhat_};
   for (std::size_t r = 0; r < rows; ++r) {
@@ -248,8 +254,6 @@ const tensor::Tensor& LayerNorm::backward(const tensor::Tensor& grad_out) {
     for (std::size_t c = 0; c < dim_; ++c) dxhat[c] = go_row[c] * g[c];
     const double sum_dxhat = util::simd::reduce_sum(dxhat);
     const double sum_dxhat_xhat = util::simd::reduce_dot(dxhat, xhat_row);
-    util::simd::madd(gg, go_row, xhat_row);
-    util::simd::add(bg, go_row);
     const float mean_dxhat =
         static_cast<float>(sum_dxhat / static_cast<double>(dim_));
     const float mean_dxhat_xhat =
@@ -308,6 +312,7 @@ const tensor::Tensor& Embedding::backward(const tensor::Tensor& grad_out) {
       tg[id * dim_ + d] += go[i * dim_ + d];
     }
   }
+  params_ready();
   return grad_in_;
 }
 

@@ -32,7 +32,6 @@ class Linear final : public Module {
   tensor::Tensor input_;  // cached for backward
   tensor::Tensor output_;
   tensor::Tensor grad_in_;
-  std::vector<float> dw_;  // per-call weight-gradient scratch
 };
 
 class ReLU final : public Module {

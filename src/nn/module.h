@@ -85,24 +85,44 @@ class Module {
   bool frozen() const { return frozen_; }
 
   // ---- Gradient-ready hook (streaming engines) ----
-  // Containers fire a child's hook right after the child's backward()
-  // returns, i.e. the moment its parameter gradients are final for the
-  // step. Sequential walks children in reverse, so hooks observe layers in
-  // gradient-production order — exactly what an overlapped communication
-  // engine (core::AsyncGradientEngine) needs to start shipping buckets
-  // while the rest of the backward pass still runs.
+  // The hook fires once per backward, as soon as the module's parameter
+  // gradients are final for the step — before its input gradient, so an
+  // overlapped communication engine (core::AsyncGradientEngine) can ship a
+  // layer's buckets while the layer itself is still differentiating its
+  // input. A parameterised layer calls params_ready() at that point.
+  // Containers run each child through backward_notify(), which fires the
+  // hook after backward() returns if the child did not fire it itself, so
+  // parameterless and composite modules (whose parameter gradients are
+  // final only once their last child is done) fire at the end. Sequential
+  // walks children in reverse, so hooks observe layers in gradient-
+  // production order.
   using GradReadyHook = std::function<void(Module&)>;
   void set_grad_ready_hook(GradReadyHook hook) {
     grad_ready_hook_ = std::move(hook);
   }
   void clear_grad_ready_hook() { grad_ready_hook_ = nullptr; }
-  void fire_grad_ready() {
+
+  // backward(), then the hook unless the module fired it already: the one
+  // place the firing rule lives. Containers call this for their children.
+  const tensor::Tensor& backward_notify(const tensor::Tensor& grad_out) {
+    fired_ = false;
+    const tensor::Tensor& grad_in = backward(grad_out);
+    if (!fired_) params_ready();
+    return grad_in;
+  }
+
+ protected:
+  // Called by a layer's backward() once its parameter gradients are final
+  // and before it computes its input gradient.
+  void params_ready() {
+    fired_ = true;
     if (grad_ready_hook_) grad_ready_hook_(*this);
   }
 
  private:
   GradReadyHook grad_ready_hook_;
   bool frozen_ = false;
+  bool fired_ = false;  // params_ready() ran in this backward_notify()
 };
 
 // Zeroes all parameter gradients.

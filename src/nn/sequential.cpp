@@ -20,11 +20,7 @@ const tensor::Tensor& Sequential::forward(const tensor::Tensor& x,
 }
 
 void Sequential::chain_backward(std::size_t i) {
-  chain_cur_ = &modules_[i]->backward(*chain_cur_);
-  // The child's parameter gradients are final now (backward runs once
-  // per step); let streaming consumers ship them while earlier layers
-  // are still differentiating.
-  modules_[i]->fire_grad_ready();
+  chain_cur_ = &modules_[i]->backward_notify(*chain_cur_);
 }
 
 const tensor::Tensor& Sequential::backward(const tensor::Tensor& grad_out) {
@@ -32,8 +28,7 @@ const tensor::Tensor& Sequential::backward(const tensor::Tensor& grad_out) {
   if (dag_.pool() == nullptr) {
     const tensor::Tensor* cur = &grad_out;
     for (auto it = modules_.rbegin(); it != modules_.rend(); ++it) {
-      cur = &(*it)->backward(*cur);
-      (*it)->fire_grad_ready();
+      cur = &(*it)->backward_notify(*cur);
     }
     return *cur;
   }

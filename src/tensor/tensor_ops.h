@@ -51,16 +51,25 @@ void copy(std::span<const float> src, std::span<float> dst);
 void matmul(std::span<const float> a, std::span<const float> b,
             std::span<float> c, std::size_t m, std::size_t k, std::size_t n);
 
+// How matmul_at_b and matmul_a_bt write C. kAccumulate adds each output's
+// product, formed from +0 in the overwrite form's order and rounded to
+// float, into the value already there: c + (float)sum. Per element that is
+// exactly "compute into scratch, then add_inplace", without the scratch or
+// its two extra passes (the weight-gradient accumulate of Linear/Conv2d).
+enum class Store { kOverwrite, kAccumulate };
+
 // C[m x n] = A^T[k x m]^T * B... specifically: C = A^T * B where A is
-// [k x m] row-major. Used by Linear backward (grad_w = x^T * grad_y).
+// [k x m] row-major. Used by Linear backward (grad_w += x^T * grad_y).
+// kAccumulate sums each 16-row x kNB block of C over all of k in a
+// per-thread stack tile, then adds the tile into C once.
 void matmul_at_b(std::span<const float> a, std::span<const float> b,
                  std::span<float> c, std::size_t k, std::size_t m,
-                 std::size_t n);
+                 std::size_t n, Store store = Store::kOverwrite);
 
 // C[m x k] = A[m x n] * B^T where B is [k x n] row-major. Used by Linear
-// backward (grad_x = grad_y * w^T when w is [k x n]).
+// backward (grad_x = grad_y * w^T when w is [k x n]) and Conv2d's dW.
 void matmul_a_bt(std::span<const float> a, std::span<const float> b,
                  std::span<float> c, std::size_t m, std::size_t n,
-                 std::size_t k);
+                 std::size_t k, Store store = Store::kOverwrite);
 
 }  // namespace cgx::tensor

@@ -248,11 +248,12 @@ void gemm_tile_at_scalar(const float* a, std::size_t lda, const float* b,
 // the vector tiles reproduce.
 void dot_tile_scalar(const float* a, std::size_t lda, const float* b,
                      std::size_t ldb, float* c, std::size_t ldc,
-                     std::size_t mb, std::size_t nb, std::size_t n) {
+                     std::size_t mb, std::size_t nb, std::size_t n,
+                     bool accumulate) {
   for (std::size_t i = 0; i < mb; ++i) {
     for (std::size_t j = 0; j < nb; ++j) {
-      c[i * ldc + j] =
-          static_cast<float>(reduce_dot_scalar(a + i * lda, b + j * ldb, n));
+      store_dot(c[i * ldc + j],
+                reduce_dot_scalar(a + i * lda, b + j * ldb, n), accumulate);
     }
   }
 }
@@ -501,8 +502,8 @@ void gemm_tile_at(const float* a, std::size_t lda, const float* b,
 
 void dot_tile(const float* a, std::size_t lda, const float* b,
               std::size_t ldb, float* c, std::size_t ldc, std::size_t mb,
-              std::size_t nb, std::size_t n) {
-  ops().dot_tile(a, lda, b, ldb, c, ldc, mb, nb, n);
+              std::size_t nb, std::size_t n, bool accumulate) {
+  ops().dot_tile(a, lda, b, ldb, c, ldc, mb, nb, n, accumulate);
 }
 
 void adam_update(const AdamCoeffs& coeffs, std::span<float> w,

@@ -122,14 +122,15 @@ void gemm_tile_at(const float* a, std::size_t lda, const float* b,
                   std::size_t kb, std::size_t nb);
 
 // A·Bᵀ tile for tensor::matmul_a_bt: for i < mb and j < nb,
-//   c[i*ldc + j] = (float)reduce_dot(a + i*lda, b + j*ldb)   (length n each).
+//   c[i*ldc + j] = (float)reduce_dot(a + i*lda, b + j*ldb)   (length n each),
+// or, with `accumulate`, c[i*ldc + j] += (float)reduce_dot(...).
 // Every output keeps reduce_dot's canonical lane order, so the tile is
 // bit-identical to one reduce_dot per output. Vector levels widen a block
 // of A rows to double once and stream each B row against all of them; the
 // widening buffer is a grow-once per-thread scratch of 4*n doubles.
 void dot_tile(const float* a, std::size_t lda, const float* b,
               std::size_t ldb, float* c, std::size_t ldc, std::size_t mb,
-              std::size_t nb, std::size_t n);
+              std::size_t nb, std::size_t n, bool accumulate = false);
 
 // ---------------------------------------------------------------------------
 // Adam update (nn::Adam::step), per element i in increasing order:

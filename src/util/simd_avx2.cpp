@@ -613,7 +613,7 @@ bool unpack_words_avx2(const std::byte* in, std::size_t nwords, unsigned bits,
 // fma(a, b, acc) rounds exactly like acc + a * b (DESIGN.md §5e).
 void dot_tile_avx2(const float* a, std::size_t lda, const float* b,
                    std::size_t ldb, float* c, std::size_t ldc, std::size_t mb,
-                   std::size_t nb, std::size_t n) {
+                   std::size_t nb, std::size_t n, bool accumulate) {
   const std::size_t nv = n - n % 8;
   std::size_t i = 0;
   if (nv > 0) {
@@ -649,20 +649,20 @@ void dot_tile_avx2(const float* a, std::size_t lda, const float* b,
           a3h = _mm256_fmadd_pd(_mm256_loadu_pd(w3 + k + 4), vb.d47, a3h);
         }
         float* cj = c + i * ldc + j;
-        cj[0] = static_cast<float>(finish_dot(a0l, a0h, arow, bj, nv, n));
-        cj[ldc] =
-            static_cast<float>(finish_dot(a1l, a1h, arow + lda, bj, nv, n));
-        cj[2 * ldc] = static_cast<float>(
-            finish_dot(a2l, a2h, arow + 2 * lda, bj, nv, n));
-        cj[3 * ldc] = static_cast<float>(
-            finish_dot(a3l, a3h, arow + 3 * lda, bj, nv, n));
+        store_dot(cj[0], finish_dot(a0l, a0h, arow, bj, nv, n), accumulate);
+        store_dot(cj[ldc], finish_dot(a1l, a1h, arow + lda, bj, nv, n),
+                  accumulate);
+        store_dot(cj[2 * ldc],
+                  finish_dot(a2l, a2h, arow + 2 * lda, bj, nv, n), accumulate);
+        store_dot(cj[3 * ldc],
+                  finish_dot(a3l, a3h, arow + 3 * lda, bj, nv, n), accumulate);
       }
     }
   }
   for (; i < mb; ++i) {
     for (std::size_t j = 0; j < nb; ++j) {
-      c[i * ldc + j] =
-          static_cast<float>(reduce_dot_avx2(a + i * lda, b + j * ldb, n));
+      store_dot(c[i * ldc + j], reduce_dot_avx2(a + i * lda, b + j * ldb, n),
+                accumulate);
     }
   }
 }

@@ -46,7 +46,7 @@ struct SimdOps {
                        std::size_t mb, std::size_t kb, std::size_t nb);
   void (*dot_tile)(const float* a, std::size_t lda, const float* b,
                    std::size_t ldb, float* c, std::size_t ldc, std::size_t mb,
-                   std::size_t nb, std::size_t n);
+                   std::size_t nb, std::size_t n, bool accumulate);
   void (*adam_update)(const AdamCoeffs& coeffs, float* w, float* grad,
                       float* m, float* v, std::size_t n);
 
@@ -121,6 +121,13 @@ inline float combine_lanes_max(const float l[8]) {
   auto mx = [](float a, float b) { return a < b ? b : a; };
   return mx(mx(mx(l[0], l[1]), mx(l[2], l[3])),
             mx(mx(l[4], l[5]), mx(l[6], l[7])));
+}
+
+// dot_tile's store of one output: the dot rounded to float, written or
+// added to c (c + v, the operand order of the elementwise add).
+inline void store_dot(float& c, double dot, bool accumulate) {
+  const float v = static_cast<float>(dot);
+  c = accumulate ? c + v : v;
 }
 
 // The Adam per-element sequence (see simd.h), including the zeroing of the

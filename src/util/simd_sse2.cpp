@@ -512,7 +512,7 @@ inline void dot_accumulate(Acc8d& acc, const double* wa, const Lanes8d& vb) {
 // accumulators fill half the SSE register file; four rows would spill).
 void dot_tile_sse2(const float* a, std::size_t lda, const float* b,
                    std::size_t ldb, float* c, std::size_t ldc, std::size_t mb,
-                   std::size_t nb, std::size_t n) {
+                   std::size_t nb, std::size_t n, bool accumulate) {
   const std::size_t nv = n - n % 8;
   std::size_t i = 0;
   if (nv > 0) {
@@ -532,16 +532,17 @@ void dot_tile_sse2(const float* a, std::size_t lda, const float* b,
           dot_accumulate(acc0, wa + k, vb);
           dot_accumulate(acc1, wa + nv + k, vb);
         }
-        c[i * ldc + j] = static_cast<float>(finish_dot(acc0, a0, bj, nv, n));
-        c[(i + 1) * ldc + j] =
-            static_cast<float>(finish_dot(acc1, a1, bj, nv, n));
+        store_dot(c[i * ldc + j], finish_dot(acc0, a0, bj, nv, n),
+                  accumulate);
+        store_dot(c[(i + 1) * ldc + j], finish_dot(acc1, a1, bj, nv, n),
+                  accumulate);
       }
     }
   }
   for (; i < mb; ++i) {
     for (std::size_t j = 0; j < nb; ++j) {
-      c[i * ldc + j] =
-          static_cast<float>(reduce_dot_sse2(a + i * lda, b + j * ldb, n));
+      store_dot(c[i * ldc + j], reduce_dot_sse2(a + i * lda, b + j * ldb, n),
+                accumulate);
     }
   }
 }

@@ -9,12 +9,15 @@
 
 #include <bit>
 #include <cstdint>
+#include <limits>
+#include <memory>
 #include <vector>
 
 #include "nn/conv.h"
 #include "tensor/tensor.h"
 #include "tensor/tensor_ops.h"
 #include "util/rng.h"
+#include "util/simd.h"
 #include "util/threadpool.h"
 
 namespace cgx::tensor {
@@ -136,6 +139,127 @@ TEST(GemmDeterminism, ConvForwardBackwardBitIdenticalAcrossThreadCounts) {
     std::vector<nn::Param*> params;
     conv.collect_params("", params);
     expect_bits_equal(gw_ref, params[0]->grad.data(), "conv grad_w");
+  }
+}
+
+// ---- Accumulate forms: C += product, with no scratch ----
+//
+// Store::kAccumulate must equal "overwrite into scratch, then add_inplace"
+// byte for byte, at every SIMD level and with no pool, 1 and 3 workers.
+
+// A destination with prior values: random, plus -0, a NaN and ±Inf spread
+// over the rows and tile columns.
+std::vector<float> prior_dst(std::size_t n, std::uint64_t seed) {
+  std::vector<float> d = random_floats(n, seed);
+  const float specials[] = {-0.0f, std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(), 0.0f};
+  for (std::size_t i = 0; i < n; i += 7) d[i] = specials[(i / 7) % 5];
+  return d;
+}
+
+class ScopedLevel {
+ public:
+  explicit ScopedLevel(util::simd::Level l)
+      : prev_(util::simd::active_level()) {
+    util::simd::set_level(l);
+  }
+  ~ScopedLevel() { util::simd::set_level(prev_); }
+
+ private:
+  util::simd::Level prev_;
+};
+
+// CGX_SIMD=off, sse2 and auto, as far as this CPU reaches.
+std::vector<util::simd::Level> simd_levels() {
+  std::vector<util::simd::Level> levels = {util::simd::Level::kScalar};
+  for (util::simd::Level l :
+       {util::simd::Level::kSse2, util::simd::Level::kAvx2}) {
+    if (l <= util::simd::max_supported_level()) levels.push_back(l);
+  }
+  return levels;
+}
+
+// Runs check() with no pool and with pools of 1 and 3 workers, at every
+// reachable SIMD level.
+template <typename Fn>
+void for_each_level_and_pool(const Fn& check) {
+  for (util::simd::Level level : simd_levels()) {
+    ScopedLevel lvl(level);
+    for (std::size_t threads : {0u, 1u, 3u}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "level=" << util::simd::level_name(level)
+                   << " threads=" << threads);
+      std::unique_ptr<util::ThreadPool> pool;
+      if (threads > 0) pool = std::make_unique<util::ThreadPool>(threads);
+      ScopedPool use(pool.get());
+      check();
+    }
+  }
+}
+
+struct Gemm3 {
+  std::size_t m, k, n;
+};
+
+TEST(GemmAccumulate, AtBEqualsScratchPlusAdd) {
+  // C[m x n] += A^T B with A [k x m]: m crosses kMB = 64 and the 4-row
+  // micro-kernel (m % 4 != 0), k crosses kKB = 128 (k > 128), n crosses
+  // kNB = 256 and the 16/8-column kernels (n % 16 != 0, n % 8 != 0).
+  const Gemm3 shapes[] = {{131, 261, 267}, {64, 128, 256}, {65, 129, 257},
+                          {3, 1, 5},       {7, 8, 1030},   {70, 300, 13},
+                          {5, 0, 9},       {1, 17, 16}};
+  for (const Gemm3& s : shapes) {
+    SCOPED_TRACE(::testing::Message()
+                 << "m=" << s.m << " k=" << s.k << " n=" << s.n);
+    const auto a = random_floats(s.k * s.m, 21 + s.m);
+    const auto b = random_floats(s.k * s.n, 22 + s.n);
+    const auto prior = prior_dst(s.m * s.n, 23 + s.k);
+    std::vector<float> ref = prior, scratch(s.m * s.n);
+    {
+      ScopedLevel lvl(util::simd::Level::kScalar);
+      ScopedPool no_pool(nullptr);
+      matmul_at_b(a, b, scratch, s.k, s.m, s.n);
+      add_inplace(ref, scratch);
+    }
+    for_each_level_and_pool([&] {
+      std::vector<float> via_scratch = prior, c = prior;
+      matmul_at_b(a, b, scratch, s.k, s.m, s.n);
+      add_inplace(via_scratch, scratch);
+      expect_bits_equal(ref, via_scratch, "matmul_at_b + add_inplace");
+      matmul_at_b(a, b, c, s.k, s.m, s.n, Store::kAccumulate);
+      expect_bits_equal(ref, c, "matmul_at_b kAccumulate");
+    });
+  }
+}
+
+TEST(GemmAccumulate, ABtEqualsScratchPlusAdd) {
+  // C[m x k] += A B^T with dot length n: m crosses the 8-row driver block
+  // and the 4-/2-row tiles, n crosses the 8-lane body (n % 8 != 0, n < 8,
+  // n = 0), k is ragged.
+  const Gemm3 shapes[] = {{13, 19, 135}, {8, 64, 144}, {9, 3, 7},
+                          {1, 1, 1},     {6, 5, 0},    {17, 30, 1024}};
+  for (const Gemm3& s : shapes) {
+    SCOPED_TRACE(::testing::Message()
+                 << "m=" << s.m << " k=" << s.k << " n=" << s.n);
+    const auto a = random_floats(s.m * s.n, 31 + s.m);
+    const auto b = random_floats(s.k * s.n, 32 + s.k);
+    const auto prior = prior_dst(s.m * s.k, 33 + s.n);
+    std::vector<float> ref = prior, scratch(s.m * s.k);
+    {
+      ScopedLevel lvl(util::simd::Level::kScalar);
+      ScopedPool no_pool(nullptr);
+      matmul_a_bt(a, b, scratch, s.m, s.n, s.k);
+      add_inplace(ref, scratch);
+    }
+    for_each_level_and_pool([&] {
+      std::vector<float> via_scratch = prior, c = prior;
+      matmul_a_bt(a, b, scratch, s.m, s.n, s.k);
+      add_inplace(via_scratch, scratch);
+      expect_bits_equal(ref, via_scratch, "matmul_a_bt + add_inplace");
+      matmul_a_bt(a, b, c, s.m, s.n, s.k, Store::kAccumulate);
+      expect_bits_equal(ref, c, "matmul_a_bt kAccumulate");
+    });
   }
 }
 
