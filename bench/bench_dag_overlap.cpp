@@ -357,7 +357,8 @@ int main(int argc, char** argv) {
   table.print();
 
   std::ofstream out(bench::results_path("BENCH_dag.json"));
-  out << "[\n";
+  out << "{\"provenance\": " << bench::provenance_json()
+      << ",\n \"rows\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const auto& row = rows[i];
     char line[512];
@@ -374,7 +375,7 @@ int main(int argc, char** argv) {
         i + 1 < rows.size() ? ",\n" : "\n");
     out << line;
   }
-  out << "]\n";
+  out << "]}\n";
   std::printf("wrote results/BENCH_dag.json\n");
 
   std::printf("bit-identity vs inline: %s\n",

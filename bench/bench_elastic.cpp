@@ -262,7 +262,8 @@ int main(int argc, char** argv) {
       all_lockstep && all_shrank && (smoke || worst_recovery <= budget_ms);
 
   std::ofstream out(bench::results_path("BENCH_elastic.json"));
-  out << "{\n  \"configs\": [\n";
+  out << "{\n  \"provenance\": " << bench::provenance_json()
+      << ",\n  \"rows\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const ConfigResult& r = results[i];
     char line[512];

@@ -7,6 +7,7 @@
 #include "util/arena.h"
 #include "util/check.h"
 #include "util/numa.h"
+#include "util/threadpool.h"
 
 namespace cgx::core {
 namespace {
@@ -84,6 +85,11 @@ AsyncGradientEngine::AsyncGradientEngine(std::unique_ptr<CgxEngine> inner,
   if (options_.overlap) {
     for (int r = 0; r < inner_->world_size(); ++r) {
       RankState& st = ranks_[static_cast<std::size_t>(r)];
+      // The rank's executor: its comm threads and its training thread are
+      // the only threads that run its jobs (DESIGN.md §5l).
+      st.executor = std::make_shared<util::ThreadPool>(
+          util::ThreadPool::CallerRuns{static_cast<std::size_t>(lanes_) + 1});
+      inner_->set_rank_compression_pool(r, st.executor.get());
       for (int l = 0; l < lanes_; ++l) {
         st.lanes[static_cast<std::size_t>(l)]->thread =
             std::thread([this, r, l] { comm_thread_main(r, l); });
@@ -100,7 +106,7 @@ AsyncGradientEngine::~AsyncGradientEngine() {
       const std::uint32_t t = lane.q_tail.load(std::memory_order_relaxed);
       lane.queue[t % lane.queue.size()] = kStopToken;
       lane.q_tail.store(t + 1, std::memory_order_release);
-      lane.q_tail.notify_one();
+      st.executor->ring();
       lane.thread.join();
     }
   }
@@ -121,8 +127,8 @@ void AsyncGradientEngine::resize_rank_state() {
       lane->arenas[0].set_arena(arena);
       lane->arenas[1].set_arena(arena);
       // Grow-only, and only while the fabric is quiesced: the consumer is
-      // idle-parked on q_tail, and the next release-store on q_tail (or
-      // the trainer's barrier) publishes the resized storage to it.
+      // parked on the executor's doorbell, and the next release-store on
+      // q_tail (or the trainer's barrier) publishes the resized storage.
       if (lane->queue.size() < total + 2) lane->queue.resize(total + 2);
     }
     st.packet_ws.set_arena(arena);
@@ -187,6 +193,9 @@ void AsyncGradientEngine::begin_step(comm::Comm& comm, std::span<float> fused,
   st.fused = fused;
   st.inline_comm = &comm;
   if (options_.overlap) {
+    // The training thread's optimizer step splits over the rank's executor
+    // (nn/optim.h); the binding is weak, so it dies with this engine.
+    util::bind_thread_executor(st.executor);
     for (auto& lane : st.lanes) {
       if (!lane->comm || &lane->comm->transport() != &comm.transport()) {
         // Each comm thread gets its own handle over the facade barrier so
@@ -234,6 +243,7 @@ void AsyncGradientEngine::begin_step(comm::Comm& comm, std::span<float> fused,
   st.report.timing.comm_s = 0.0;
   st.report.timing.exposed_comm_s = 0.0;
   st.report.timing.exposed_comm_pct = 0.0;
+  st.report.timing.helped_s = 0.0;
   for (StepReport::Timing::BucketEvent& ev : st.report.timing.buckets) {
     ev.bucket = -1;
     ev.lane = 0;
@@ -292,7 +302,7 @@ void AsyncGradientEngine::submit_locked(RankState& st, std::uint32_t idx) {
   const std::uint32_t t = lane.q_tail.load(std::memory_order_relaxed);
   lane.queue[t % lane.queue.size()] = token;
   lane.q_tail.store(t + 1, std::memory_order_release);
-  lane.q_tail.notify_one();
+  st.executor->ring();
 }
 
 void AsyncGradientEngine::comm_thread_main(int rank, int lane_id) {
@@ -303,19 +313,24 @@ void AsyncGradientEngine::comm_thread_main(int rank, int lane_id) {
   util::ScopedArena bind(util::rank_arena(rank));
   RankState& st = ranks_[static_cast<std::size_t>(rank)];
   Lane& lane = *st.lanes[static_cast<std::size_t>(lane_id)];
+  util::ThreadPool& executor = *st.executor;
   for (;;) {
+    // Doorbell first, then the queue, then the executor's job slot: a
+    // token or job posted after the read changes the doorbell, so the park
+    // below cannot miss it. No spinning — everything here shares cores
+    // with the training threads.
+    const std::uint32_t seen = executor.doorbell();
     const std::uint32_t h = lane.q_head.load(std::memory_order_relaxed);
-    std::uint32_t t = lane.q_tail.load(std::memory_order_acquire);
-    while (t == h) {
-      // Futex-style park (no spinning — everything here shares cores with
-      // the training threads); woken by submit_locked()'s notify_one.
-      lane.q_tail.wait(t, std::memory_order_acquire);
-      t = lane.q_tail.load(std::memory_order_acquire);
+    if (lane.q_tail.load(std::memory_order_acquire) != h) {
+      const std::uint32_t token = lane.queue[h % lane.queue.size()];
+      lane.q_head.store(h + 1, std::memory_order_relaxed);
+      if (token == kStopToken) return;
+      process_token(st, lane, *lane.comm, token);
+      continue;
     }
-    const std::uint32_t token = lane.queue[h % lane.queue.size()];
-    lane.q_head.store(h + 1, std::memory_order_relaxed);
-    if (token == kStopToken) return;
-    process_token(st, lane, *lane.comm, token);
+    // Idle: take items of whatever job the rank's training thread (an
+    // optimizer step) or another lane (a codec call) has in the slot.
+    if (!executor.help()) executor.wait_doorbell(seen);
   }
 }
 
@@ -345,7 +360,7 @@ void AsyncGradientEngine::process_token(RankState& st, Lane& lane,
   // release-store on `done` publishes the stamp to wait_all's reader.
   st.report.timing.buckets[bucket].finish_s = seconds_since(st.t_begin);
   st.done.fetch_add(1, std::memory_order_release);
-  st.done.notify_all();
+  if (options_.overlap) st.executor->ring();  // wakes wait_all
 }
 
 void AsyncGradientEngine::begin_bucket_timed(RankState& st, Lane& lane,
@@ -415,10 +430,21 @@ void AsyncGradientEngine::wait_all(int rank) {
       << "every layer must be notified before wait_all";
   const std::uint32_t expected = st.submitted;
   const auto t0 = std::chrono::steady_clock::now();
+  double helped = 0.0;
   if (options_.overlap) {
-    std::uint32_t d;
-    while ((d = st.done.load(std::memory_order_acquire)) < expected) {
-      st.done.wait(d, std::memory_order_acquire);
+    // While buckets drain, the training thread takes codec items of the
+    // comm threads' jobs instead of sleeping; process_token rings the
+    // doorbell after each bucket, so the park cannot miss the last one.
+    util::ThreadPool& executor = *st.executor;
+    for (;;) {
+      const std::uint32_t seen = executor.doorbell();
+      if (st.done.load(std::memory_order_acquire) >= expected) break;
+      const auto h0 = std::chrono::steady_clock::now();
+      if (executor.help()) {
+        helped += seconds_since(h0);
+        continue;
+      }
+      executor.wait_doorbell(seen);
     }
   }
   const double exposed = seconds_since(t0);
@@ -434,6 +460,7 @@ void AsyncGradientEngine::wait_all(int rank) {
   }
   report.timing.compress_s = compress_s;
   report.timing.comm_s = comm_busy_s;
+  report.timing.helped_s = helped;
   // Inline mode runs every bucket on the training thread, so all of its
   // communication sits on the critical path.
   report.timing.exposed_comm_s = options_.overlap ? exposed : comm_busy_s;

@@ -35,10 +35,15 @@
 //     its current one. This pipelining is on whenever there are comm
 //     threads, rounds are not retried and the rank's begin half cannot
 //     block (CgxEngine::begin_never_blocks).
+//   * With overlap on, each rank owns a caller-runs executor with no threads
+//     of its own (util::ThreadPool::CallerRuns). Its compressors split
+//     large codec calls over it; an idle comm thread takes items of any job
+//     in it, including the optimizer step begin_step binds it to; the
+//     training thread takes codec items while it waits in wait_all.
 //   * wait_all() joins the step before the optimizer runs and fills the
 //     StepReport's per-phase Timing (compute / compress / comm / EXPOSED
-//     comm) plus per-bucket launch/finish timestamps and the derived
-//     exposed_comm_pct.
+//     comm, and the helped time inside the exposed wait) plus per-bucket
+//     launch/finish timestamps and the derived exposed_comm_pct.
 //
 // Determinism: results are bit-identical between overlap=true and
 // overlap=false, across ranks and across comm_lanes counts — because the
@@ -66,6 +71,7 @@
 
 #include "core/engine.h"
 #include "util/barrier.h"
+#include "util/threadpool.h"
 
 namespace cgx::core {
 
@@ -177,9 +183,9 @@ class AsyncGradientEngine final : public GradientEngine {
 
   // One comm thread + its SPSC ready queue. The producer is the rank's
   // training side (under RankState::submit_mutex), the consumer the
-  // lane's comm thread; the queue is sized so a step can never wrap
-  // unconsumed entries. Heap-allocated (unique_ptr) because atomics make
-  // it immovable.
+  // lane's comm thread, which parks on the rank executor's doorbell; the
+  // queue is sized so a step can never wrap unconsumed entries.
+  // Heap-allocated (unique_ptr) because atomics make it immovable.
   struct Lane {
     std::thread thread;
     std::vector<std::uint32_t> queue;
@@ -194,6 +200,13 @@ class AsyncGradientEngine final : public GradientEngine {
 
   struct RankState {
     std::vector<std::unique_ptr<Lane>> lanes;
+    // Overlap only: the rank's caller-runs executor (no threads of its
+    // own), bound to the rank's compressors and, per step, to its training
+    // thread. Its doorbell is the one word the rank's comm threads and
+    // its training thread (in wait_all) park on. Shared so that the
+    // training thread's weak binding (util::thread_executor) expires with
+    // this engine.
+    std::shared_ptr<util::ThreadPool> executor;
     std::atomic<std::uint32_t> done{0};
     std::atomic<bool> failed{false};  // first failure poisons the step
     std::exception_ptr error;         // guarded by report_mutex

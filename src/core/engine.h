@@ -97,6 +97,10 @@ struct StepReport {
     double compress_s = 0.0;      // round-1 compression inside bucket_begin
     double comm_s = 0.0;          // total busy time on the bucket comm path
     double exposed_comm_s = 0.0;  // wait_all() blocking time (not hidden)
+    // The part of exposed_comm_s the training thread spent running codec
+    // items of its comm threads' jobs inside wait_all (measured per help
+    // call that ran items; 0 without overlap).
+    double helped_s = 0.0;
     // exposed_comm_s as a percentage of comm_s (0 when comm_s == 0): the
     // single number the DAG-executor benches gate on — lower means more of
     // the communication ran behind compute.
@@ -198,6 +202,11 @@ class CgxEngine final : public GradientEngine {
   }
   std::size_t packet_numel() const { return packet_numel_; }
   const EngineOptions& options() const { return options_; }
+
+  // Binds `pool` to `rank`'s compressors, now and after every rebuild,
+  // unless options().compression_pool already threads them; null unbinds.
+  // AsyncGradientEngine binds each rank's caller-runs executor here.
+  void set_rank_compression_pool(int rank, util::ThreadPool* pool);
 
   // ---- Bucket entry points: the one reduction path ----
   //
@@ -323,6 +332,7 @@ class CgxEngine final : public GradientEngine {
     std::vector<std::vector<Compressor*>> chunk_ptrs;
     CollectiveWorkspace workspace;
     StepReport report;
+    util::ThreadPool* codec_pool = nullptr;  // set_rank_compression_pool
     std::uint64_t rounds = 0;  // allreduce call index (fault-round keying)
     int last_world = 0;        // world of this rank's previous step (0 =
                                // never stepped); feeds StepReport movement

@@ -23,9 +23,13 @@
 // them side by side in SIMD lanes. A group's norms, uniforms and symbols
 // live in stack tiles, and the symbols pack straight into the payload; a
 // group that does not end on a 64-bit word carries its last symbols into
-// the next. Large inputs split word-aligned bucket ranges across a
-// ThreadPool (enable_threading); the payload is bit-identical for any
-// thread count and to Rng::fill_floats drawn bucket by bucket. Decoding
+// the next. Large inputs split into size() word-aligned bucket ranges
+// that run as one parallel_for job on the pool given to enable_threading:
+// EngineOptions::compression_pool, or under AsyncGradientEngine the rank's
+// caller-runs executor, where the comm thread owns the job and the
+// training thread takes ranges from inside wait_all (DESIGN.md §5l). The
+// payload is bit-identical for any pool, range count and thread, and to
+// Rng::fill_floats drawn bucket by bucket. Decoding
 // unpacks tile by tile, and the fused decompress_add / compress_reconstruct
 // decode each tile where it lands (compressor.h).
 #pragma once

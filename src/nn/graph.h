@@ -25,8 +25,8 @@
 // gradient sums accumulate in fixed ascending-node order regardless of
 // completion order, so serial and executor backward are bit-identical
 // across pool sizes. (GEMMs inside modules keep their own fixed
-// accumulation order per the tensor kernel contract; nested parallel_for
-// degrades serial on pool workers.)
+// accumulation order per the tensor kernel contract; parallel_for runs
+// serially on pool workers.)
 #pragma once
 
 #include <memory>

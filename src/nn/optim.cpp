@@ -3,11 +3,24 @@
 #include <algorithm>
 #include <cmath>
 
+#include "nn/element_split.h"
 #include "tensor/tensor_ops.h"
 #include "util/check.h"
 #include "util/simd.h"
 
 namespace cgx::nn {
+
+namespace {
+
+std::vector<std::size_t> element_offsets(const std::vector<Param*>& params) {
+  std::vector<std::size_t> offsets(params.size() + 1, 0);
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    offsets[i + 1] = offsets[i] + params[i]->value.numel();
+  }
+  return offsets;
+}
+
+}  // namespace
 
 LrSchedule constant_lr(double lr) {
   return [lr](std::size_t) { return lr; };
@@ -47,6 +60,7 @@ Sgd::Sgd(std::vector<Param*> params, LrSchedule lr, double momentum,
   for (std::size_t i = 0; i < params_.size(); ++i) {
     velocity_[i].assign(params_[i]->value.numel(), 0.0f);
   }
+  offsets_ = element_offsets(params_);
 }
 
 // Each gradient element is zeroed in the pass that applies it.
@@ -54,23 +68,26 @@ void Sgd::step() {
   const auto lr = static_cast<float>(lr_(steps_));
   const auto wd = static_cast<float>(weight_decay_);
   const auto mu = static_cast<float>(momentum_);
-  for (std::size_t i = 0; i < params_.size(); ++i) {
-    auto value = params_[i]->value.data();
-    auto grad = params_[i]->grad.data();
+  const bool momentum = momentum_ != 0.0;
+  const auto update = [&](std::size_t i, std::size_t begin, std::size_t end) {
+    float* value = params_[i]->value.data().data();
+    float* grad = params_[i]->grad.data().data();
     float* vel = velocity_[i].data();
-    if (momentum_ != 0.0) {
-      for (std::size_t j = 0; j < value.size(); ++j) {
+    if (momentum) {
+      for (std::size_t j = begin; j < end; ++j) {
         vel[j] = mu * vel[j] + (grad[j] + wd * value[j]);
         value[j] -= lr * vel[j];
         grad[j] = 0.0f;
       }
     } else {
-      for (std::size_t j = 0; j < value.size(); ++j) {
+      for (std::size_t j = begin; j < end; ++j) {
         value[j] -= lr * (grad[j] + wd * value[j]);
         grad[j] = 0.0f;
       }
     }
-  }
+  };
+  detail::for_each_element_range(
+      params_.size(), [&](std::size_t i) { return offsets_[i]; }, update);
   ++steps_;
 }
 
@@ -88,6 +105,7 @@ Adam::Adam(std::vector<Param*> params, LrSchedule lr, double beta1,
     m_[i].assign(params_[i]->value.numel(), 0.0f);
     v_[i].assign(params_[i]->value.numel(), 0.0f);
   }
+  offsets_ = element_offsets(params_);
 }
 
 void Adam::step() {
@@ -103,10 +121,16 @@ void Adam::step() {
   coeffs.lr = lr_(steps_);
   coeffs.eps = eps_;
   // The kernel zeroes each gradient as it reads it.
-  for (std::size_t i = 0; i < params_.size(); ++i) {
-    util::simd::adam_update(coeffs, params_[i]->value.data(),
-                            params_[i]->grad.data(), m_[i], v_[i]);
-  }
+  const auto update = [&](std::size_t i, std::size_t begin, std::size_t end) {
+    const std::size_t count = end - begin;
+    util::simd::adam_update(
+        coeffs, params_[i]->value.data().subspan(begin, count),
+        params_[i]->grad.data().subspan(begin, count),
+        std::span<float>(m_[i]).subspan(begin, count),
+        std::span<float>(v_[i]).subspan(begin, count));
+  };
+  detail::for_each_element_range(
+      params_.size(), [&](std::size_t i) { return offsets_[i]; }, update);
   ++steps_;
 }
 

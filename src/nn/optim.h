@@ -6,6 +6,14 @@
 // updates frameworks use. Gradient clipping is global-norm based and must
 // see the fully synchronized gradient (Technical Issue 3) — the trainer
 // applies it after the engine's allreduce.
+//
+// Both updates are elementwise, so a step may split its elements over the
+// executor bound to the calling thread (util::thread_executor; an
+// AsyncGradientEngine binds its rank's executor in begin_step, so the idle
+// comm thread takes part of the step). Every element is updated once by the
+// same kernel whatever the split, so the result is bit-identical to the
+// serial step; without a live binding, or for small models, the step runs
+// serially on the caller.
 #pragma once
 
 #include <functional>
@@ -51,6 +59,7 @@ class Sgd final : public Optimizer {
   double momentum_;
   double weight_decay_;
   std::vector<std::vector<float>> velocity_;
+  std::vector<std::size_t> offsets_;  // element prefix sums, params + 1
 };
 
 class Adam final : public Optimizer {
@@ -65,6 +74,7 @@ class Adam final : public Optimizer {
   LrSchedule lr_;
   double beta1_, beta2_, eps_, weight_decay_;
   std::vector<std::vector<float>> m_, v_;
+  std::vector<std::size_t> offsets_;  // element prefix sums, params + 1
 };
 
 // Scales all gradients so the GLOBAL norm is at most max_norm; returns the

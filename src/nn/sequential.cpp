@@ -1,5 +1,6 @@
 #include "nn/sequential.h"
 
+#include "nn/element_split.h"
 #include "tensor/tensor_ops.h"
 #include "util/check.h"
 
@@ -89,9 +90,14 @@ void scatter_grads(std::span<const float> fused,
                    const tensor::LayerLayout& layout,
                    const std::vector<Param*>& params) {
   CGX_CHECK_EQ(params.size(), layout.layer_count());
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    tensor::copy(layout.slice(fused, i), params[i]->grad.data());
-  }
+  const auto offset = [&](std::size_t i) {
+    return i < params.size() ? layout.layer(i).offset : layout.total_numel();
+  };
+  const auto copy = [&](std::size_t i, std::size_t begin, std::size_t end) {
+    tensor::copy(layout.slice(fused, i).subspan(begin, end - begin),
+                 params[i]->grad.data().subspan(begin, end - begin));
+  };
+  detail::for_each_element_range(params.size(), offset, copy);
 }
 
 void copy_param_values(const std::vector<Param*>& src,

@@ -20,7 +20,8 @@ namespace {
 
 // Installs a shared GEMM worker pool for the duration of a training run
 // (all replica threads funnel row blocks through it; parallel_for is safe
-// for concurrent callers). Uninstalls before the pool is destroyed.
+// for concurrent callers: one owns the job slot, the others run their row
+// blocks serially). Uninstalls before the pool is destroyed.
 class ScopedComputePool {
  public:
   explicit ScopedComputePool(std::size_t threads) {

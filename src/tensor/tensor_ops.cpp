@@ -29,12 +29,13 @@ constexpr std::size_t kNB = 256;
 constexpr std::size_t kAccRows = 16;
 
 // Runs fn(block) for row blocks [0, nblocks), on the pool when one is set
-// and we are not already inside a pool worker. Serial and parallel paths
-// execute the same per-block work, so results do not depend on the choice.
+// (parallel_for itself runs serially on pool workers and inside another
+// job). Serial and parallel paths execute the same per-block work, so
+// results do not depend on the choice.
 template <typename Fn>
 void for_each_row_block(std::size_t nblocks, const Fn& fn) {
   util::ThreadPool* pool = g_pool.load(std::memory_order_acquire);
-  if (pool != nullptr && nblocks > 1 && !util::ThreadPool::on_worker_thread()) {
+  if (pool != nullptr && nblocks > 1) {
     pool->parallel_for(nblocks, fn);
   } else {
     for (std::size_t blk = 0; blk < nblocks; ++blk) fn(blk);

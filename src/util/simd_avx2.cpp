@@ -617,7 +617,8 @@ void dot_tile_avx2(const float* a, std::size_t lda, const float* b,
   const std::size_t nv = n - n % 8;
   std::size_t i = 0;
   if (nv > 0) {
-    double* wa = widen_scratch(4 * nv);
+    alignas(32) double local[kWidenStack];
+    double* wa = 4 * nv <= kWidenStack ? local : widen_scratch(4 * nv);
     for (; i + 4 <= mb; i += 4) {
       const float* arow = a + i * lda;
       for (std::size_t r = 0; r < 4; ++r) {

@@ -146,9 +146,13 @@ inline void adam_element(const AdamCoeffs& c, float& w, float& grad, float& m,
   w -= static_cast<float>(c.lr * mhat / (std::sqrt(vhat) + c.eps));
 }
 
-// Grow-once per-thread buffer of at least `count` doubles, into which the
-// vector dot tiles widen their A rows. It reaches its high-water mark
-// during warm-up; later calls return it without allocating.
+// Doubles a vector dot tile widens its A rows into on its own stack. Rows
+// up to this size never touch the heap, so no call allocates, not even a
+// pool worker's first call on a row block it claims mid-run.
+constexpr std::size_t kWidenStack = 4 * 1024;
+
+// Grow-once per-thread buffer of at least `count` doubles for rows longer
+// than kWidenStack allows.
 double* widen_scratch(std::size_t count);
 
 const SimdOps& scalar_ops();

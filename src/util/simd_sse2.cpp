@@ -516,7 +516,8 @@ void dot_tile_sse2(const float* a, std::size_t lda, const float* b,
   const std::size_t nv = n - n % 8;
   std::size_t i = 0;
   if (nv > 0) {
-    double* wa = widen_scratch(2 * nv);
+    alignas(16) double local[kWidenStack];
+    double* wa = 2 * nv <= kWidenStack ? local : widen_scratch(2 * nv);
     for (; i + 2 <= mb; i += 2) {
       const float* a0 = a + i * lda;
       const float* a1 = a0 + lda;

@@ -7,28 +7,48 @@
 namespace cgx::util {
 
 namespace {
-thread_local bool t_on_worker = false;
+// True on pool workers for their whole life, and on any thread while it
+// runs an item of a job: parallel_for called there runs serially.
+thread_local bool t_serial = false;
+thread_local std::weak_ptr<ThreadPool> t_executor;
 }  // namespace
 
-bool ThreadPool::on_worker_thread() { return t_on_worker; }
+void bind_thread_executor(std::weak_ptr<ThreadPool> executor) {
+  t_executor = std::move(executor);
+}
+
+std::shared_ptr<ThreadPool> thread_executor() { return t_executor.lock(); }
 
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {
     threads = std::max(1u, std::thread::hardware_concurrency());
   }
+  width_ = threads;
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
+ThreadPool::ThreadPool(CallerRuns mode)
+    : width_(std::max<std::size_t>(1, mode.width)) {}
+
 ThreadPool::~ThreadPool() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     stop_ = true;
   }
-  work_cv_.notify_all();
+  ring_doorbell(/*all=*/true);
   for (auto& w : workers_) w.join();
+}
+
+void ThreadPool::ring_doorbell(bool all) {
+  doorbell_.fetch_add(1, std::memory_order_release);
+  if (all) {
+    doorbell_.notify_all();
+  } else {
+    doorbell_.notify_one();
+  }
 }
 
 void ThreadPool::submit(std::function<void()> task) {
@@ -38,7 +58,7 @@ void ThreadPool::submit(std::function<void()> task) {
     CGX_CHECK(!stop_);
     queue_.push(std::move(task));
   }
-  work_cv_.notify_one();
+  ring_doorbell(/*all=*/false);
 }
 
 void ThreadPool::grow_raw_locked(std::size_t capacity) {
@@ -65,7 +85,7 @@ void ThreadPool::submit_raw(RawFn fn, void* ctx, std::size_t arg) {
         RawTask{fn, ctx, arg};
     ++raw_count_;
   }
-  work_cv_.notify_one();
+  ring_doorbell(/*all=*/false);
 }
 
 void ThreadPool::reserve_raw(std::size_t capacity) {
@@ -81,53 +101,105 @@ void ThreadPool::wait_idle() {
 }
 
 void ThreadPool::parallel_for(std::size_t n,
-                              const std::function<void(std::size_t)>& fn) {
-  if (n == 0) return;
-  const std::size_t chunks =
-      t_on_worker ? 1 : std::min(n, workers_.size());
-  if (chunks <= 1) {
+                              FunctionRef<void(std::size_t)> fn) {
+  std::uint32_t idle = 0;
+  if (n < 2 || t_serial || n > kHelperMask ||
+      !users_.compare_exchange_strong(idle, kOwned,
+                                      std::memory_order_acquire,
+                                      std::memory_order_relaxed)) {
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }
-  std::mutex done_mutex;
-  std::condition_variable done_cv;
-  std::size_t remaining = chunks;
-  const std::size_t per_chunk = (n + chunks - 1) / chunks;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t begin = c * per_chunk;
-    const std::size_t end = std::min(n, begin + per_chunk);
-    submit([&, begin, end] {
-      for (std::size_t i = begin; i < end; ++i) fn(i);
-      std::lock_guard<std::mutex> lock(done_mutex);
-      if (--remaining == 0) done_cv.notify_one();
-    });
+  // The slot is ours and no helper is inside: fill it, then open it.
+  job_fn_ = &fn;
+  job_n_ = static_cast<std::uint32_t>(n);
+  next_.store(0, std::memory_order_relaxed);
+  failed_.store(false, std::memory_order_relaxed);
+  users_.store(kOwned | kOpen, std::memory_order_release);
+  ring_doorbell(/*all=*/true);
+
+  run_items();
+  // Every item is claimed. Close the job to newcomers and wait out the
+  // helpers still inside: a helper leaves only once the items it claimed
+  // have finished, so after this every item has run or been skipped.
+  std::uint32_t u =
+      users_.fetch_and(~kOpen, std::memory_order_acq_rel) & ~kOpen;
+  while ((u & kHelperMask) != 0) {
+    users_.wait(u, std::memory_order_acquire);
+    u = users_.load(std::memory_order_acquire);
   }
-  std::unique_lock<std::mutex> lock(done_mutex);
-  done_cv.wait(lock, [&] { return remaining == 0; });
+  std::exception_ptr error;
+  error.swap(error_);
+  job_fn_ = nullptr;
+  users_.store(0, std::memory_order_release);
+  if (error) std::rethrow_exception(error);
+}
+
+bool ThreadPool::help() {
+  std::uint32_t u = users_.load(std::memory_order_relaxed);
+  do {
+    if ((u & kOpen) == 0) return false;
+  } while (!users_.compare_exchange_weak(u, u + 1, std::memory_order_acquire,
+                                         std::memory_order_relaxed));
+  const bool ran = run_items();
+  // A helper leaving a closed job may be the one its owner waits for.
+  if ((users_.fetch_sub(1, std::memory_order_release) & kOpen) == 0) {
+    users_.notify_all();
+  }
+  return ran;
+}
+
+bool ThreadPool::run_items() {
+  const bool saved = t_serial;
+  t_serial = true;
+  const FunctionRef<void(std::size_t)>& fn = *job_fn_;
+  const std::uint32_t n = job_n_;
+  bool ran = false;
+  for (;;) {
+    const std::uint32_t i = next_.fetch_add(1, std::memory_order_relaxed);
+    if (i >= n) break;
+    ran = true;
+    // After a failure the remaining items are skipped.
+    if (!failed_.load(std::memory_order_relaxed)) {
+      try {
+        fn(i);
+      } catch (...) {
+        if (!failed_.exchange(true, std::memory_order_acq_rel)) {
+          error_ = std::current_exception();
+        }
+      }
+    }
+  }
+  t_serial = saved;
+  return ran;
 }
 
 void ThreadPool::worker_loop() {
-  t_on_worker = true;
+  t_serial = true;
   for (;;) {
+    const std::uint32_t seen = doorbell();
+    if (help()) continue;
     std::function<void()> task;
     RawTask raw{};
     bool have_raw = false;
     {
-      std::unique_lock<std::mutex> lock(mutex_);
-      work_cv_.wait(lock, [&] {
-        return stop_ || !queue_.empty() || raw_count_ > 0;
-      });
-      if (stop_ && queue_.empty() && raw_count_ == 0) return;
+      std::lock_guard<std::mutex> lock(mutex_);
       if (raw_count_ > 0) {
         raw = raw_ring_[raw_head_];
         raw_head_ = (raw_head_ + 1) % raw_ring_.size();
         --raw_count_;
         have_raw = true;
-      } else {
+      } else if (!queue_.empty()) {
         task = std::move(queue_.front());
         queue_.pop();
+      } else if (stop_) {
+        return;
       }
-      ++active_;
+      if (have_raw || task) ++active_;
+    }
+    if (!have_raw && !task) {
+      wait_doorbell(seen);
+      continue;
     }
     if (have_raw) {
       raw.fn(raw.ctx, raw.arg);

@@ -19,6 +19,8 @@
 #include "comm/simnet.h"
 #include "comm/transports.h"
 #include "comm/world.h"
+#include "nn/optim.h"
+#include "nn/sequential.h"
 #include "util/arena.h"
 
 #if defined(__GNUC__) && !defined(__clang__)
@@ -250,6 +252,68 @@ TEST(AsyncEngineAlloc, DagExecutorStreamedStepAllocationFreeAfterWarmup) {
 
   EXPECT_EQ(g_allocs.load(), 0u)
       << "heap allocations observed in the steady-state DAG-executor step";
+}
+
+TEST(AsyncEngineAlloc, HelpedCodecAndSplitOptimizerAllocationFreeAfterWarmup) {
+  // A layer whose per-rank chunk crosses compression_threading_min_numel,
+  // so QSGD splits its buckets over the rank's executor and the training
+  // thread helps from inside wait_all; then scatter_grads and Adam::step on
+  // the same thread split over that executor with the comm thread helping.
+  // After warm-up none of it may allocate.
+  constexpr int kWorld = 2;
+  const EngineOptions eopts;
+  tensor::LayerLayout layout;
+  layout.add_layer("big.weight", tensor::Shape{512, 320});
+  layout.add_layer("big.bias", tensor::Shape{320});
+  layout.add_layer("head.weight", tensor::Shape{320, 50});
+  ASSERT_GE(layout.layer(0).numel / kWorld,
+            eopts.compression_threading_min_numel);
+
+  AsyncOptions aopts;
+  aopts.bucket_bytes = std::size_t{32} << 10;
+  AsyncGradientEngine engine(
+      std::make_unique<CgxEngine>(layout, CompressionConfig::cgx_default(),
+                                  kWorld, eopts),
+      aopts);
+
+  comm::ShmTransport transport(kWorld);
+  comm::run_world(transport, [&](comm::Comm& comm) {
+    const int rank = comm.rank();
+    std::vector<std::unique_ptr<nn::Param>> owned;
+    std::vector<nn::Param*> params;
+    for (const tensor::LayerInfo& info : layout.layers()) {
+      owned.push_back(std::make_unique<nn::Param>(info.name, info.shape));
+      params.push_back(owned.back().get());
+    }
+    nn::Adam adam(params, nn::constant_lr(1e-3));
+    util::Rng rng(9300 + static_cast<std::uint64_t>(rank));
+    util::Rng grad_rng(4300 + static_cast<std::uint64_t>(rank));
+    std::vector<float> grad(layout.total_numel());
+    const auto step = [&] {
+      for (auto& v : grad) v = static_cast<float>(grad_rng.next_gaussian());
+      engine.begin_step(comm, grad, rng);
+      for (std::size_t l = layout.layer_count(); l-- > 0;) {
+        engine.notify_layer_ready(rank, l);
+      }
+      engine.wait_all(rank);
+      nn::scatter_grads(grad, layout, params);
+      adam.step();
+    };
+    for (int i = 0; i < 3; ++i) step();  // warm-up
+
+    comm.barrier();
+    if (rank == 0) {
+      g_allocs.store(0);
+      g_counting.store(true);
+    }
+    comm.barrier();
+    for (int i = 0; i < 5; ++i) step();  // counted steady-state window
+    comm.barrier();
+    if (rank == 0) g_counting.store(false);
+  });
+
+  EXPECT_EQ(g_allocs.load(), 0u)
+      << "heap allocations observed in the helped codec / split optimizer";
 }
 
 TEST(AsyncEngineAlloc, TwoLevelStreamedStepAllocationFreeAfterWarmup) {

@@ -428,7 +428,9 @@ TEST(ElasticRejoin, RestoresTheFullWorldWithIdenticalParameters) {
       [&](const comm::WorldView& v) { engine.apply_view(v); };
 
   std::vector<std::vector<float>> params(static_cast<std::size_t>(kWorld));
-  std::vector<bool> completed(kWorld, false);
+  // One byte per rank: the rank threads write their own flags
+  // concurrently, which std::vector<bool>'s packed bits would race on.
+  std::vector<std::uint8_t> completed(kWorld, 0);
   comm::run_world(
       faulty,
       [&](comm::Comm& comm) {
@@ -458,7 +460,7 @@ TEST(ElasticRejoin, RestoresTheFullWorldWithIdenticalParameters) {
           ++step;
         }
         params[static_cast<std::size_t>(g)] = std::move(p);
-        completed[static_cast<std::size_t>(g)] = true;
+        completed[static_cast<std::size_t>(g)] = 1;
       },
       comm::WorldOptions{&membership});
 
@@ -469,7 +471,7 @@ TEST(ElasticRejoin, RestoresTheFullWorldWithIdenticalParameters) {
   // ...and every rank (the readmitted one included) finished all steps
   // with bit-identical parameters.
   for (int r = 0; r < kWorld; ++r) {
-    ASSERT_TRUE(completed[static_cast<std::size_t>(r)])
+    ASSERT_TRUE(completed[static_cast<std::size_t>(r)] != 0)
         << "rank " << r << " never finished";
   }
   for (int r = 1; r < kWorld; ++r) {

@@ -19,6 +19,7 @@
 #include "models/small_models.h"
 #include "nn/optim.h"
 #include "nn/train.h"
+#include "tensor/tensor_ops.h"
 #include "util/threadpool.h"
 
 #if defined(__GNUC__) && !defined(__clang__)
@@ -151,6 +152,20 @@ TEST(NnStepAlloc, TwoTowerGraphExecutorStepAllocationFree) {
   const Batch batch = classification(gaussian({8, 48}, rng), 8, 6, rng);
   EXPECT_EQ(steady_state_allocs(*model, batch, 6), 0u);
   model->set_executor(nullptr);
+}
+
+// With a compute pool installed every GEMM of more than one row block runs
+// through ThreadPool::parallel_for; its job slot and FunctionRef callable
+// must not allocate per call or per item.
+TEST(NnStepAlloc, PooledGemmStepAllocationFree) {
+  util::Rng rng(6);
+  auto model = models::make_mlp(64, 128, 10, rng);
+  util::ThreadPool pool(2);
+  tensor::set_compute_pool(&pool);
+  // 256 rows: four row blocks per forward GEMM.
+  const Batch batch = classification(gaussian({256, 64}, rng), 256, 10, rng);
+  EXPECT_EQ(steady_state_allocs(*model, batch, 10), 0u);
+  tensor::set_compute_pool(nullptr);
 }
 
 }  // namespace
