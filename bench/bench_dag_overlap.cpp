@@ -6,7 +6,8 @@
 // network where every message costs wire latency that a single comm thread
 // must serialize but two comm lanes overlap. Backward compute is
 // sleep-modelled; the two tower branches are independent, so the DAG
-// executor (core::DepEngine, 2 workers) differentiates them concurrently
+// (core::DepEngine, run as a job on a bound executor with 2 workers)
+// differentiates them concurrently
 // and releases each gradient bucket the moment its true producers finish,
 // while the sequential-hook comparator walks the layers in strict reverse
 // order on the training thread and drains one comm lane.
@@ -164,13 +165,12 @@ ModeResult run_mode(Mode mode, const BenchConfig& cfg,
 
     // DAG mode: the backward graph of the two-tower model. head writes h;
     // each tower is a chain hanging off h; stem joins both tower outputs.
-    // Completion callbacks feed notify_layer_ready from pool workers.
-    std::unique_ptr<util::ThreadPool> pool;
+    // Completion callbacks feed notify_layer_ready from the job's threads.
+    std::shared_ptr<util::ThreadPool> pool;
     core::DepEngine dag;
     std::vector<std::size_t> op_layer;   // op id -> layout layer
     if (mode == Mode::kDag) {
-      pool = std::make_unique<util::ThreadPool>(2);
-      dag.set_pool(pool.get());
+      pool = std::make_shared<util::ThreadPool>(2);
       const auto h = dag.new_var();
       const auto push_op = [&](std::size_t layer,
                                std::initializer_list<core::DepEngine::VarId>
@@ -225,6 +225,12 @@ ModeResult run_mode(Mode mode, const BenchConfig& cfg,
       grad = rank_gradient(layout, rank, round);
       engine.begin_step(comm, grad, rng);
       if (mode == Mode::kDag) {
+        // The modelled backward sleeps, so it runs on 2 workers of its own
+        // plus the training thread, not on the engine's rank executor,
+        // whose helpers are the comm threads: a comm thread sleeping in an
+        // op would hold its lane's buckets back. Bound after begin_step,
+        // which binds the rank executor.
+        util::bind_thread_executor(pool);
         dag.run();
       } else {
         // Sequential hooks: strict reverse-layer walk, deadline-paced so

@@ -398,7 +398,8 @@ void write_collectives_json(bool smoke) {
   }
 
   std::ofstream out(bench::results_path("BENCH_collectives.json"));
-  out << "[\n";
+  out << "{\"provenance\": " << bench::provenance_json()
+      << ",\n \"rows\": [\n";
   bool first = true;
   for (const char* backend : kBackends) {
     for (const auto& [scheme_name, scheme] : kSchemes) {
@@ -441,7 +442,7 @@ void write_collectives_json(bool smoke) {
       }
     }
   }
-  out << "\n]\n";
+  out << "\n]}\n";
   std::printf("wrote results/BENCH_collectives.json\n");
 }
 

@@ -9,13 +9,16 @@
 // numbers tied to the machine and build that produced them.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cctype>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <string_view>
+#include <thread>
 
 #include "bench/common.h"
 #include "core/compression_config.h"
@@ -92,12 +95,23 @@ void BM_QsgdBitsSweep(benchmark::State& state) {
   run_compress(state, compressor);
 }
 
+// Workers of the pool the threaded QSGD cases split over: an explicit
+// count, at most the machine's cores.
+std::size_t codec_workers() {
+  return std::clamp<std::size_t>(std::thread::hardware_concurrency(), 1, 4);
+}
+
 void BM_QsgdThreaded(benchmark::State& state) {
-  static util::ThreadPool pool;  // shared across iterations of the sweep
+  // Shared across iterations of the sweep; bound to the benchmark thread,
+  // which owns each job.
+  static const auto pool =
+      std::make_shared<util::ThreadPool>(codec_workers());
+  util::bind_thread_executor(pool);
   core::QsgdCompressor compressor(static_cast<unsigned>(state.range(1)),
                                   512);
-  compressor.enable_threading(&pool, /*min_numel=*/1);
+  compressor.set_split_min_numel(1);
   run_compress(state, compressor);
+  util::bind_thread_executor({});
 }
 
 // Raw bit-packing throughput (bytes = symbol array size, i.e. 4n).
@@ -159,7 +173,7 @@ void write_compressor_json(bool smoke) {
   const std::size_t kNumel = smoke ? (1 << 18) : (1 << 20);
   constexpr std::size_t kBucket = 512;
   const auto input = make_input(kNumel);
-  util::ThreadPool pool;
+  const auto pool = std::make_shared<util::ThreadPool>(codec_workers());
 
   std::ofstream out(bench::results_path("BENCH_compressors.json"));
   out << "{\"provenance\": " << bench::provenance_json()
@@ -168,13 +182,14 @@ void write_compressor_json(bool smoke) {
   // On a single-core box the pool collapses to one worker; skip the
   // would-be duplicate threads=1 row.
   std::vector<std::size_t> thread_counts = {1};
-  if (pool.size() > 1) thread_counts.push_back(pool.size());
+  if (pool->size() > 1) thread_counts.push_back(pool->size());
   std::vector<unsigned> bit_grid = {2u, 4u, 8u};
   if (smoke) bit_grid = {4u};  // one tiny config for bench-smoke
   for (unsigned bits : bit_grid) {
     for (std::size_t threads : thread_counts) {
       core::QsgdCompressor compressor(bits, kBucket);
-      if (threads > 1) compressor.enable_threading(&pool, 1);
+      compressor.set_split_min_numel(1);
+      util::bind_thread_executor(threads > 1 ? pool : nullptr);
       std::vector<std::byte> payload(compressor.compressed_size(kNumel));
       util::Rng rng(2);
       const double compress_gbps = measure_gbps(kNumel * 4, [&] {
@@ -199,6 +214,7 @@ void write_compressor_json(bool smoke) {
                   bits, threads, compress_gbps, decompress_gbps);
     }
   }
+  util::bind_thread_executor({});
   out << "\n]}\n";
   std::printf("wrote results/BENCH_compressors.json\n");
 }

@@ -249,7 +249,8 @@ int main(int argc, char** argv) {
   const bool gate_pass = smoke || gate_speedup >= 1.5;
 
   std::ofstream out(bench::results_path("BENCH_multinode.json"));
-  out << "{\n  \"sweep\": [\n";
+  out << "{\n  \"provenance\": " << bench::provenance_json()
+      << ",\n  \"rows\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& row = rows[i];
     const auto emit = [&](const char* mode, const RunStats& s,

@@ -32,9 +32,11 @@ int main() {
   options.steps = 200;
   options.seed = 3;
   options.clip_norm = 1.0;
-  // Shared GEMM pool for the attention/linear layers; bit-identical to
-  // compute_threads = 0 (see nn/train.h), just faster.
-  options.compute_threads = 2;
+  // One executor worker per rank (four in all) shares the attention and
+  // linear GEMMs, the codec calls and the optimizer step with the rank's
+  // training thread; bit-identical to compute_threads = 0 (see
+  // nn/train.h).
+  options.compute_threads = 1;
   options.assigner = &assigner;
   options.reassign_every = 50;
   options.on_step = [](std::size_t step, double loss) {

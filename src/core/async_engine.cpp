@@ -89,7 +89,6 @@ AsyncGradientEngine::AsyncGradientEngine(std::unique_ptr<CgxEngine> inner,
       // the only threads that run its jobs (DESIGN.md §5l).
       st.executor = std::make_shared<util::ThreadPool>(
           util::ThreadPool::CallerRuns{static_cast<std::size_t>(lanes_) + 1});
-      inner_->set_rank_compression_pool(r, st.executor.get());
       for (int l = 0; l < lanes_; ++l) {
         st.lanes[static_cast<std::size_t>(l)]->thread =
             std::thread([this, r, l] { comm_thread_main(r, l); });
@@ -193,8 +192,8 @@ void AsyncGradientEngine::begin_step(comm::Comm& comm, std::span<float> fused,
   st.fused = fused;
   st.inline_comm = &comm;
   if (options_.overlap) {
-    // The training thread's optimizer step splits over the rank's executor
-    // (nn/optim.h); the binding is weak, so it dies with this engine.
+    // The training thread's GEMMs, DAG backward and optimizer step run on
+    // the rank's executor; the binding is weak, so it dies with this engine.
     util::bind_thread_executor(st.executor);
     for (auto& lane : st.lanes) {
       if (!lane->comm || &lane->comm->transport() != &comm.transport()) {
@@ -259,7 +258,7 @@ void AsyncGradientEngine::notify_layer_ready(int rank, std::size_t layer) {
   CGX_CHECK_LT(layer, plan_.bucket_of.size());
   const std::int32_t b = plan_.bucket_of[layer];
   CGX_CHECK_GE(b, 0);
-  // Producers may be several DAG pool workers; the mutex serialises the
+  // Producers may be several threads of a DAG job; the mutex serialises the
   // countdowns and keeps the release frontier coherent. Uncontended in
   // the classic single-training-thread flow.
   std::lock_guard<std::mutex> lock(st.submit_mutex);
@@ -313,6 +312,8 @@ void AsyncGradientEngine::comm_thread_main(int rank, int lane_id) {
   util::ScopedArena bind(util::rank_arena(rank));
   RankState& st = ranks_[static_cast<std::size_t>(rank)];
   Lane& lane = *st.lanes[static_cast<std::size_t>(lane_id)];
+  // The lane's codec calls split over the rank's executor too.
+  util::bind_thread_executor(st.executor);
   util::ThreadPool& executor = *st.executor;
   for (;;) {
     // Doorbell first, then the queue, then the executor's job slot: a
@@ -328,8 +329,9 @@ void AsyncGradientEngine::comm_thread_main(int rank, int lane_id) {
       process_token(st, lane, *lane.comm, token);
       continue;
     }
-    // Idle: take items of whatever job the rank's training thread (an
-    // optimizer step) or another lane (a codec call) has in the slot.
+    // Idle: take items of whatever job the rank's training thread (a GEMM,
+    // a DAG backward, an optimizer step) or another lane (a codec call)
+    // has in the slot.
     if (!executor.help()) executor.wait_doorbell(seen);
   }
 }

@@ -13,8 +13,9 @@
 //     gradient each. Filtered full-precision layers keep their fused
 //     packet, which ships as the last submission.
 //   * notify_layer_ready() counts each bucket down and may be called
-//     concurrently (a DAG-scheduled backward fires hooks from pool
-//     workers; a producer-side mutex serialises the countdowns). Completed
+//     concurrently (a DAG-scheduled backward fires hooks from whichever
+//     executor thread ran the op; a producer-side mutex serialises the
+//     countdowns). Completed
 //     buckets are held in a release frontier and submitted in canonical
 //     plan order (bucket 0, 1, …, packet), so every lane sees the same
 //     bucket order on every rank even when per-rank completion order is
@@ -36,10 +37,12 @@
 //     threads, rounds are not retried and the rank's begin half cannot
 //     block (CgxEngine::begin_never_blocks).
 //   * With overlap on, each rank owns a caller-runs executor with no threads
-//     of its own (util::ThreadPool::CallerRuns). Its compressors split
-//     large codec calls over it; an idle comm thread takes items of any job
-//     in it, including the optimizer step begin_step binds it to; the
-//     training thread takes codec items while it waits in wait_all.
+//     of its own (util::ThreadPool::CallerRuns), bound to its comm threads
+//     and, in begin_step, to its training thread (util::thread_executor).
+//     The comm threads' codec calls split over it, and so do the training
+//     thread's GEMMs, DAG backward and optimizer step; an idle comm thread
+//     takes items of any job in it, and the training thread takes codec
+//     items while it waits in wait_all.
 //   * wait_all() joins the step before the optimizer runs and fills the
 //     StepReport's per-phase Timing (compute / compress / comm / EXPOSED
 //     comm, and the helped time inside the exposed wait) plus per-bucket
@@ -201,7 +204,7 @@ class AsyncGradientEngine final : public GradientEngine {
   struct RankState {
     std::vector<std::unique_ptr<Lane>> lanes;
     // Overlap only: the rank's caller-runs executor (no threads of its
-    // own), bound to the rank's compressors and, per step, to its training
+    // own), bound to the rank's comm threads and, per step, to its training
     // thread. Its doorbell is the one word the rank's comm threads and
     // its training thread (in wait_all) park on. Shared so that the
     // training thread's weak binding (util::thread_executor) expires with
@@ -214,7 +217,7 @@ class AsyncGradientEngine final : public GradientEngine {
     // (attempts / retries / incidents / ok) concurrently.
     std::mutex report_mutex;
     // Serialises notify/release/submit — the producers under a DAG
-    // executor are pool workers, not one training thread.
+    // executor are any of its threads, not one training thread.
     std::mutex submit_mutex;
     comm::Comm* inline_comm = nullptr;  // training-thread handle
 

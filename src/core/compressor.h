@@ -27,10 +27,6 @@
 
 #include "util/rng.h"
 
-namespace cgx::util {
-class ThreadPool;
-}
-
 namespace cgx::core {
 
 class Compressor {
@@ -67,16 +63,6 @@ class Compressor {
 
   // True if decompress(compress(v)) == v bit-exactly.
   virtual bool lossless() const { return false; }
-
-  // Opts the operator into intra-call bucket parallelism: inputs with at
-  // least `min_numel` elements split their independent buckets across
-  // `pool`. Output must stay bit-identical to the serial path (operators
-  // achieve this with per-bucket RNG streams). Default: not supported.
-  virtual void enable_threading(util::ThreadPool* pool,
-                                std::size_t min_numel) {
-    (void)pool;
-    (void)min_numel;
-  }
 
   // Bytes of grow-only internal scratch currently held (symbol buffers
   // etc.). Used by the zero-allocation-after-warm-up engine test.

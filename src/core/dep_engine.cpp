@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "util/check.h"
+#include "util/threadpool.h"
 
 namespace cgx::core {
 
@@ -86,16 +87,13 @@ void DepEngine::validate_acyclic() {
 void DepEngine::run() {
   if (ops_.empty()) return;
   if (!validated_) validate_acyclic();
-  if (pool_ == nullptr) {
-    run_serial();
-  } else {
-    run_pooled();
-  }
+  const std::shared_ptr<util::ThreadPool> executor = util::thread_executor();
+  if (executor == nullptr || !run_job(*executor)) run_serial();
 }
 
 void DepEngine::run_serial() {
   // Deterministic topological order: among all ready ops, always execute
-  // the smallest op id. This is the reference schedule the pool mode must
+  // the smallest op id. This is the reference schedule the job mode must
   // match bit-for-bit (given the determinism contract in the header).
   const std::size_t n = ops_.size();
   serial_pending_.resize(n);
@@ -126,11 +124,45 @@ void DepEngine::run_serial() {
   CGX_CHECK_EQ(done, n);  // guaranteed by validate_acyclic()
 }
 
-void DepEngine::op_trampoline(void* self, std::size_t id) {
-  static_cast<DepEngine*>(self)->run_op_pooled(static_cast<OpId>(id));
+bool DepEngine::run_job(util::ThreadPool& executor) {
+  const std::size_t n = ops_.size();
+  if (job_cap_ < n) {
+    pending_.reset(new std::atomic<std::uint32_t>[n]);
+    ready_.reset(new std::atomic<OpId>[n]);
+    job_cap_ = n;
+  }
+  std::uint32_t roots = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    pending_[i].store(static_cast<std::uint32_t>(ops_[i].deps.size()),
+                      std::memory_order_relaxed);
+    ready_[i].store(kNoOp, std::memory_order_relaxed);
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    if (ops_[i].deps.empty()) {
+      ready_[roots++].store(static_cast<OpId>(i), std::memory_order_relaxed);
+    }
+  }
+  // The roots are the first published items; try_run's release of the
+  // job slot makes these stores visible to every thread that joins.
+  tail_.store(roots, std::memory_order_relaxed);
+  published_.store(roots, std::memory_order_relaxed);
+  failed_.store(false, std::memory_order_relaxed);
+  error_ = nullptr;
+  executor_ = &executor;
+  if (!executor.try_run(n, &published_, [this](std::size_t slot) {
+        run_op(ready_[slot].load(std::memory_order_acquire));
+      })) {
+    return false;
+  }
+  if (error_) {
+    std::exception_ptr e = error_;
+    error_ = nullptr;
+    std::rethrow_exception(e);
+  }
+  return true;
 }
 
-void DepEngine::run_op_pooled(OpId id) {
+void DepEngine::run_op(OpId id) {
   Op& op = ops_[id];
   if (!failed_.load(std::memory_order_acquire)) {
     try {
@@ -142,46 +174,29 @@ void DepEngine::run_op_pooled(OpId id) {
       failed_.store(true, std::memory_order_release);
     }
   }
-  // Release dependents even after a failure so the graph drains and run()
+  // Release dependents even after a failure so the job drains and run()
   // can return (their bodies are skipped by the failed_ check above).
   for (OpId d : op.dependents) {
-    if (pending_[d].fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      pool_->submit_raw(&op_trampoline, this, d);
-    }
+    if (pending_[d].fetch_sub(1, std::memory_order_acq_rel) == 1) publish(d);
   }
-  completed_.fetch_add(1, std::memory_order_release);
-  completed_.notify_all();
 }
 
-void DepEngine::run_pooled() {
-  const std::size_t n = ops_.size();
-  if (pending_cap_ < n) {
-    pending_.reset(new std::atomic<std::uint32_t>[n]);
-    pending_cap_ = n;
-  }
-  pool_->reserve_raw(n);  // no-op once grown: replay stays allocation-free
-  for (std::size_t i = 0; i < n; ++i) {
-    pending_[i].store(static_cast<std::uint32_t>(ops_[i].deps.size()),
-                      std::memory_order_relaxed);
-  }
-  completed_.store(0, std::memory_order_relaxed);
-  failed_.store(false, std::memory_order_relaxed);
-  error_ = nullptr;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (ops_[i].deps.empty()) {
-      pool_->submit_raw(&op_trampoline, this, i);
+void DepEngine::publish(OpId id) {
+  const std::uint32_t slot = tail_.fetch_add(1, std::memory_order_relaxed);
+  ready_[slot].store(id, std::memory_order_seq_cst);
+  // Move the published bound over every written slot. Slots can be written
+  // out of order; whichever publisher writes last in the bound's way moves
+  // it past both, because sequentially consistent stores and loads keep
+  // two publishers from each missing the other's slot.
+  const auto n = static_cast<std::uint32_t>(ops_.size());
+  std::uint32_t p = published_.load(std::memory_order_seq_cst);
+  while (p < n && ready_[p].load(std::memory_order_seq_cst) != kNoOp) {
+    if (published_.compare_exchange_weak(p, p + 1,
+                                         std::memory_order_seq_cst)) {
+      ++p;
     }
   }
-  std::uint32_t c;
-  while ((c = completed_.load(std::memory_order_acquire)) <
-         static_cast<std::uint32_t>(n)) {
-    completed_.wait(c, std::memory_order_acquire);
-  }
-  if (error_) {
-    std::exception_ptr e = error_;
-    error_ = nullptr;
-    std::rethrow_exception(e);
-  }
+  executor_->ring();
 }
 
 void DepEngine::clear() {

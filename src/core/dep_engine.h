@@ -5,8 +5,9 @@
 // time — a read depends on the variable's last writer (RAW), a write
 // depends on the last writer (WAW) and on every read issued since it
 // (WAR). A topological scheduler then fires ops the moment their
-// dependencies resolve: either serially in deterministic ascending-op-id
-// order, or onto a util::ThreadPool for inter-op parallelism.
+// dependencies resolve: serially in deterministic ascending-op-id order,
+// or, when the calling thread has an executor bound
+// (util::thread_executor), as one executor job whose items are ready ops.
 //
 // This is what lets the backward pass of a branchy model (nn::Graph — skip
 // joins, multi-tower) run independent branches concurrently AND ship each
@@ -20,13 +21,13 @@
 //    by stable op id — never from a shared sequential generator.
 //  * Any accumulation across ops (fan-in joins) must happen in an op that
 //    depends on all contributors and sums them in a fixed order.
-//  Under those rules results are bit-identical across pool sizes
-//  {off, 1, 2, 7, ...}: the scheduler can only change WHEN an op runs,
-//  never what it computes.
+//  Under those rules results are bit-identical with and without an
+//  executor, for any number of helpers: the scheduler can only change WHEN
+//  an op runs, never what it computes.
 //
 // Replay: a recorded graph is re-run every step via run(); the hot path is
-// allocation-free after the first run (pool submission uses the raw
-// ThreadPool ring, the pending counters are grow-only storage).
+// allocation-free after the first run (the pending counters and the ready
+// array are grow-only storage).
 #pragma once
 
 #include <atomic>
@@ -40,7 +41,10 @@
 #include <vector>
 
 #include "util/rng.h"
-#include "util/threadpool.h"
+
+namespace cgx::util {
+class ThreadPool;
+}  // namespace cgx::util
 
 namespace cgx::core {
 
@@ -50,16 +54,9 @@ class DepEngine {
   using VarId = std::uint32_t;
   static constexpr OpId kNoOp = 0xffffffffu;
 
-  // pool == nullptr -> serial mode: run() executes ops on the calling
-  // thread, always picking the smallest ready op id (a deterministic
-  // topological order). With a pool, ready ops fire concurrently.
-  explicit DepEngine(util::ThreadPool* pool = nullptr) : pool_(pool) {}
-
+  DepEngine() = default;
   DepEngine(const DepEngine&) = delete;
   DepEngine& operator=(const DepEngine&) = delete;
-
-  void set_pool(util::ThreadPool* pool) { pool_ = pool; }
-  util::ThreadPool* pool() const { return pool_; }
 
   // Registers a fresh variable (no writer yet).
   VarId new_var();
@@ -84,7 +81,8 @@ class DepEngine {
 
   // Fired after each op's body returns (same thread as the body). This is
   // the earliest-ready hook: nn::Graph uses it to notify the async engine
-  // that a node's gradients are final. Must be thread-safe under a pool.
+  // that a node's gradients are final. Must be thread-safe when an
+  // executor runs the graph.
   void set_on_complete(std::function<void(OpId)> cb) {
     on_complete_ = std::move(cb);
   }
@@ -98,9 +96,13 @@ class DepEngine {
 
   // Executes the whole graph once and blocks until every op completed.
   // Validates acyclicity (throws std::runtime_error on a cycle) the first
-  // run after a topology change. Serial mode propagates the first op
-  // exception immediately; pool mode records the first failure, skips the
-  // remaining op bodies, and rethrows after the graph drained. The graph
+  // run after a topology change. With no executor bound to the calling
+  // thread (or when its job slot is taken, or inside another job's item)
+  // ops run serially on the caller, always picking the smallest ready op
+  // id, and the first op exception propagates immediately. Otherwise the
+  // graph runs as one executor job: the caller owns it, the executor's
+  // workers and helpers take ready ops, and the first failure skips the
+  // remaining op bodies and is rethrown after the graph drained. The graph
   // stays intact for replay.
   void run();
 
@@ -121,26 +123,32 @@ class DepEngine {
   void add_edge(OpId from, OpId to);  // from finishes before to starts
   void validate_acyclic();            // Kahn's algorithm; throws on cycle
   void run_serial();
-  void run_pooled();
-  void run_op_pooled(OpId id);
-  static void op_trampoline(void* self, std::size_t id);
+  // Runs the graph as a job on `executor`; false if it could not be posted.
+  bool run_job(util::ThreadPool& executor);
+  void run_op(OpId id);           // an op's body, then its dependents
+  void publish(OpId id);          // appends a ready op to the job
 
-  util::ThreadPool* pool_ = nullptr;
   std::vector<Var> vars_;
   std::vector<Op> ops_;
   std::function<void(OpId)> on_complete_;
   bool validated_ = false;  // acyclicity proven since last topology change
 
   // Replay scratch, grow-only so steady-state runs allocate nothing.
-  std::unique_ptr<std::atomic<std::uint32_t>[]> pending_;
-  std::size_t pending_cap_ = 0;
   std::vector<std::uint32_t> serial_pending_;
   std::vector<OpId> ready_heap_;       // serial mode: min-heap on op id
   std::vector<std::uint32_t> kahn_deg_;
   std::vector<OpId> kahn_queue_;
 
-  // Pool-mode run state.
-  std::atomic<std::uint32_t> completed_{0};
+  // Job-mode run state. ready_ lists ops in the order they became ready
+  // (kNoOp: slot not written yet); the job's item i is op ready_[i].
+  // tail_ hands out slots, and published_, the job's published bound,
+  // covers the longest prefix of written slots.
+  std::unique_ptr<std::atomic<std::uint32_t>[]> pending_;
+  std::unique_ptr<std::atomic<OpId>[]> ready_;
+  std::size_t job_cap_ = 0;
+  std::atomic<std::uint32_t> tail_{0};
+  std::atomic<std::uint32_t> published_{0};
+  util::ThreadPool* executor_ = nullptr;
   std::atomic<bool> failed_{false};
   std::exception_ptr error_;
   std::mutex error_mutex_;

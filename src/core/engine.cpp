@@ -174,31 +174,13 @@ void CgxEngine::build_rank_state(bool drop_residuals) {
                                    : layout_.layer(l).shape.front();
       chunks.reserve(want);
       ptrs.reserve(want);
-      util::ThreadPool* pool = options_.compression_pool != nullptr
-                                   ? options_.compression_pool
-                                   : rank.codec_pool;
       for (std::size_t c = 0; c < want; ++c) {
         chunks.push_back(make_compressor(cfg, rows));
-        if (pool != nullptr) {
-          chunks.back()->enable_threading(
-              pool, options_.compression_threading_min_numel);
-        }
         ptrs.push_back(chunks.back().get());
       }
     }
   }
   wire_bytes_cached_ = wire_bytes_per_rank();
-}
-
-void CgxEngine::set_rank_compression_pool(int rank, util::ThreadPool* pool) {
-  RankState& state = ranks_[static_cast<std::size_t>(rank)];
-  state.codec_pool = pool;
-  if (options_.compression_pool != nullptr) return;
-  for (auto& chunks : state.per_layer) {
-    for (auto& c : chunks) {
-      c->enable_threading(pool, options_.compression_threading_min_numel);
-    }
-  }
 }
 
 void CgxEngine::finish_report(RankState& state) {

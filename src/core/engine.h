@@ -6,7 +6,9 @@
 // full-precision packet, runs the compression-aware SRA/Ring/Tree
 // collectives for everything else, and exposes the same work as an analytic
 // communication plan for the performance model ("real collectives,
-// simulated clocks").
+// simulated clocks"). Its compressors hold no thread pool: a large codec
+// call splits over the executor bound to the thread that makes it
+// (util::thread_executor, DESIGN.md §5l), and runs serially without one.
 //
 // QncclEngine reproduces the QNCCL artefact's constraints (§3 "The QNCCL
 // Library"): compression is applied uniformly to the raw fused buffer — no
@@ -54,12 +56,6 @@ struct EngineOptions {
   // Compress the intra-node reduce hop too (two-level mode only; see
   // HierarchicalOptions::compress_intra).
   bool compress_intra = false;
-  // Intra-call bucket parallelism for compression kernels: layers with at
-  // least `compression_threading_min_numel` elements split their buckets
-  // across this pool (payloads stay bit-identical to the serial path; see
-  // qsgd.h). Null = serial compression.
-  util::ThreadPool* compression_pool = nullptr;
-  std::size_t compression_threading_min_numel = 1 << 16;
   // Graceful degradation: how many times CgxEngine::allreduce retries a
   // round after a structured comm failure (CommError) before rethrowing.
   // 0 (the default) preserves the seed's fail-fast behaviour and costs
@@ -203,11 +199,6 @@ class CgxEngine final : public GradientEngine {
   std::size_t packet_numel() const { return packet_numel_; }
   const EngineOptions& options() const { return options_; }
 
-  // Binds `pool` to `rank`'s compressors, now and after every rebuild,
-  // unless options().compression_pool already threads them; null unbinds.
-  // AsyncGradientEngine binds each rank's caller-runs executor here.
-  void set_rank_compression_pool(int rank, util::ThreadPool* pool);
-
   // ---- Bucket entry points: the one reduction path ----
   //
   // A bucket is a subset of this engine's COMPRESSED layers; the caller
@@ -332,7 +323,6 @@ class CgxEngine final : public GradientEngine {
     std::vector<std::vector<Compressor*>> chunk_ptrs;
     CollectiveWorkspace workspace;
     StepReport report;
-    util::ThreadPool* codec_pool = nullptr;  // set_rank_compression_pool
     std::uint64_t rounds = 0;  // allreduce call index (fault-round keying)
     int last_world = 0;        // world of this rank's previous step (0 =
                                // never stepped); feeds StepReport movement

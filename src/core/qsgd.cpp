@@ -48,15 +48,12 @@ std::size_t QsgdCompressor::compressed_size(std::size_t n) const {
   return 4 * buckets + util::packed_size_bytes(n, bits_);
 }
 
-void QsgdCompressor::enable_threading(util::ThreadPool* pool,
-                                      std::size_t min_numel) {
-  pool_ = pool;
-  threading_min_numel_ = min_numel;
-}
-
-bool QsgdCompressor::use_pool(std::size_t n, std::size_t buckets) const {
-  return pool_ != nullptr && pool_->size() > 1 && buckets > 1 &&
-         n >= threading_min_numel_;
+std::shared_ptr<util::ThreadPool> QsgdCompressor::split_executor(
+    std::size_t n, std::size_t buckets) const {
+  if (buckets < 2 || n < split_min_numel_) return nullptr;
+  std::shared_ptr<util::ThreadPool> executor = util::thread_executor();
+  if (executor != nullptr && executor->size() < 2) executor.reset();
+  return executor;
 }
 
 std::size_t QsgdCompressor::compress(std::span<const float> in,
@@ -83,19 +80,19 @@ std::size_t QsgdCompressor::encode(std::span<const float> in,
 
   // One draw off the caller's stream seeds every per-bucket stream, so the
   // caller's RNG advances identically — and the payload is bit-identical —
-  // whether buckets run serially or across the pool.
+  // whether buckets run serially or across the executor.
   const util::Rng streams(rng.next_u64());
 
-  if (use_pool(n, buckets)) {
+  if (const auto executor = split_executor(n, buckets)) {
     // Ranges of whole buckets that start on a payload word: workers write
     // disjoint words, and each range is the serial kernel's own loop.
     const std::size_t cycle = util::symbols_per_word_cycle(bits_);
     const std::size_t align = cycle / std::gcd(cycle, bucket_size_);
     const std::size_t per =
-        ((buckets + pool_->size() - 1) / pool_->size() + align - 1) / align *
-        align;
+        ((buckets + executor->size() - 1) / executor->size() + align - 1) /
+        align * align;
     const std::size_t chunks = (buckets + per - 1) / per;
-    pool_->parallel_for(chunks, [&](std::size_t c) {
+    executor->parallel_for(chunks, [&](std::size_t c) {
       const std::size_t first = c * per;
       encode_buckets(in, body, streams, first,
                      std::min(buckets, first + per), reconstruct);
@@ -241,14 +238,14 @@ void QsgdCompressor::decode(std::span<const std::byte> in,
   if (n == 0) return;
   CGX_CHECK_EQ(in.size(), compressed_size(n));
   const std::size_t buckets = (n + bucket_size_ - 1) / bucket_size_;
-  if (use_pool(n, buckets)) {
+  if (const auto executor = split_executor(n, buckets)) {
     // Symbol ranges starting on a payload word; workers write disjoint
     // slices of out.
     const std::size_t per =
-        ((n + pool_->size() - 1) / pool_->size() + kMaxCycle - 1) /
+        ((n + executor->size() - 1) / executor->size() + kMaxCycle - 1) /
         kMaxCycle * kMaxCycle;
     const std::size_t chunks = (n + per - 1) / per;
-    pool_->parallel_for(chunks, [&](std::size_t c) {
+    executor->parallel_for(chunks, [&](std::size_t c) {
       const std::size_t first = c * per;
       decode_symbols(in, out, first, std::min(n, first + per), add);
     });

@@ -23,20 +23,25 @@
 // them side by side in SIMD lanes. A group's norms, uniforms and symbols
 // live in stack tiles, and the symbols pack straight into the payload; a
 // group that does not end on a 64-bit word carries its last symbols into
-// the next. Large inputs split into size() word-aligned bucket ranges
-// that run as one parallel_for job on the pool given to enable_threading:
-// EngineOptions::compression_pool, or under AsyncGradientEngine the rank's
-// caller-runs executor, where the comm thread owns the job and the
-// training thread takes ranges from inside wait_all (DESIGN.md §5l). The
-// payload is bit-identical for any pool, range count and thread, and to
-// Rng::fill_floats drawn bucket by bucket. Decoding
+// the next. Inputs of at least kSplitMinNumel elements split into size()
+// word-aligned bucket ranges that run as one parallel_for job on the
+// calling thread's executor (util::thread_executor): under
+// AsyncGradientEngine the rank's, where the comm thread owns the job and
+// the training thread takes ranges from inside wait_all (DESIGN.md §5l).
+// The payload is bit-identical for any executor, range count and thread,
+// and to Rng::fill_floats drawn bucket by bucket. Decoding
 // unpacks tile by tile, and the fused decompress_add / compress_reconstruct
 // decode each tile where it lands (compressor.h).
 #pragma once
 
 #include <cstddef>
+#include <memory>
 
 #include "core/compressor.h"
+
+namespace cgx::util {
+class ThreadPool;
+}  // namespace cgx::util
 
 namespace cgx::core {
 
@@ -60,8 +65,12 @@ class QsgdCompressor final : public Compressor {
                                    util::Rng& rng) override;
   std::string name() const override;
 
-  void enable_threading(util::ThreadPool* pool,
-                        std::size_t min_numel) override;
+  // Inputs below this many elements never split over the executor: the
+  // job's hand-off would cost more than the ranges save.
+  static constexpr std::size_t kSplitMinNumel = std::size_t{1} << 16;
+  // Test seam: lowers (or raises) the split threshold of this codec so
+  // small inputs reach the split path.
+  void set_split_min_numel(std::size_t n) { split_min_numel_ = n; }
 
   unsigned bits() const { return bits_; }
   std::size_t bucket_size() const { return bucket_size_; }
@@ -72,7 +81,9 @@ class QsgdCompressor final : public Compressor {
   static double variance_bound(std::size_t d, unsigned bits);
 
  private:
-  bool use_pool(std::size_t n, std::size_t buckets) const;
+  // The bound executor to split a call of n elements over, or null.
+  std::shared_ptr<util::ThreadPool> split_executor(std::size_t n,
+                                                   std::size_t buckets) const;
   // compress, and with `reconstruct` non-null also the decode of the
   // payload written there (compress_reconstruct).
   std::size_t encode(std::span<const float> in, std::span<std::byte> out,
@@ -92,8 +103,7 @@ class QsgdCompressor final : public Compressor {
   unsigned bits_;
   std::size_t bucket_size_;
   QsgdNorm norm_;
-  util::ThreadPool* pool_ = nullptr;
-  std::size_t threading_min_numel_ = 0;
+  std::size_t split_min_numel_ = kSplitMinNumel;
 };
 
 }  // namespace cgx::core

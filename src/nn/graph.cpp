@@ -146,17 +146,11 @@ void Graph::record_backward() {
 const tensor::Tensor& Graph::backward(const tensor::Tensor& grad_out) {
   ensure_finalized();
   grad_out_ = &grad_out;
-  if (dag_.pool() == nullptr) {
-    // Serial reference schedule: reverse insertion order is a topological
-    // order of the gradient DAG (consumers have larger ids by
-    // construction). Bit-identical to the executor path by the fixed-order
-    // accumulation above.
-    for (NodeId i = nodes_.size(); i-- > 0;) node_backward(i);
-    input_grad_backward();
-  } else {
-    if (recorded_nodes_ != nodes_.size()) record_backward();
-    dag_.run();
-  }
+  // Re-recorded lazily if nodes were added since. The serial schedule runs
+  // the ops in push order, i.e. reverse insertion order: consumers have
+  // larger ids by construction, so every op is ready at its turn.
+  if (recorded_nodes_ != nodes_.size()) record_backward();
+  dag_.run();
   return *input_grad_;
 }
 
@@ -169,8 +163,6 @@ void Graph::collect_params(const std::string& prefix,
         out);
   }
 }
-
-void Graph::set_executor(util::ThreadPool* pool) { dag_.set_pool(pool); }
 
 const tensor::Tensor& Graph::grad_input() const {
   CGX_CHECK(input_grad_ != nullptr) << "backward has not run";

@@ -7,26 +7,23 @@
 // receives the SUM of their input gradients in backward. Exactly one node
 // must have no consumers — the sink, whose output is the graph's output.
 //
-// Backward runs in one of two modes:
-//  * serial (default): reverse insertion order — a deterministic
-//    topological order of the gradient DAG — firing each node's
-//    gradient-ready hook as its parameter gradients become final, exactly
-//    like Sequential does for chains.
-//  * executor (set_executor(pool)): backward is recorded ONCE into a
-//    core::DepEngine — one op per node, reading the consumers' input-
-//    gradient variables and writing the node's own — and replayed every
-//    step. Independent branches then run concurrently on the pool, and
-//    hooks fire the moment a node's true consumers finished, which is
-//    what lets core::AsyncGradientEngine launch a bucket as soon as its
-//    actual producers are done instead of at the node's turn in a linear
-//    walk.
+// Backward is recorded ONCE into a core::DepEngine — one op per node,
+// reading the consumers' input-gradient variables and writing the node's
+// own — and replayed every step. With no executor bound to the calling
+// thread it runs serially in reverse insertion order, a deterministic
+// topological order of the gradient DAG. With one bound (util::
+// thread_executor) it runs as one executor job: independent branches run
+// concurrently, and hooks fire the moment a node's true consumers
+// finished, which is what lets core::AsyncGradientEngine launch a bucket
+// as soon as its actual producers are done instead of at the node's turn
+// in a linear walk.
 //
 // Determinism contract (DESIGN.md §5i): fan-in joins and multi-consumer
 // gradient sums accumulate in fixed ascending-node order regardless of
-// completion order, so serial and executor backward are bit-identical
-// across pool sizes. (GEMMs inside modules keep their own fixed
+// completion order, so serial and executor backward are bit-identical for
+// any number of helpers. (GEMMs inside modules keep their own fixed
 // accumulation order per the tensor kernel contract; parallel_for runs
-// serially on pool workers.)
+// serially inside a job's item.)
 #pragma once
 
 #include <memory>
@@ -63,12 +60,6 @@ class Graph final : public Module {
 
   std::size_t node_count() const { return nodes_.size(); }
   Module& node(NodeId i) { return *nodes_.at(i).module; }
-
-  // pool != nullptr switches backward to the recorded DepEngine schedule
-  // (re-recorded lazily if nodes were added since). nullptr restores the
-  // serial walk. Call set_executor(nullptr) before destroying the pool.
-  void set_executor(util::ThreadPool* pool);
-  util::ThreadPool* executor() const { return dag_.pool(); }
 
   // The gradient w.r.t. the graph input from the most recent backward.
   // (backward() also returns it, Module-style.)

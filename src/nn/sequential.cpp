@@ -20,38 +20,13 @@ const tensor::Tensor& Sequential::forward(const tensor::Tensor& x,
   return *cur;
 }
 
-void Sequential::chain_backward(std::size_t i) {
-  chain_cur_ = &modules_[i]->backward_notify(*chain_cur_);
-}
-
 const tensor::Tensor& Sequential::backward(const tensor::Tensor& grad_out) {
   CGX_CHECK(!modules_.empty());
-  if (dag_.pool() == nullptr) {
-    const tensor::Tensor* cur = &grad_out;
-    for (auto it = modules_.rbegin(); it != modules_.rend(); ++it) {
-      cur = &(*it)->backward_notify(*cur);
-    }
-    return *cur;
+  const tensor::Tensor* cur = &grad_out;
+  for (auto it = modules_.rbegin(); it != modules_.rend(); ++it) {
+    cur = &(*it)->backward_notify(*cur);
   }
-  // Executor path: record once as a chain over ONE gradient variable —
-  // each op reads and writes it, so the derived RAW/WAR edges serialize
-  // the ops in push order (reverse module order) and the pool can only
-  // run them one at a time, in the same order as the loop above.
-  if (recorded_modules_ != modules_.size()) {
-    dag_.clear();
-    const core::DepEngine::VarId chain = dag_.new_var();
-    for (std::size_t m = modules_.size(); m-- > 0;) {
-      dag_.push([this, m] { chain_backward(m); }, {chain}, {chain});
-    }
-    recorded_modules_ = modules_.size();
-  }
-  chain_cur_ = &grad_out;
-  dag_.run();
-  return *chain_cur_;
-}
-
-void Sequential::set_executor(util::ThreadPool* pool) {
-  dag_.set_pool(pool);
+  return *cur;
 }
 
 void Sequential::collect_params(const std::string& prefix,

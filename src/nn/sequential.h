@@ -3,7 +3,6 @@
 
 #include <memory>
 
-#include "core/dep_engine.h"
 #include "nn/module.h"
 #include "tensor/layer_layout.h"
 
@@ -30,21 +29,8 @@ class Sequential final : public Module {
   std::size_t size() const { return modules_.size(); }
   Module& module(std::size_t i) { return *modules_.at(i); }
 
-  // Routes backward through a core::DepEngine as a degenerate chain (each
-  // op reads the previous op's gradient variable, so the schedule is the
-  // exact reverse walk regardless of pool size — bit-identical to the
-  // default path, test-enforced). Exists so Sequential and Graph models
-  // share one executor story; nullptr restores the plain loop. Call
-  // set_executor(nullptr) before destroying the pool.
-  void set_executor(util::ThreadPool* pool);
-
  private:
-  void chain_backward(std::size_t i);  // module i's backward + hook
-
   std::vector<std::unique_ptr<Module>> modules_;
-  core::DepEngine dag_;
-  std::size_t recorded_modules_ = 0;
-  const tensor::Tensor* chain_cur_ = nullptr;  // flows through the chain
 };
 
 // All parameters of a model, in gradient-layout order (model order: the

@@ -18,26 +18,6 @@ namespace cgx::nn {
 
 namespace {
 
-// Installs a shared GEMM worker pool for the duration of a training run
-// (all replica threads funnel row blocks through it; parallel_for is safe
-// for concurrent callers: one owns the job slot, the others run their row
-// blocks serially). Uninstalls before the pool is destroyed.
-class ScopedComputePool {
- public:
-  explicit ScopedComputePool(std::size_t threads) {
-    if (threads > 0) {
-      pool_ = std::make_unique<util::ThreadPool>(threads);
-      tensor::set_compute_pool(pool_.get());
-    }
-  }
-  ~ScopedComputePool() {
-    if (pool_ != nullptr) tensor::set_compute_pool(nullptr);
-  }
-
- private:
-  std::unique_ptr<util::ThreadPool> pool_;
-};
-
 // Parameter-space mirrors of gather_grads/scatter_grads: the rejoin
 // protocol broadcasts the full parameter vector through the fused buffer.
 void gather_params(const std::vector<Param*>& params,
@@ -104,7 +84,6 @@ TrainResult train_distributed(const ModelFactory& model_factory,
                               const BatchProvider& batches, const LossFn& loss,
                               const TrainOptions& options) {
   CGX_CHECK_GT(options.world_size, 0);
-  ScopedComputePool compute_pool(options.compute_threads);
 
   // Build the layout once (from a throwaway replica) so the shared engine
   // can be constructed before the workers start.
@@ -140,6 +119,13 @@ TrainResult train_distributed(const ModelFactory& model_factory,
     async = static_cast<core::AsyncGradientEngine*>(engine.get());
   }
   if (async != nullptr) cgx = &async->inner();
+  // A streaming engine binds its own rank executor, helped by the rank's
+  // comm threads; a second one would split the rank's work two ways.
+  if (async != nullptr && options.compute_threads > 0) {
+    throw std::invalid_argument(
+        "compute_threads excludes a streaming engine: its rank executor "
+        "is the rank's executor");
+  }
   const bool adaptive = options.assigner != nullptr &&
                         options.reassign_every > 0 && cgx != nullptr;
   if (elastic) {
@@ -231,9 +217,19 @@ TrainResult train_distributed(const ModelFactory& model_factory,
       begin_step = static_cast<std::size_t>(adm.resume_step);
     }
 
+    // The rank's executor: GEMM row blocks, a Graph's DAG backward, codec
+    // bucket ranges and the optimizer's element ranges find it through the
+    // thread binding. Not shared across ranks, so a rank whose inline
+    // collective blocks can never starve another rank's compute. Dies with
+    // this worker, and the weak binding with it.
+    std::shared_ptr<util::ThreadPool> executor;
+    if (options.compute_threads > 0) {
+      executor = std::make_shared<util::ThreadPool>(options.compute_threads);
+      util::bind_thread_executor(executor);
+    }
+
     // Container views of the model: both expose a child list whose
-    // gradient-ready hooks drive streaming, and both route backward
-    // through a DepEngine when given an executor pool.
+    // gradient-ready hooks drive streaming.
     auto* seq = dynamic_cast<Sequential*>(model.get());
     auto* graph = dynamic_cast<Graph*>(model.get());
     const std::size_t children =
@@ -241,27 +237,6 @@ TrainResult train_distributed(const ModelFactory& model_factory,
                          : (seq != nullptr ? seq->size() : 0);
     const auto child_at = [&](std::size_t i) -> Module& {
       return graph != nullptr ? graph->node(i) : seq->module(i);
-    };
-
-    // DAG executor: a per-rank pool (NOT shared across ranks) so a rank
-    // whose inline collective blocks on a pool worker can never starve
-    // another rank's backward progress.
-    std::unique_ptr<util::ThreadPool> dag_pool;
-    if (options.dag_threads > 0 && (graph != nullptr || seq != nullptr)) {
-      dag_pool = std::make_unique<util::ThreadPool>(options.dag_threads);
-      if (graph != nullptr) {
-        graph->set_executor(dag_pool.get());
-      } else {
-        seq->set_executor(dag_pool.get());
-      }
-    }
-    const auto drop_executor = [&] {
-      if (dag_pool == nullptr) return;
-      if (graph != nullptr) {
-        graph->set_executor(nullptr);
-      } else {
-        seq->set_executor(nullptr);
-      }
     };
 
     // Streaming path: install per-child gradient-ready hooks that copy the
@@ -287,7 +262,7 @@ TrainResult train_distributed(const ModelFactory& model_factory,
           // Within a child, notify in reverse parameter order to match
           // the facade's gradient-production convention (identical on
           // every rank, which is all the engine requires; its canonical
-          // release order relaxes even that under a DAG executor).
+          // release order relaxes even that under a DAG job).
           for (std::size_t l = end; l-- > begin;) {
             tensor::copy(params[l]->grad.data(),
                          layout.slice(std::span<float>(fused), l));
@@ -309,10 +284,7 @@ TrainResult train_distributed(const ModelFactory& model_factory,
             comm, static_cast<std::uint64_t>(step),
             [&](const comm::WorldView& view) { cgx->apply_view(view); });
         if (act.leave) {
-          if (!m->rejoin_scheduled(grank)) {
-            drop_executor();
-            return;  // graceful goodbye
-          }
+          if (!m->rejoin_scheduled(grank)) return;  // graceful goodbye
           const comm::Membership::Admission adm =
               m->await_rejoin(comm, rejoin_wait);
           comm::broadcast(comm, std::span<float>(fused),
@@ -395,9 +367,6 @@ TrainResult train_distributed(const ModelFactory& model_factory,
         child_at(i).clear_grad_ready_hook();
       }
     }
-    // Detach the executor before dag_pool (a local) is destroyed, so the
-    // escaping model never holds a dangling pool pointer.
-    drop_executor();
     // The lowest surviving rank owns the result model: in a fixed world
     // that is rank 0, and all replicas are identical by construction.
     const bool owns_result =

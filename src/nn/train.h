@@ -82,19 +82,17 @@ struct TrainOptions {
   // byte-balanced lane map in the facade's canonical plan order. Only
   // meaningful with overlap.
   int overlap_comm_lanes = 1;
-  // DAG-scheduled backward: when the model is an nn::Graph (or an
-  // nn::Sequential, as a degenerate chain), run backward on a per-rank
-  // core::DepEngine pool with this many workers, so independent branches
-  // differentiate concurrently and gradient buckets launch when their
-  // true producers finish. 0 = serial walk. Bit-identical either way
-  // (test-enforced). Per-rank completion order may then differ, which is
-  // safe because the async engine always releases completed buckets in
-  // canonical plan order, so the collectives cannot deadlock.
-  std::size_t dag_threads = 0;
-  // Worker threads for the tiled GEMMs (tensor::set_compute_pool) during
-  // this run. 0 = serial. Any value produces bit-identical models: the
-  // tiling fixes every output element's accumulation order regardless of
-  // thread count (enforced by tests/tensor/gemm_determinism_test.cpp).
+  // Worker threads of each rank's executor (util::ThreadPool, DESIGN.md
+  // §5l), which the trainer binds to the rank's training thread. The rank's
+  // GEMM row blocks, codec bucket ranges and optimizer element ranges split
+  // over it, and an nn::Graph's backward runs as one DAG job on it, so
+  // independent branches differentiate concurrently and gradient buckets
+  // launch when their true producers finish. 0 = no executor: everything
+  // runs serially on the training thread. Any value produces bit-identical
+  // models (test-enforced). A streaming engine (overlap, or a factory that
+  // returns an AsyncGradientEngine) binds its own rank executor, helped by
+  // the rank's comm threads, so with one compute_threads must be 0:
+  // train_distributed throws std::invalid_argument otherwise.
   std::size_t compute_threads = 0;
   // ---- Elastic membership (comm/membership.h, README "Surviving rank
   // failures") ----

@@ -1,7 +1,6 @@
 #include "tensor/tensor_ops.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstring>
 
@@ -12,8 +11,6 @@
 namespace cgx::tensor {
 
 namespace {
-
-std::atomic<util::ThreadPool*> g_pool{nullptr};
 
 // Tile shape for the blocked GEMM drivers. Row blocks (kMB) are the unit of
 // thread parallelism; k/j blocks keep one A panel + one B panel resident in
@@ -28,29 +25,23 @@ constexpr std::size_t kNB = 256;
 // stay in L1 between the zero fill, the k sweep and the add into C.
 constexpr std::size_t kAccRows = 16;
 
-// Runs fn(block) for row blocks [0, nblocks), on the pool when one is set
-// (parallel_for itself runs serially on pool workers and inside another
-// job). Serial and parallel paths execute the same per-block work, so
-// results do not depend on the choice.
+// Runs fn(block) for row blocks [0, nblocks), on the calling thread's
+// executor when one is bound (util::thread_executor; parallel_for itself
+// runs serially on pool workers and inside another job). Serial and
+// parallel paths execute the same per-block work, so results do not depend
+// on the choice.
 template <typename Fn>
 void for_each_row_block(std::size_t nblocks, const Fn& fn) {
-  util::ThreadPool* pool = g_pool.load(std::memory_order_acquire);
-  if (pool != nullptr && nblocks > 1) {
-    pool->parallel_for(nblocks, fn);
-  } else {
-    for (std::size_t blk = 0; blk < nblocks; ++blk) fn(blk);
+  if (nblocks > 1) {
+    if (const auto executor = util::thread_executor()) {
+      executor->parallel_for(nblocks, fn);
+      return;
+    }
   }
+  for (std::size_t blk = 0; blk < nblocks; ++blk) fn(blk);
 }
 
 }  // namespace
-
-void set_compute_pool(util::ThreadPool* pool) {
-  g_pool.store(pool, std::memory_order_release);
-}
-
-util::ThreadPool* compute_pool() {
-  return g_pool.load(std::memory_order_acquire);
-}
 
 void axpy(float alpha, std::span<const float> x, std::span<float> y) {
   util::simd::axpy(alpha, x, y);

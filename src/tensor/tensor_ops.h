@@ -7,18 +7,7 @@
 #include <cstddef>
 #include <span>
 
-namespace cgx::util {
-class ThreadPool;
-}  // namespace cgx::util
-
 namespace cgx::tensor {
-
-// Optional pool used by the tiled matmul drivers to parallelize over row
-// blocks. Results are bit-identical with any pool size and with no pool at
-// all: each output element's k-accumulation order is fixed by the tiling, and
-// row blocks are disjoint. Not owned; pass nullptr to go back to serial.
-void set_compute_pool(util::ThreadPool* pool);
-util::ThreadPool* compute_pool();
 
 // y += alpha * x
 void axpy(float alpha, std::span<const float> x, std::span<float> y);
@@ -48,6 +37,10 @@ void copy(std::span<const float> src, std::span<float> dst);
 
 // C[m x n] = A[m x k] * B[k x n], row-major. Blocked for cache friendliness;
 // this is the workhorse of Linear/Attention layers and PowerSGD iterations.
+// The three GEMMs split their row blocks over the calling thread's executor
+// (util::thread_executor) when one is bound. Results are bit-identical with
+// any executor and with none: each output element's k-accumulation order is
+// fixed by the tiling, and row blocks are disjoint.
 void matmul(std::span<const float> a, std::span<const float> b,
             std::span<float> c, std::size_t m, std::size_t k, std::size_t n);
 

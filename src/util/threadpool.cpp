@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "util/check.h"
-
 namespace cgx::util {
 
 namespace {
@@ -19,13 +17,10 @@ void bind_thread_executor(std::weak_ptr<ThreadPool> executor) {
 
 std::shared_ptr<ThreadPool> thread_executor() { return t_executor.lock(); }
 
-ThreadPool::ThreadPool(std::size_t threads) {
-  if (threads == 0) {
-    threads = std::max(1u, std::thread::hardware_concurrency());
-  }
-  width_ = threads;
-  workers_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i) {
+ThreadPool::ThreadPool(std::size_t workers)
+    : width_(std::max<std::size_t>(1, workers)) {
+  workers_.reserve(workers);
+  for (std::size_t i = 0; i < workers; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
   }
 }
@@ -34,94 +29,53 @@ ThreadPool::ThreadPool(CallerRuns mode)
     : width_(std::max<std::size_t>(1, mode.width)) {}
 
 ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stop_ = true;
-  }
-  ring_doorbell(/*all=*/true);
+  stop_.store(true, std::memory_order_release);
+  ring();
   for (auto& w : workers_) w.join();
 }
 
-void ThreadPool::ring_doorbell(bool all) {
+void ThreadPool::ring() {
   doorbell_.fetch_add(1, std::memory_order_release);
-  if (all) {
-    doorbell_.notify_all();
-  } else {
-    doorbell_.notify_one();
-  }
-}
-
-void ThreadPool::submit(std::function<void()> task) {
-  CGX_CHECK(task != nullptr);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    CGX_CHECK(!stop_);
-    queue_.push(std::move(task));
-  }
-  ring_doorbell(/*all=*/false);
-}
-
-void ThreadPool::grow_raw_locked(std::size_t capacity) {
-  // Rebuild the ring in FIFO order into a larger vector. Only reached when
-  // submit_raw outruns the reserved capacity; reserve_raw at setup keeps
-  // the steady state out of here.
-  std::vector<RawTask> bigger(std::max(capacity, std::size_t{8}));
-  for (std::size_t i = 0; i < raw_count_; ++i) {
-    bigger[i] = raw_ring_[(raw_head_ + i) % raw_ring_.size()];
-  }
-  raw_ring_ = std::move(bigger);
-  raw_head_ = 0;
-}
-
-void ThreadPool::submit_raw(RawFn fn, void* ctx, std::size_t arg) {
-  CGX_CHECK(fn != nullptr);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    CGX_CHECK(!stop_);
-    if (raw_count_ == raw_ring_.size()) {
-      grow_raw_locked(raw_ring_.size() * 2 + 8);
-    }
-    raw_ring_[(raw_head_ + raw_count_) % raw_ring_.size()] =
-        RawTask{fn, ctx, arg};
-    ++raw_count_;
-  }
-  ring_doorbell(/*all=*/false);
-}
-
-void ThreadPool::reserve_raw(std::size_t capacity) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (raw_ring_.size() < capacity) grow_raw_locked(capacity);
-}
-
-void ThreadPool::wait_idle() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  idle_cv_.wait(lock,
-                [&] { return queue_.empty() && raw_count_ == 0 &&
-                             active_ == 0; });
+  doorbell_.notify_all();
 }
 
 void ThreadPool::parallel_for(std::size_t n,
                               FunctionRef<void(std::size_t)> fn) {
+  if (!try_run(n, nullptr, fn)) {
+    for (std::size_t i = 0; i < n; ++i) fn(i);
+  }
+}
+
+bool ThreadPool::try_run(std::size_t n,
+                         const std::atomic<std::uint32_t>* published,
+                         FunctionRef<void(std::size_t)> fn) {
   std::uint32_t idle = 0;
   if (n < 2 || t_serial || n > kHelperMask ||
       !users_.compare_exchange_strong(idle, kOwned,
                                       std::memory_order_acquire,
                                       std::memory_order_relaxed)) {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-    return;
+    return false;
   }
   // The slot is ours and no helper is inside: fill it, then open it.
   job_fn_ = &fn;
+  job_published_ = published;
   job_n_ = static_cast<std::uint32_t>(n);
   next_.store(0, std::memory_order_relaxed);
   failed_.store(false, std::memory_order_relaxed);
   users_.store(kOwned | kOpen, std::memory_order_release);
-  ring_doorbell(/*all=*/true);
+  ring();
 
-  run_items();
-  // Every item is claimed. Close the job to newcomers and wait out the
-  // helpers still inside: a helper leaves only once the items it claimed
-  // have finished, so after this every item has run or been skipped.
+  // Run items until every one is claimed. With none published, the items
+  // left wait on ones already running, whose publish rings the doorbell.
+  for (;;) {
+    const std::uint32_t seen = doorbell();
+    run_items();
+    if (next_.load(std::memory_order_acquire) >= job_n_) break;
+    wait_doorbell(seen);
+  }
+  // Close the job to newcomers and wait out the helpers still inside: a
+  // helper leaves only once the items it claimed have finished, so after
+  // this every item has run or been skipped.
   std::uint32_t u =
       users_.fetch_and(~kOpen, std::memory_order_acq_rel) & ~kOpen;
   while ((u & kHelperMask) != 0) {
@@ -133,6 +87,7 @@ void ThreadPool::parallel_for(std::size_t n,
   job_fn_ = nullptr;
   users_.store(0, std::memory_order_release);
   if (error) std::rethrow_exception(error);
+  return true;
 }
 
 bool ThreadPool::help() {
@@ -153,11 +108,19 @@ bool ThreadPool::run_items() {
   const bool saved = t_serial;
   t_serial = true;
   const FunctionRef<void(std::size_t)>& fn = *job_fn_;
+  const std::atomic<std::uint32_t>* published = job_published_;
   const std::uint32_t n = job_n_;
   bool ran = false;
+  std::uint32_t i = next_.load(std::memory_order_relaxed);
   for (;;) {
-    const std::uint32_t i = next_.fetch_add(1, std::memory_order_relaxed);
-    if (i >= n) break;
+    const std::uint32_t bound =
+        published != nullptr
+            ? std::min(n, published->load(std::memory_order_acquire))
+            : n;
+    if (i >= bound) break;
+    if (!next_.compare_exchange_weak(i, i + 1, std::memory_order_relaxed)) {
+      continue;  // i now holds the current claim counter
+    }
     ran = true;
     // After a failure the remaining items are skipped.
     if (!failed_.load(std::memory_order_relaxed)) {
@@ -169,6 +132,7 @@ bool ThreadPool::run_items() {
         }
       }
     }
+    i = next_.load(std::memory_order_relaxed);
   }
   t_serial = saved;
   return ran;
@@ -178,41 +142,8 @@ void ThreadPool::worker_loop() {
   t_serial = true;
   for (;;) {
     const std::uint32_t seen = doorbell();
-    if (help()) continue;
-    std::function<void()> task;
-    RawTask raw{};
-    bool have_raw = false;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (raw_count_ > 0) {
-        raw = raw_ring_[raw_head_];
-        raw_head_ = (raw_head_ + 1) % raw_ring_.size();
-        --raw_count_;
-        have_raw = true;
-      } else if (!queue_.empty()) {
-        task = std::move(queue_.front());
-        queue_.pop();
-      } else if (stop_) {
-        return;
-      }
-      if (have_raw || task) ++active_;
-    }
-    if (!have_raw && !task) {
-      wait_doorbell(seen);
-      continue;
-    }
-    if (have_raw) {
-      raw.fn(raw.ctx, raw.arg);
-    } else {
-      task();
-    }
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      --active_;
-      if (queue_.empty() && raw_count_ == 0 && active_ == 0) {
-        idle_cv_.notify_all();
-      }
-    }
+    if (stop_.load(std::memory_order_acquire)) return;
+    if (!help()) wait_doorbell(seen);
   }
 }
 

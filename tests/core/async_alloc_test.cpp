@@ -16,6 +16,7 @@
 
 #include "core/async_engine.h"
 #include "core/dep_engine.h"
+#include "core/qsgd.h"
 #include "comm/simnet.h"
 #include "comm/transports.h"
 #include "comm/world.h"
@@ -186,11 +187,12 @@ TEST(AsyncEngineAlloc, StreamedStepAllocationFreeAcrossPolicyHotSwap) {
 }
 
 TEST(AsyncEngineAlloc, DagExecutorStreamedStepAllocationFreeAfterWarmup) {
-  // The DAG-executor path: per-rank DepEngine replay on a pool drives the
-  // notifies (from worker threads), the engine runs two comm lanes with
-  // ordered launch. After warm-up — recorded op graph, raw task ring at
-  // size, lane queues and arenas grown, timing vectors at capacity — the
-  // whole streamed step must still make zero heap allocations.
+  // The DAG-executor path: per-rank DepEngine replay as a job on the
+  // rank's executor (bound by begin_step, helped by the comm threads)
+  // drives the notifies, the engine runs two comm lanes with ordered
+  // launch. After warm-up — recorded op graph, ready array at size, lane
+  // queues and arenas grown, timing vectors at capacity — the whole
+  // streamed step must still make zero heap allocations.
   constexpr int kWorld = 2;
   tensor::LayerLayout layout;
   layout.add_layer("embed.weight", tensor::Shape{2000, 32});
@@ -210,8 +212,7 @@ TEST(AsyncEngineAlloc, DagExecutorStreamedStepAllocationFreeAfterWarmup) {
   comm::ShmTransport transport(kWorld);
   comm::run_world(transport, [&](comm::Comm& comm) {
     const int rank = comm.rank();
-    util::ThreadPool pool(3);
-    DepEngine dag(&pool);
+    DepEngine dag;
     // One op per layer, independent variables: completions land from
     // multiple workers in scrambled order, exactly like a branchy model.
     std::vector<DepEngine::VarId> lvars;
@@ -255,7 +256,7 @@ TEST(AsyncEngineAlloc, DagExecutorStreamedStepAllocationFreeAfterWarmup) {
 }
 
 TEST(AsyncEngineAlloc, HelpedCodecAndSplitOptimizerAllocationFreeAfterWarmup) {
-  // A layer whose per-rank chunk crosses compression_threading_min_numel,
+  // A layer whose per-rank chunk crosses QSGD's split threshold,
   // so QSGD splits its buckets over the rank's executor and the training
   // thread helps from inside wait_all; then scatter_grads and Adam::step on
   // the same thread split over that executor with the comm thread helping.
@@ -266,8 +267,7 @@ TEST(AsyncEngineAlloc, HelpedCodecAndSplitOptimizerAllocationFreeAfterWarmup) {
   layout.add_layer("big.weight", tensor::Shape{512, 320});
   layout.add_layer("big.bias", tensor::Shape{320});
   layout.add_layer("head.weight", tensor::Shape{320, 50});
-  ASSERT_GE(layout.layer(0).numel / kWorld,
-            eopts.compression_threading_min_numel);
+  ASSERT_GE(layout.layer(0).numel / kWorld, QsgdCompressor::kSplitMinNumel);
 
   AsyncOptions aopts;
   aopts.bucket_bytes = std::size_t{32} << 10;

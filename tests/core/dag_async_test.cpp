@@ -2,9 +2,11 @@
 // and multi-lane comm threads are bit-identical to the legacy inline path
 // across reduction schemes and world sizes; per-bucket launch/finish
 // timestamps land in the StepReport; round retries force a single lane and
-// still recover bitwise; and the trainer's dag_threads / overlap_comm_lanes
-// knobs reproduce the plain serial run exactly — including models with
-// frozen and parameterless children streaming through the hooks.
+// still recover bitwise; and the trainer's DAG backward on the rank
+// executor (the streaming engine's, or compute_threads workers) and
+// overlap_comm_lanes reproduce the plain serial run exactly — including
+// models with frozen and parameterless children streaming through the
+// hooks.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -302,6 +304,22 @@ nn::EngineFactory cgx_engine() {
   };
 }
 
+// The streaming facade with no comm threads: every bucket runs inline on
+// the training thread, which has no executor, so backward is the serial
+// walk — the reference the DAG job on the rank executor must match.
+nn::EngineFactory inline_streaming_engine() {
+  return [](const tensor::LayerLayout& layout,
+            int world) -> std::unique_ptr<GradientEngine> {
+    AsyncOptions aopts;
+    aopts.overlap = false;
+    aopts.bucket_bytes = std::size_t{4} << 10;
+    return std::make_unique<AsyncGradientEngine>(
+        std::make_unique<CgxEngine>(layout, CompressionConfig::cgx_default(),
+                                    world),
+        aopts);
+  };
+}
+
 nn::BatchProvider blob_batches(const data::BlobDataset& dataset,
                                std::size_t batch) {
   return [&dataset, batch](int rank, std::size_t step) {
@@ -327,11 +345,11 @@ void expect_same_run(const nn::TrainResult& got, const nn::TrainResult& want) {
 }
 
 TEST(DagAsyncTrain, GraphDagBackwardBitIdenticalToSerialHooks) {
-  // The full stack: Graph model, per-rank DepEngine backward (2 workers),
-  // streaming overlap with 2 comm lanes — versus the same streaming facade
-  // driven by the serial backward walk on one lane (the legacy hook path).
-  // Only the scheduling differs; loss history and final replicas must
-  // match bit-for-bit.
+  // The full stack: Graph model, per-rank DepEngine backward as a job on
+  // the rank executor (helped by 2 comm lanes), streaming overlap — versus
+  // the same streaming facade run inline, driven by the serial backward
+  // walk (the legacy hook path). Only the scheduling differs; loss history
+  // and final replicas must match bit-for-bit.
   data::BlobDataset dataset(kClasses, kDim, 61);
   nn::TrainOptions base;
   base.world_size = 2;
@@ -340,12 +358,11 @@ TEST(DagAsyncTrain, GraphDagBackwardBitIdenticalToSerialHooks) {
   base.overlap = true;
   base.overlap_bucket_bytes = std::size_t{4} << 10;
   nn::TrainResult want = train_distributed(
-      two_tower_factory(), sgd_factory(0.05), cgx_engine(),
+      two_tower_factory(), sgd_factory(0.05), inline_streaming_engine(),
       blob_batches(dataset, 16), nn::make_xent_loss(kClasses), base);
 
   nn::TrainOptions dag = base;
   dag.overlap_comm_lanes = 2;
-  dag.dag_threads = 2;
   nn::TrainResult got = train_distributed(
       two_tower_factory(), sgd_factory(0.05), cgx_engine(),
       blob_batches(dataset, 16), nn::make_xent_loss(kClasses), dag);
@@ -368,12 +385,11 @@ TEST(DagAsyncTrain, FrozenAndParameterlessChildrenStreamCorrectly) {
   base.overlap_bucket_bytes = std::size_t{4} << 10;
   nn::TrainResult want = train_distributed(
       two_tower_factory(/*freeze_tower_layer=*/true), sgd_factory(0.05),
-      cgx_engine(), blob_batches(dataset, 16), nn::make_xent_loss(kClasses),
-      base);
+      inline_streaming_engine(), blob_batches(dataset, 16),
+      nn::make_xent_loss(kClasses), base);
 
   nn::TrainOptions dag = base;
   dag.overlap_comm_lanes = 2;
-  dag.dag_threads = 2;
   nn::TrainResult got = train_distributed(
       two_tower_factory(/*freeze_tower_layer=*/true), sgd_factory(0.05),
       cgx_engine(), blob_batches(dataset, 16), nn::make_xent_loss(kClasses),
@@ -383,8 +399,8 @@ TEST(DagAsyncTrain, FrozenAndParameterlessChildrenStreamCorrectly) {
 }
 
 TEST(DagAsyncTrain, SequentialDagThreadsMatchPlainRun) {
-  // Sequential is the degenerate chain through the same executor: turning
-  // dag_threads on for an ordinary MLP must change nothing.
+  // An ordinary MLP with a 3-worker rank executor (its GEMMs and optimizer
+  // split over it) must change nothing.
   data::BlobDataset dataset(kClasses, kDim, 63);
   auto mlp = [](util::Rng& rng) -> std::unique_ptr<nn::Module> {
     return models::make_mlp(kDim, 24, kClasses, rng);
@@ -398,7 +414,7 @@ TEST(DagAsyncTrain, SequentialDagThreadsMatchPlainRun) {
       nn::make_xent_loss(kClasses), base);
 
   nn::TrainOptions dag = base;
-  dag.dag_threads = 3;
+  dag.compute_threads = 3;
   nn::TrainResult got = train_distributed(
       mlp, sgd_factory(0.05), cgx_engine(), blob_batches(dataset, 16),
       nn::make_xent_loss(kClasses), dag);

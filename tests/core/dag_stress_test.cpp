@@ -1,15 +1,20 @@
 // DAG-scheduler stress, built to run under ThreadSanitizer (`ctest -L
 // dag+tsan` with the tsan preset). Three pressure points: (1) a randomized
-// replayed op graph soaked on a wide pool — any missing happens-before
-// between the scoreboard, the raw task ring, and op bodies shows up as a
-// race or a mis-ordered conflict; (2) concurrent notify_layer_ready calls
-// from pool workers into the multi-lane streaming engine — the
-// producer-side submit lock and the per-lane SPSC queues are the
-// machinery under test; (3) the raw submit path itself, hammered from
-// many producers at once.
+// replayed op graph soaked as a job on a bound pool — any missing
+// happens-before between the pending counters, the ready array, the
+// published bound and op bodies shows up as a race or a mis-ordered
+// conflict; (2) the same with random graphs on a caller-runs executor while
+// 0-3 external helpers join and leave; (3) concurrent notify_layer_ready
+// calls from the threads of a DAG job into the multi-lane streaming engine
+// — the producer-side submit lock and the per-lane SPSC queues are the
+// machinery under test.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <memory>
+#include <thread>
 #include <vector>
 
 #include "comm/transports.h"
@@ -24,14 +29,16 @@ namespace {
 
 TEST(DagStress, RandomGraphReplaySoakKeepsConflictOrder) {
   // 64 ops over 8 variables with hashed read/write sets, replayed many
-  // times on a 7-thread pool. Every op bumps a per-variable epoch for each
-  // write and checks it for each read; the derived edges must make those
-  // accesses race-free and correctly ordered, which tsan verifies directly.
+  // times as a job on a bound 3-worker pool. Every op bumps a per-variable
+  // epoch for each write and checks it for each read; the derived edges
+  // must make those accesses race-free and correctly ordered, which tsan
+  // verifies directly.
   constexpr int kVars = 8;
   constexpr int kOps = 64;
   constexpr int kReplays = 30;
-  util::ThreadPool pool(7);
-  DepEngine dag(&pool);
+  const auto pool = std::make_shared<util::ThreadPool>(3);
+  util::bind_thread_executor(pool);
+  DepEngine dag;
 
   std::vector<DepEngine::VarId> vars;
   for (int v = 0; v < kVars; ++v) vars.push_back(dag.new_var());
@@ -65,12 +72,125 @@ TEST(DagStress, RandomGraphReplaySoakKeepsConflictOrder) {
   EXPECT_EQ(bodies.load(), kOps * kReplays);
 }
 
+// A helper thread in the engine's shape: read the doorbell, help, park.
+class Helper {
+ public:
+  explicit Helper(util::ThreadPool& pool)
+      : pool_(pool), thread_([this] { run(); }) {}
+  ~Helper() {
+    stop_.store(true, std::memory_order_release);
+    pool_.ring();
+    thread_.join();
+  }
+
+ private:
+  void run() {
+    while (!stop_.load(std::memory_order_acquire)) {
+      const std::uint32_t seen = pool_.doorbell();
+      if (stop_.load(std::memory_order_acquire)) break;
+      if (!pool_.help()) pool_.wait_doorbell(seen);
+    }
+  }
+
+  util::ThreadPool& pool_;
+  std::atomic<bool> stop_{false};
+  std::thread thread_;
+};
+
+TEST(DagStress, RandomDagJobsWithHelpersJoiningAndLeaving) {
+  // Random graphs replayed as jobs on a caller-runs executor bound to this
+  // thread (the owner), while three churners each keep starting and
+  // stopping a helper, so 0-3 helpers take ops at any moment. Every op
+  // checks, for each variable it touches, the number of writes that ops
+  // pushed before it made: the derived edges order every conflicting
+  // access in push order, whichever thread runs the op.
+  constexpr int kVars = 6;
+  constexpr int kOps = 40;
+  constexpr int kGraphs = 12;
+  constexpr int kReplays = 25;
+  const auto pool =
+      std::make_shared<util::ThreadPool>(util::ThreadPool::CallerRuns{4});
+  util::bind_thread_executor(pool);
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> churners;
+  for (int c = 0; c < 3; ++c) {
+    churners.emplace_back([&, c] {
+      util::Rng rng(31 + static_cast<std::uint64_t>(c));
+      while (!stop.load(std::memory_order_acquire)) {
+        if (rng.next_below(2) == 0) {
+          Helper h(*pool);
+          std::this_thread::sleep_for(
+              std::chrono::microseconds(20 + rng.next_below(300)));
+        } else {
+          std::this_thread::sleep_for(
+              std::chrono::microseconds(20 + rng.next_below(300)));
+        }
+      }
+    });
+  }
+
+  std::atomic<int> bodies{0};
+  std::atomic<int> misordered{0};
+  util::Rng rng(2025);
+  for (int g = 0; g < kGraphs; ++g) {
+    DepEngine dag;
+    std::vector<DepEngine::VarId> vars;
+    for (int v = 0; v < kVars; ++v) vars.push_back(dag.new_var());
+    // Plain ints, NOT atomics: the scheduler's edges are the only thing
+    // standing between these and a data race.
+    std::vector<int> epoch(kVars, 0);
+    std::vector<int> writes_so_far(kVars, 0);
+    for (int i = 0; i < kOps; ++i) {
+      std::vector<DepEngine::VarId> reads;
+      std::vector<DepEngine::VarId> writes;
+      // (variable, writes to it by earlier ops, whether this op writes it)
+      struct Access {
+        std::size_t var;
+        int expect;
+        bool write;
+      };
+      std::vector<Access> touched;
+      for (int v = 0; v < kVars; ++v) {
+        const auto uv = static_cast<std::size_t>(v);
+        const std::uint64_t roll = rng.next_below(5);
+        if (roll == 0) {
+          writes.push_back(vars[uv]);
+          touched.push_back({uv, writes_so_far[uv]++, true});
+        } else if (roll == 1) {
+          reads.push_back(vars[uv]);
+          touched.push_back({uv, writes_so_far[uv], false});
+        }
+      }
+      dag.push(
+          [&epoch, &bodies, &misordered, touched] {
+            for (const Access& a : touched) {
+              if (epoch[a.var] != a.expect) {
+                misordered.fetch_add(1, std::memory_order_relaxed);
+              }
+              if (a.write) ++epoch[a.var];
+            }
+            bodies.fetch_add(1, std::memory_order_relaxed);
+          },
+          reads, writes);
+    }
+    for (int r = 0; r < kReplays; ++r) {
+      std::fill(epoch.begin(), epoch.end(), 0);
+      dag.run();
+    }
+  }
+  stop.store(true, std::memory_order_release);
+  for (auto& t : churners) t.join();
+  EXPECT_EQ(bodies.load(), kOps * kReplays * kGraphs);
+  EXPECT_EQ(misordered.load(), 0);
+}
+
 TEST(DagStress, ConcurrentHookNotifiesIntoMultiLaneEngine) {
-  // The trainer's DAG executor calls notify_layer_ready from pool workers:
-  // many producers, two comm-lane consumers, ordered launch. Layers are
-  // announced by a DepEngine whose completion callbacks fire concurrently;
-  // the ordered frontier must still release buckets in canonical order on
-  // every rank, and results must stay in lockstep across rounds.
+  // A DAG job calls notify_layer_ready from whichever of the rank
+  // executor's threads ran the op: many producers, two comm-lane
+  // consumers, ordered launch. Layers are announced by a DepEngine whose
+  // completion callbacks fire concurrently; the ordered frontier must still
+  // release buckets in canonical order on every rank, and results must
+  // stay in lockstep across rounds.
   constexpr int kWorld = 2;
   constexpr int kRounds = 12;
   tensor::LayerLayout layout;
@@ -95,11 +215,11 @@ TEST(DagStress, ConcurrentHookNotifiesIntoMultiLaneEngine) {
   std::vector<std::vector<float>> result(kWorld);
   comm::run_world(transport, [&](comm::Comm& comm) {
     const int rank = comm.rank();
-    // Per-rank executor, as the trainer wires it: one pool, one DepEngine,
-    // one op per layer with independent variables so completions (and thus
-    // notifies) land in scrambled order from multiple workers at once.
-    util::ThreadPool pool(4);
-    DepEngine dag(&pool);
+    // The rank's executor, bound by begin_step and helped by the comm
+    // threads: one DepEngine, one op per layer with independent variables
+    // so completions (and thus notifies) land in scrambled order from
+    // several threads at once.
+    DepEngine dag;
     std::vector<DepEngine::VarId> lvars;
     for (std::size_t l = 0; l < layout.layer_count(); ++l) {
       lvars.push_back(dag.new_var());
@@ -121,7 +241,7 @@ TEST(DagStress, ConcurrentHookNotifiesIntoMultiLaneEngine) {
     for (int round = 0; round < kRounds; ++round) {
       for (auto& v : grad) v = static_cast<float>(grad_rng.next_gaussian());
       engine.begin_step(comm, grad, rng);
-      dag.run();  // fires every notify from pool workers
+      dag.run();  // fires every notify from the job's threads
       engine.wait_all(rank);
       ASSERT_TRUE(engine.last_step_report(rank).ok);
     }
@@ -129,34 +249,6 @@ TEST(DagStress, ConcurrentHookNotifiesIntoMultiLaneEngine) {
   });
   EXPECT_EQ(result[0], result[1]) << "ranks diverged under concurrent "
                                      "hook notifies";
-}
-
-TEST(DagStress, RawSubmitPathSurvivesManyProducers) {
-  // submit_raw from 6 threads at once while workers drain: the grow-only
-  // ring plus the mutex hand-off must neither lose nor duplicate tasks.
-  constexpr int kProducers = 6;
-  constexpr int kPerProducer = 500;
-  util::ThreadPool pool(4);
-  pool.reserve_raw(kProducers * kPerProducer);
-  std::atomic<int> ran{0};
-  {
-    util::ThreadPool producers(kProducers);
-    for (int p = 0; p < kProducers; ++p) {
-      producers.submit([&pool, &ran] {
-        for (int i = 0; i < kPerProducer; ++i) {
-          pool.submit_raw(
-              [](void* ctx, std::size_t) {
-                static_cast<std::atomic<int>*>(ctx)->fetch_add(
-                    1, std::memory_order_relaxed);
-              },
-              &ran, 0);
-        }
-      });
-    }
-    producers.wait_idle();
-  }
-  pool.wait_idle();
-  EXPECT_EQ(ran.load(), kProducers * kPerProducer);
 }
 
 }  // namespace

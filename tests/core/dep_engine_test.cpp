@@ -1,6 +1,7 @@
 // DepEngine unit tests: derived RAW/WAW/WAR edges, the deterministic
 // serial reference schedule, cycle detection, completion callbacks,
-// per-op RNG streams, and replay stability across pool sizes.
+// per-op RNG streams, and replay stability across pool sizes. A pool runs
+// the graph as one job when it is bound to the calling thread.
 #include "core/dep_engine.h"
 
 #include <gtest/gtest.h>
@@ -11,8 +12,18 @@
 #include <thread>
 #include <vector>
 
+#include "util/threadpool.h"
+
 namespace cgx::core {
 namespace {
+
+// A pool of `threads` workers bound to the calling thread; the binding
+// expires with the pool.
+std::shared_ptr<util::ThreadPool> bound_pool(std::size_t threads) {
+  auto pool = std::make_shared<util::ThreadPool>(threads);
+  util::bind_thread_executor(pool);
+  return pool;
+}
 
 // Runs `build` against a fresh engine for every pool size in {serial, 1,
 // 2, 7} and hands the engine (and the pool size, 0 = serial) to `check`.
@@ -20,9 +31,9 @@ template <typename Build, typename Check>
 void for_each_pool(Build build, Check check) {
   for (std::size_t threads : {std::size_t{0}, std::size_t{1}, std::size_t{2},
                               std::size_t{7}}) {
-    std::unique_ptr<util::ThreadPool> pool;
-    if (threads > 0) pool = std::make_unique<util::ThreadPool>(threads);
-    DepEngine dag(pool.get());
+    std::shared_ptr<util::ThreadPool> pool;
+    if (threads > 0) pool = bound_pool(threads);
+    DepEngine dag;
     build(dag);
     check(dag, threads);
   }
@@ -68,8 +79,8 @@ TEST(DepEngine, IndependentOpsRunConcurrentlyOnAPool) {
   // Two ops with disjoint variables and a 2-thread pool: each blocks until
   // the other has started, so the test hangs (and times out) unless the
   // scheduler really overlaps them.
-  util::ThreadPool pool(2);
-  DepEngine dag(&pool);
+  const auto pool = bound_pool(2);
+  DepEngine dag;
   std::atomic<int> started{0};
   const auto a = dag.new_var();
   const auto b = dag.new_var();
@@ -171,8 +182,8 @@ TEST(DepEngine, PerOpRngStreamsAreBitStableAcrossPoolSizes) {
 }
 
 TEST(DepEngine, ReplayIsStableAndReusesTheRecordedGraph) {
-  util::ThreadPool pool(3);
-  DepEngine dag(&pool);
+  const auto pool = bound_pool(3);
+  DepEngine dag;
   const auto v = dag.new_var();
   int runs = 0;
   constexpr int kOps = 8;
@@ -185,8 +196,8 @@ TEST(DepEngine, ReplayIsStableAndReusesTheRecordedGraph) {
 }
 
 TEST(DepEngine, PoolModeRethrowsFirstErrorAfterDraining) {
-  util::ThreadPool pool(2);
-  DepEngine dag(&pool);
+  const auto pool = bound_pool(2);
+  DepEngine dag;
   const auto v = dag.new_var();
   std::atomic<int> after{0};
   dag.push([] { throw std::runtime_error("op boom"); }, {}, {v});

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "comm/transports.h"
+#include "core/qsgd.h"
 #include "simgpu/machines.h"
 #include "tensor/tensor_ops.h"
 #include "util/threadpool.h"
@@ -161,20 +162,23 @@ TEST(CgxEngine, ScratchStabilizesAfterFirstStep) {
 }
 
 TEST(CgxEngine, ThreadedCompressionPoolKeepsResultsInEnvelope) {
-  // Wiring check for EngineOptions::compression_pool: a pool-backed engine
-  // produces the same lockstep, in-envelope averages (bit-reproducibility
-  // of the compression itself is covered by threaded_compression_test).
+  // Wiring check for the rank executor: with a pool bound to every rank
+  // thread, as the trainer binds one, a layer whose per-rank chunk crosses
+  // the QSGD split threshold splits over it, and the engine produces the
+  // same lockstep averages (bit-reproducibility of the compression itself
+  // is covered by threaded_compression_test).
   constexpr int kWorld = 4;
-  const auto layout = transformer_like_layout();
-  util::ThreadPool pool(4);
-  EngineOptions options;
-  options.compression_pool = &pool;
-  options.compression_threading_min_numel = 1;  // thread every layer
-  CgxEngine engine(layout, CompressionConfig::cgx_default(), kWorld, options);
+  auto layout = transformer_like_layout();
+  layout.add_layer("big.weight", tensor::Shape{512, 640});
+  ASSERT_GE(layout.layer(layout.layer_count() - 1).numel / kWorld,
+            QsgdCompressor::kSplitMinNumel);
+  CgxEngine engine(layout, CompressionConfig::cgx_default(), kWorld);
   std::vector<std::vector<float>> results(kWorld);
   std::mutex mutex;
   comm::ShmTransport transport(kWorld);
   comm::run_world(transport, [&](comm::Comm& comm) {
+    const auto pool = std::make_shared<util::ThreadPool>(1);
+    util::bind_thread_executor(pool);
     auto grad = rank_gradient(layout, comm.rank());
     util::Rng rng(6100 + static_cast<std::uint64_t>(comm.rank()));
     engine.allreduce(comm, grad, rng);

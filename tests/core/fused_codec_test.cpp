@@ -109,11 +109,11 @@ void expect_bits_equal(const std::vector<float>& want,
   }
 }
 
-void check_case(const Case& c, util::ThreadPool* pool) {
+void check_case(const Case& c) {
   // `fused` runs the fused entry points; `plain` the calls they replace.
   const std::unique_ptr<Compressor> fused = make_compressor(c.cfg, kRows);
   const std::unique_ptr<Compressor> plain = make_compressor(c.cfg, kRows);
-  if (c.pool) fused->enable_threading(pool, /*min_numel=*/0);
+  if (c.pool) dynamic_cast<QsgdCompressor&>(*fused).set_split_min_numel(0);
   const std::size_t cap = fused->compressed_size(kNumel);
   for (int step = 0; step < 3; ++step) {
     SCOPED_TRACE(::testing::Message() << "step=" << step);
@@ -154,7 +154,7 @@ void check_case(const Case& c, util::ThreadPool* pool) {
 }
 
 TEST(FusedCodec, MatchesUnfusedCallsAtEveryLevel) {
-  util::ThreadPool pool(3);
+  const auto pool = std::make_shared<util::ThreadPool>(3);
   const util::simd::Level prev = util::simd::active_level();
   for (int l = 0; l <= static_cast<int>(util::simd::max_supported_level());
        ++l) {
@@ -163,9 +163,13 @@ TEST(FusedCodec, MatchesUnfusedCallsAtEveryLevel) {
     for (const Case& c : cases()) {
       SCOPED_TRACE(::testing::Message()
                    << c.label << " level=" << util::simd::level_name(level));
-      check_case(c, &pool);
+      // A pool case splits `fused` over the bound pool; `plain` keeps the
+      // default split threshold, above kNumel, and stays serial.
+      util::bind_thread_executor(c.pool ? pool : nullptr);
+      check_case(c);
     }
   }
+  util::bind_thread_executor({});
   util::simd::set_level(prev);
 }
 

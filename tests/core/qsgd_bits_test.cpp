@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include "core/qsgd.h"
@@ -75,14 +76,16 @@ void fold_case(QsgdCompressor& codec, const std::vector<float>& input,
       fnv1a(decoded_hash, decoded.data(), decoded.size() * sizeof(float));
 }
 
-// Runs every case for one bit width; `pool` null means serial.
-void hash_bits(unsigned bits, util::ThreadPool* pool,
+// Runs every case for one bit width; `pool` null means serial. A pool is
+// bound to the calling thread for the run, and the codecs split any input.
+void hash_bits(unsigned bits, const std::shared_ptr<util::ThreadPool>& pool,
                std::uint64_t& payload_hash, std::uint64_t& decoded_hash) {
   payload_hash = kFnvBasis;
   decoded_hash = kFnvBasis;
+  util::bind_thread_executor(pool);
   for (std::size_t bucket : {1u, 7u, 100u, 128u, 1000u, 2500u}) {
     QsgdCompressor codec(bits, bucket);
-    if (pool != nullptr) codec.enable_threading(pool, /*min_numel=*/0);
+    if (pool != nullptr) codec.set_split_min_numel(0);
     for (std::size_t n : {0u, 1u, 3u, 127u, 128u, 129u, 513u, 4099u}) {
       SCOPED_TRACE(::testing::Message()
                    << "bits=" << bits << " bucket=" << bucket << " n=" << n);
@@ -93,7 +96,7 @@ void hash_bits(unsigned bits, util::ThreadPool* pool,
   }
   // Degenerate buckets: all zero, one NaN, one Inf, between normal ones.
   QsgdCompressor codec(bits, 128);
-  if (pool != nullptr) codec.enable_threading(pool, /*min_numel=*/0);
+  if (pool != nullptr) codec.set_split_min_numel(0);
   const float specials[] = {0.0f, std::numeric_limits<float>::quiet_NaN(),
                             std::numeric_limits<float>::infinity()};
   for (int k = 0; k < 3; ++k) {
@@ -106,9 +109,10 @@ void hash_bits(unsigned bits, util::ThreadPool* pool,
     }
     fold_case(codec, input, 4242 + k, payload_hash, decoded_hash);
   }
+  util::bind_thread_executor({});
 }
 
-void expect_pins(util::ThreadPool* pool) {
+void expect_pins(const std::shared_ptr<util::ThreadPool>& pool) {
   for (const BitsPins& pin : kPins) {
     std::uint64_t payload = 0, decoded = 0;
     hash_bits(pin.bits, pool, payload, decoded);
@@ -122,8 +126,7 @@ void expect_pins(util::ThreadPool* pool) {
 TEST(QsgdBits, SerialPayloadsMatchPins) { expect_pins(nullptr); }
 
 TEST(QsgdBits, PoolPayloadsMatchPins) {
-  util::ThreadPool pool(3);
-  expect_pins(&pool);
+  expect_pins(std::make_shared<util::ThreadPool>(3));
 }
 
 }  // namespace

@@ -4,11 +4,14 @@
 // caller's RNG to seed per-bucket stochastic-rounding streams, so the
 // payload is bit-identical whether buckets are quantized serially or across
 // a thread pool of any size — and the caller's RNG advances identically.
+// A pool splits a codec's calls when it is bound to the calling thread.
 // This binary carries the `tsan` ctest label (see tests/CMakeLists.txt) so
 // the sanitizer preset exercises it under ThreadSanitizer.
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <limits>
+#include <memory>
 #include <vector>
 
 #include "core/qsgd.h"
@@ -32,6 +35,8 @@ TEST(ThreadedCompression, PayloadBitIdenticalToSerial) {
 
   for (unsigned bits : {2u, 3u, 4u, 8u}) {
     QsgdCompressor serial(bits, kBucket);
+    // The reference never splits, even while a pool is bound.
+    serial.set_split_min_numel(std::numeric_limits<std::size_t>::max());
     std::vector<std::byte> serial_payload(serial.compressed_size(kNumel));
     util::Rng serial_rng(777);
     const std::size_t serial_written =
@@ -39,9 +44,10 @@ TEST(ThreadedCompression, PayloadBitIdenticalToSerial) {
     const std::uint64_t after_serial = serial_rng.next_u64();
 
     for (std::size_t threads : {2ul, 3ul, 8ul}) {
-      util::ThreadPool pool(threads);
+      const auto pool = std::make_shared<util::ThreadPool>(threads);
+      util::bind_thread_executor(pool);
       QsgdCompressor threaded(bits, kBucket);
-      threaded.enable_threading(&pool, /*min_numel=*/1);
+      threaded.set_split_min_numel(1);
       std::vector<std::byte> payload(threaded.compressed_size(kNumel));
       util::Rng rng(777);
       const std::size_t written = threaded.compress(data, payload, rng);
@@ -68,10 +74,11 @@ TEST(ThreadedCompression, ThresholdGatesPoolUse) {
   // still identical (same RNG discipline either way).
   constexpr std::size_t kNumel = 4096;
   const auto data = gaussian_data(kNumel, 7);
-  util::ThreadPool pool(4);
+  const auto pool = std::make_shared<util::ThreadPool>(4);
+  util::bind_thread_executor(pool);
 
   QsgdCompressor gated(4, 512);
-  gated.enable_threading(&pool, /*min_numel=*/1 << 20);
+  gated.set_split_min_numel(1 << 20);
   QsgdCompressor serial(4, 512);
 
   std::vector<std::byte> a(gated.compressed_size(kNumel));

@@ -1,8 +1,8 @@
 // Graph container tests: chain equivalence with Sequential, fan-in /
 // multi-consumer semantics, frozen-child parameter dropout, and the
-// determinism contract — executor backward is bit-identical to the serial
-// walk across pool sizes for branchy models, and Sequential's executor
-// chain is bit-identical to its plain loop.
+// determinism contract — backward as a DAG job on a bound pool is
+// bit-identical to the serial walk across pool sizes for branchy models,
+// and a Sequential on a bound pool is bit-identical to its plain loop.
 #include "nn/graph.h"
 
 #include <gtest/gtest.h>
@@ -35,12 +35,23 @@ struct RunOut {
   bool operator==(const RunOut&) const = default;
 };
 
+// Binds `pool` (null: none) to the calling thread as its executor for the
+// scope.
+class Bind {
+ public:
+  explicit Bind(const std::shared_ptr<util::ThreadPool>& pool) {
+    util::bind_thread_executor(pool);
+  }
+  ~Bind() { util::bind_thread_executor({}); }
+};
+
+std::shared_ptr<util::ThreadPool> make_pool(std::size_t threads) {
+  return std::make_shared<util::ThreadPool>(threads);
+}
+
 RunOut run_once(Module& model, const tensor::Tensor& x,
-                util::ThreadPool* pool) {
-  auto* graph = dynamic_cast<Graph*>(&model);
-  auto* seq = dynamic_cast<Sequential*>(&model);
-  if (graph != nullptr) graph->set_executor(pool);
-  if (seq != nullptr) seq->set_executor(pool);
+                const std::shared_ptr<util::ThreadPool>& pool) {
+  const Bind bind(pool);
 
   const tensor::Tensor& out = model.forward(x, /*train=*/true);
   const tensor::Tensor grad_out = gaussian(out.shape(), 777);
@@ -52,8 +63,6 @@ RunOut run_once(Module& model, const tensor::Tensor& x,
   for (Param* p : parameters(model)) {
     r.param_grads.emplace_back(p->grad.data().begin(), p->grad.data().end());
   }
-  if (graph != nullptr) graph->set_executor(nullptr);
-  if (seq != nullptr) seq->set_executor(nullptr);
   return r;
 }
 
@@ -107,10 +116,10 @@ TEST(Graph, ExecutorBitIdenticalToSerialAcrossPoolSizes_TwoTower) {
 
   for (std::size_t threads : {std::size_t{1}, std::size_t{2},
                               std::size_t{7}}) {
-    util::ThreadPool pool(threads);
+    const auto pool = make_pool(threads);
     util::Rng rng(5);
     auto model = models::make_two_tower(12, 16, 4, rng);
-    EXPECT_EQ(run_once(*model, x, &pool), want) << "pool=" << threads;
+    EXPECT_EQ(run_once(*model, x, pool), want) << "pool=" << threads;
   }
 }
 
@@ -121,10 +130,10 @@ TEST(Graph, ExecutorBitIdenticalToSerialAcrossPoolSizes_SkipJoin) {
   const RunOut want = run_once(*ref_model, x, nullptr);
 
   for (std::size_t threads : {std::size_t{2}, std::size_t{7}}) {
-    util::ThreadPool pool(threads);
+    const auto pool = make_pool(threads);
     util::Rng rng(6);
     auto model = models::make_skipjoin_cnn(2, 8, 3, rng);
-    EXPECT_EQ(run_once(*model, x, &pool), want) << "pool=" << threads;
+    EXPECT_EQ(run_once(*model, x, pool), want) << "pool=" << threads;
   }
 }
 
@@ -137,19 +146,24 @@ TEST(Graph, ExecutorReplayStaysIdenticalAcrossSteps) {
   auto serial = models::make_two_tower(8, 12, 3, rng_a);
   util::Rng rng_b(21);
   auto pooled = models::make_two_tower(8, 12, 3, rng_b);
-  util::ThreadPool pool(3);
-  pooled->set_executor(&pool);
+  const auto pool = make_pool(3);
   for (int step = 0; step < 3; ++step) {
     const tensor::Tensor x =
         gaussian(tensor::Shape{2, 8}, 100 + static_cast<std::uint64_t>(step));
     const tensor::Tensor& out_a = serial->forward(x, true);
-    const tensor::Tensor& out_b = pooled->forward(x, true);
+    const tensor::Tensor& out_b = [&]() -> const tensor::Tensor& {
+      const Bind bind(pool);
+      return pooled->forward(x, true);
+    }();
     ASSERT_EQ(0, std::memcmp(out_a.data().data(), out_b.data().data(),
                              out_a.numel() * sizeof(float)));
     const tensor::Tensor go =
         gaussian(out_a.shape(), 200 + static_cast<std::uint64_t>(step));
     serial->backward(go);
-    pooled->backward(go);
+    {
+      const Bind bind(pool);
+      pooled->backward(go);
+    }
     const auto pa = parameters(*serial);
     const auto pb = parameters(*pooled);
     ASSERT_EQ(pa.size(), pb.size());
@@ -160,7 +174,6 @@ TEST(Graph, ExecutorReplayStaysIdenticalAcrossSteps) {
           << "step=" << step << " param=" << pa[i]->name;
     }
   }
-  pooled->set_executor(nullptr);
 }
 
 TEST(Sequential, ExecutorChainBitIdenticalToPlainLoop) {
@@ -171,10 +184,10 @@ TEST(Sequential, ExecutorChainBitIdenticalToPlainLoop) {
 
   for (std::size_t threads : {std::size_t{1}, std::size_t{2},
                               std::size_t{7}}) {
-    util::ThreadPool pool(threads);
+    const auto pool = make_pool(threads);
     util::Rng rng(31);
     auto model = chain_mlp(rng);
-    EXPECT_EQ(run_once(*model, x, &pool), want) << "pool=" << threads;
+    EXPECT_EQ(run_once(*model, x, pool), want) << "pool=" << threads;
   }
 }
 

@@ -3,9 +3,9 @@
 // layers fire it before they compute their input gradient. Composites
 // (TransformerBlock, MultiHeadAttention, a nested Sequential) fire once,
 // after their last child. The cross-module order stays the reverse walk.
-// Each model runs under a plain Sequential, a Sequential on an executor
-// pool, and a chain Graph (serial and pooled); the pooled cases are why
-// this binary is labelled tsan.
+// Each model runs under a plain Sequential, a Sequential with a pool bound
+// as the thread's executor, and a chain Graph (serial and as a DAG job on a
+// bound pool); the pooled cases are why this binary is labelled tsan.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -126,19 +126,18 @@ void check_hooks(const ModelCase& mc, Container kind) {
   for (auto& c : children) child.push_back(c.get());
 
   std::unique_ptr<Module> model;
-  util::ThreadPool pool(2);
   const bool pooled =
       kind == Container::kSequentialPool || kind == Container::kGraphPool;
+  const auto pool = std::make_shared<util::ThreadPool>(2);
+  util::bind_thread_executor(pooled ? pool : nullptr);
   if (kind == Container::kSequential || kind == Container::kSequentialPool) {
     auto seq = std::make_unique<Sequential>();
     for (auto& c : children) seq->add(std::move(c));
-    if (pooled) seq->set_executor(&pool);
     model = std::move(seq);
   } else {
     auto graph = std::make_unique<Graph>();
     Graph::NodeId prev = Graph::kInput;
     for (auto& c : children) prev = graph->add(std::move(c), {prev});
-    if (pooled) graph->set_executor(&pool);
     model = std::move(graph);
   }
 
@@ -175,13 +174,7 @@ void check_hooks(const ModelCase& mc, Container kind) {
       EXPECT_EQ(fired[f].grads, grads_of(*child[i]));
     }
   }
-  if (pooled) {
-    if (auto* seq = dynamic_cast<Sequential*>(model.get())) {
-      seq->set_executor(nullptr);
-    } else {
-      static_cast<Graph*>(model.get())->set_executor(nullptr);
-    }
-  }
+  util::bind_thread_executor({});
 }
 
 TEST(HookTiming, SequentialFiresOnceWithFinalGradsInReverseOrder) {

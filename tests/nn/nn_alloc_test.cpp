@@ -14,12 +14,12 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <thread>
 #include <vector>
 
 #include "models/small_models.h"
 #include "nn/optim.h"
 #include "nn/train.h"
-#include "tensor/tensor_ops.h"
 #include "util/threadpool.h"
 
 #if defined(__GNUC__) && !defined(__clang__)
@@ -141,31 +141,59 @@ TEST(NnStepAlloc, TwoTowerGraphStepAllocationFree) {
   EXPECT_EQ(steady_state_allocs(*model, batch, 6), 0u);
 }
 
-// The Graph's DepEngine executor replays its recorded backward on a pool;
-// the replay, the fan-in join and the multi-consumer gradient sums must
-// not allocate either.
+// With a pool bound to the thread, the Graph's backward replays its
+// recorded DepEngine graph as one job on it; the replay, the fan-in join
+// and the multi-consumer gradient sums must not allocate either.
 TEST(NnStepAlloc, TwoTowerGraphExecutorStepAllocationFree) {
   util::Rng rng(5);
   auto model = models::make_two_tower(48, 64, 6, rng);
-  util::ThreadPool pool(2);
-  model->set_executor(&pool);
+  const auto pool = std::make_shared<util::ThreadPool>(2);
+  util::bind_thread_executor(pool);
   const Batch batch = classification(gaussian({8, 48}, rng), 8, 6, rng);
   EXPECT_EQ(steady_state_allocs(*model, batch, 6), 0u);
-  model->set_executor(nullptr);
+  util::bind_thread_executor({});
 }
 
-// With a compute pool installed every GEMM of more than one row block runs
-// through ThreadPool::parallel_for; its job slot and FunctionRef callable
-// must not allocate per call or per item.
+// The rank executor's shape under a streaming engine: a caller-runs
+// executor with no threads of its own, helped by one outside thread that
+// reads the doorbell, helps and parks, as a comm thread does. The DAG job
+// (its ready array, published bound and doorbell rings) and the GEMM and
+// Adam jobs of the same step must not allocate on either thread.
+TEST(NnStepAlloc, TwoTowerGraphDagJobWithHelperStepAllocationFree) {
+  util::Rng rng(7);
+  auto model = models::make_two_tower(48, 64, 6, rng);
+  const auto executor =
+      std::make_shared<util::ThreadPool>(util::ThreadPool::CallerRuns{2});
+  std::atomic<bool> stop{false};
+  std::thread helper([&] {
+    while (!stop.load(std::memory_order_acquire)) {
+      const std::uint32_t seen = executor->doorbell();
+      if (stop.load(std::memory_order_acquire)) break;
+      if (!executor->help()) executor->wait_doorbell(seen);
+    }
+  });
+  util::bind_thread_executor(executor);
+  // 128 rows: two row blocks per forward GEMM of the towers.
+  const Batch batch = classification(gaussian({128, 48}, rng), 128, 6, rng);
+  EXPECT_EQ(steady_state_allocs(*model, batch, 6), 0u);
+  util::bind_thread_executor({});
+  stop.store(true, std::memory_order_release);
+  executor->ring();
+  helper.join();
+}
+
+// With a pool bound to the thread every GEMM of more than one row block
+// runs through ThreadPool::parallel_for; its job slot and FunctionRef
+// callable must not allocate per call or per item.
 TEST(NnStepAlloc, PooledGemmStepAllocationFree) {
   util::Rng rng(6);
   auto model = models::make_mlp(64, 128, 10, rng);
-  util::ThreadPool pool(2);
-  tensor::set_compute_pool(&pool);
+  const auto pool = std::make_shared<util::ThreadPool>(2);
+  util::bind_thread_executor(pool);
   // 256 rows: four row blocks per forward GEMM.
   const Batch batch = classification(gaussian({256, 64}, rng), 256, 10, rng);
   EXPECT_EQ(steady_state_allocs(*model, batch, 10), 0u);
-  tensor::set_compute_pool(nullptr);
+  util::bind_thread_executor({});
 }
 
 }  // namespace

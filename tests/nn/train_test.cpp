@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "core/async_engine.h"
 #include "data/synthetic.h"
@@ -208,6 +209,25 @@ TEST(TrainDistributed, OverlapOptionWrapsEngineAndConverges) {
       blob_batches(dataset, 16), make_xent_loss(kClasses), options);
   EXPECT_EQ(result.assignments.size(), 3u);
   EXPECT_LT(result.final_loss, 1.0);
+}
+
+TEST(TrainDistributed, ComputeThreadsWithStreamingEngineIsRejected) {
+  // The streaming engine binds its own rank executor; the trainer's would
+  // be a second one, so the combination is refused before any worker
+  // starts (no step runs).
+  data::BlobDataset dataset(kClasses, kDim, 49);
+  TrainOptions options;
+  options.world_size = 2;
+  options.steps = 4;
+  options.overlap = true;
+  options.compute_threads = 1;
+  std::size_t calls = 0;
+  options.on_step = [&calls](std::size_t, double) { ++calls; };
+  EXPECT_THROW(train_distributed(mlp_factory(), sgd_factory(0.05),
+                                 cgx_engine(), blob_batches(dataset, 8),
+                                 make_xent_loss(kClasses), options),
+               std::invalid_argument);
+  EXPECT_EQ(calls, 0u);
 }
 
 TEST(TrainDistributed, OnStepCallbackFires) {

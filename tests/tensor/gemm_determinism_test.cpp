@@ -40,12 +40,18 @@ void expect_bits_equal(std::span<const float> expected,
   }
 }
 
-// Restores the global compute pool on scope exit so a failing assertion
-// can't leak a dangling pool pointer into later tests.
+// Binds a pool of `threads` workers (0: none) to this thread as its
+// executor for the scope, and unbinds on exit.
 class ScopedPool {
  public:
-  explicit ScopedPool(util::ThreadPool* pool) { set_compute_pool(pool); }
-  ~ScopedPool() { set_compute_pool(nullptr); }
+  explicit ScopedPool(std::size_t threads) {
+    if (threads > 0) pool_ = std::make_shared<util::ThreadPool>(threads);
+    util::bind_thread_executor(pool_);
+  }
+  ~ScopedPool() { util::bind_thread_executor({}); }
+
+ private:
+  std::shared_ptr<util::ThreadPool> pool_;
 };
 
 constexpr std::size_t kThreadCounts[] = {1, 2, 7};
@@ -58,13 +64,12 @@ TEST(GemmDeterminism, MatmulBitIdenticalAcrossThreadCounts) {
 
   std::vector<float> ref(m * n);
   {
-    ScopedPool no_pool(nullptr);
+    ScopedPool no_pool(0);
     matmul(a, b, ref, m, k, n);
   }
   for (std::size_t threads : kThreadCounts) {
     SCOPED_TRACE(::testing::Message() << "threads=" << threads);
-    util::ThreadPool pool(threads);
-    ScopedPool use(&pool);
+    ScopedPool use(threads);
     std::vector<float> c(m * n);
     matmul(a, b, c, m, k, n);
     expect_bits_equal(ref, c, "matmul");
@@ -80,14 +85,13 @@ TEST(GemmDeterminism, MatmulVariantsBitIdenticalAcrossThreadCounts) {
 
   std::vector<float> ref_atb(m * n), ref_abt(m * k);
   {
-    ScopedPool no_pool(nullptr);
+    ScopedPool no_pool(0);
     matmul_at_b(at, b, ref_atb, k, m, n);
     matmul_a_bt(a, bt, ref_abt, m, k, n);
   }
   for (std::size_t threads : kThreadCounts) {
     SCOPED_TRACE(::testing::Message() << "threads=" << threads);
-    util::ThreadPool pool(threads);
-    ScopedPool use(&pool);
+    ScopedPool use(threads);
     std::vector<float> c_atb(m * n), c_abt(m * k);
     matmul_at_b(at, b, c_atb, k, m, n);
     matmul_a_bt(a, bt, c_abt, m, k, n);
@@ -108,7 +112,7 @@ TEST(GemmDeterminism, ConvForwardBackwardBitIdenticalAcrossThreadCounts) {
   // Reference run: no pool.
   std::vector<float> out_ref, gin_ref, gw_ref;
   {
-    ScopedPool no_pool(nullptr);
+    ScopedPool no_pool(0);
     util::Rng rng(9);
     nn::Conv2d conv(c, oc, kk, 1, 1, rng);
     const Tensor& out = conv.forward(x, true);
@@ -128,8 +132,7 @@ TEST(GemmDeterminism, ConvForwardBackwardBitIdenticalAcrossThreadCounts) {
 
   for (std::size_t threads : kThreadCounts) {
     SCOPED_TRACE(::testing::Message() << "threads=" << threads);
-    util::ThreadPool pool(threads);
-    ScopedPool use(&pool);
+    ScopedPool use(threads);
     util::Rng rng(9);  // same seed -> same weights
     nn::Conv2d conv(c, oc, kk, 1, 1, rng);
     const Tensor& out = conv.forward(x, true);
@@ -190,9 +193,7 @@ void for_each_level_and_pool(const Fn& check) {
       SCOPED_TRACE(::testing::Message()
                    << "level=" << util::simd::level_name(level)
                    << " threads=" << threads);
-      std::unique_ptr<util::ThreadPool> pool;
-      if (threads > 0) pool = std::make_unique<util::ThreadPool>(threads);
-      ScopedPool use(pool.get());
+      ScopedPool use(threads);
       check();
     }
   }
@@ -218,7 +219,7 @@ TEST(GemmAccumulate, AtBEqualsScratchPlusAdd) {
     std::vector<float> ref = prior, scratch(s.m * s.n);
     {
       ScopedLevel lvl(util::simd::Level::kScalar);
-      ScopedPool no_pool(nullptr);
+      ScopedPool no_pool(0);
       matmul_at_b(a, b, scratch, s.k, s.m, s.n);
       add_inplace(ref, scratch);
     }
@@ -248,7 +249,7 @@ TEST(GemmAccumulate, ABtEqualsScratchPlusAdd) {
     std::vector<float> ref = prior, scratch(s.m * s.k);
     {
       ScopedLevel lvl(util::simd::Level::kScalar);
-      ScopedPool no_pool(nullptr);
+      ScopedPool no_pool(0);
       matmul_a_bt(a, b, scratch, s.m, s.n, s.k);
       add_inplace(ref, scratch);
     }

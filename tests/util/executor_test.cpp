@@ -1,8 +1,9 @@
 // The caller-runs executor behind ThreadPool::parallel_for (threadpool.h):
 // an owner alone, with one and two external helpers, a helper arriving
-// mid-job, a throwing item, a second owner and a nested call, and a stress
-// of back-to-back jobs with helpers joining and leaving. In the
-// tsan-labelled test_concurrency binary.
+// mid-job, a helper meeting a job with no published item, a throwing item,
+// a second owner and a nested call, and a stress of back-to-back jobs with
+// helpers joining and leaving. In the tsan-labelled test_concurrency
+// binary.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -136,6 +137,38 @@ TEST(CallerRunsExecutor, HelperArrivingMidJobTakesItems) {
   EXPECT_FALSE(timed_out.load());
   EXPECT_GE(helper_items.load(), 1);
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(CallerRunsExecutor, HelpOnAJobWhoseNextItemIsUnpublishedReturns) {
+  // A DAG job's shape: item 1 is published only when item 0 finishes. A
+  // helper arriving while the owner runs item 0 finds nothing it may claim
+  // and must leave at once, neither running item 1 nor waiting for it.
+  ThreadPool pool(ThreadPool::CallerRuns{2});
+  const auto owner = std::this_thread::get_id();
+  std::atomic<std::uint32_t> published{1};
+  std::atomic<int> helper_returned{0};
+  std::atomic<bool> helper_ran{false};
+  std::atomic<bool> timed_out{false};
+  std::vector<std::thread::id> who(2);
+  std::thread helper;
+  const bool posted = pool.try_run(2, &published, [&](std::size_t i) {
+    who[i] = std::this_thread::get_id();
+    if (i != 0) return;
+    helper = std::thread([&] {
+      helper_ran.store(pool.help(), std::memory_order_release);
+      helper_returned.store(1, std::memory_order_release);
+    });
+    // Item 0 holds item 1 back until the helper has come and gone.
+    if (!await(helper_returned, 1)) timed_out.store(true);
+    published.store(2, std::memory_order_release);
+    pool.ring();
+  });
+  helper.join();
+  EXPECT_TRUE(posted);
+  EXPECT_FALSE(timed_out.load()) << "help() waited for an unpublished item";
+  EXPECT_FALSE(helper_ran.load());
+  EXPECT_EQ(who[0], owner);
+  EXPECT_EQ(who[1], owner);
 }
 
 TEST(CallerRunsExecutor, ThrowIsRethrownAfterClaimedItemsFinish) {

@@ -4,22 +4,13 @@
 
 #include <atomic>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "util/barrier.h"
 
 namespace cgx::util {
 namespace {
-
-TEST(ThreadPool, RunsSubmittedTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&] { counter.fetch_add(1); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 100);
-}
 
 TEST(ThreadPool, ParallelForCoversAllIndices) {
   ThreadPool pool(3);
@@ -41,6 +32,19 @@ TEST(ThreadPool, ParallelForZeroAndOne) {
 TEST(ThreadPool, SizeMatchesRequested) {
   ThreadPool pool(5);
   EXPECT_EQ(pool.size(), 5u);
+}
+
+TEST(ThreadPool, ZeroWorkersRunsJobsOnTheCaller) {
+  // A width of 0 starts no thread: every item runs on the caller.
+  ThreadPool pool(0);
+  EXPECT_EQ(pool.size(), 1u);
+  const auto me = std::this_thread::get_id();
+  std::vector<int> hits(100, 0);
+  pool.parallel_for(hits.size(), [&](std::size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), me);
+    ++hits[i];
+  });
+  for (int h : hits) EXPECT_EQ(h, 1);
 }
 
 TEST(Barrier, AllThreadsProceedTogether) {

@@ -7,9 +7,33 @@
 #                bench, JSON written under build-release/results)
 #   figures  (Release build; the deterministic figure benches must
 #             reproduce the committed results/ files byte for byte)
+#   simd     (the default build's ctest again under CGX_SIMD=off,
+#             CGX_SIMD=sse2 and CGX_NUMA=off: the bit-identity matrix)
 # Usage: tools/run_checks.sh [preset ...]   (no args = default+asan+tsan)
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+# Reruns a build's ctest with the SIMD kernels forced scalar and capped at
+# SSE2, then with NUMA placement disabled. The kernel layer's contract is
+# that these runs are bit-identical to runtime dispatch
+# (tests/util/simd_test.cpp checks per-kernel; this checks the whole suite
+# end to end at every level, and is the only end-to-end run of the SSE2
+# backend on AVX2 hardware), and thread pinning and arena homing never
+# change results. Each SIMD pass first prints the level CGX_SIMD resolves
+# to on this CPU (the dispatch test reports it), so a log shows which
+# kernels actually ran.
+simd_matrix() {
+  local builddir=$1
+  for simd in off sse2; do
+    echo "==== [simd] CGX_SIMD=$simd: $(CGX_SIMD=$simd \
+      "$builddir/tests/test_util" \
+      --gtest_filter=SimdDispatch.AutoReachesAvx2OnAvx2FmaHosts |
+      grep '^simd level:')"
+    CGX_SIMD=$simd ctest --test-dir "$builddir" --output-on-failure -j "$jobs"
+  done
+  echo "==== [simd] CGX_NUMA=off"
+  CGX_NUMA=off ctest --test-dir "$builddir" --output-on-failure -j "$jobs"
+}
 
 presets=("$@")
 if [ ${#presets[@]} -eq 0 ]; then
@@ -18,6 +42,14 @@ fi
 
 jobs=$(nproc 2>/dev/null || echo 4)
 for preset in "${presets[@]}"; do
+  if [ "$preset" = simd ]; then
+    echo "==== [simd] configure"
+    cmake --preset default
+    echo "==== [simd] build"
+    cmake --build build -j "$jobs"
+    simd_matrix build
+    continue
+  fi
   if [ "$preset" = bench-smoke ]; then
     # Smoke the perf artifact pipeline: Release build, then one tiny
     # configuration of every bench that writes a results/BENCH_*.json.
@@ -93,23 +125,9 @@ for preset in "${presets[@]}"; do
     ctest --test-dir "$builddir" --output-on-failure -j "$jobs"
     ctest --test-dir "$builddir" -L memory --output-on-failure -j "$jobs"
   else
-    # Three times: with the SIMD kernels forced scalar, capped at SSE2, and
-    # with runtime dispatch. The kernel layer's contract is that the runs
-    # are bit-identical (tests/util/simd_test.cpp checks per-kernel; this
-    # checks the whole suite end to end at every level, and is the only
-    # end-to-end run of the SSE2 backend on AVX2 hardware). A further pass
-    # with NUMA placement disabled proves thread pinning and arena homing
-    # never change results (CGX_NUMA=off must reproduce auto bit-for-bit).
-    # Each pass first prints the level CGX_SIMD resolves to on this CPU (the
-    # dispatch test reports it), so a log shows which kernels actually ran.
-    for simd in off sse2 auto; do
-      echo "==== [$preset] CGX_SIMD=$simd: $(CGX_SIMD=$simd \
-        "$builddir/tests/test_util" \
-        --gtest_filter=SimdDispatch.AutoReachesAvx2OnAvx2FmaHosts |
-        grep '^simd level:')"
-      CGX_SIMD=$simd ctest --test-dir "$builddir" --output-on-failure -j "$jobs"
-    done
-    CGX_NUMA=off ctest --test-dir "$builddir" --output-on-failure -j "$jobs"
+    # Runtime dispatch, then the SIMD/NUMA bit-identity matrix.
+    ctest --test-dir "$builddir" --output-on-failure -j "$jobs"
+    simd_matrix "$builddir"
     # The simulated-fabric suite once more by label: virtual-time results
     # must be bit-identical whatever the SIMD/NUMA settings above did.
     ctest --test-dir "$builddir" -L multinode --output-on-failure -j "$jobs"
