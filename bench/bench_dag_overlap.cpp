@@ -6,9 +6,9 @@
 // network where every message costs wire latency that a single comm thread
 // must serialize but two comm lanes overlap. Backward compute is
 // sleep-modelled; the two tower branches are independent, so the DAG
-// (core::DepEngine, run as a job on a bound executor with 2 workers)
-// differentiates them concurrently
-// and releases each gradient bucket the moment its true producers finish,
+// (core::DepEngine, run as a job on the rank executor with 2 workers of its
+// own, as train_distributed runs it with compute_threads = 2) differentiates
+// them concurrently and releases each gradient bucket the moment its true producers finish,
 // while the sequential-hook comparator walks the layers in strict reverse
 // order on the training thread and drains one comm lane.
 //
@@ -36,7 +36,6 @@
 #include "comm/fault.h"
 #include "core/dep_engine.h"
 #include "util/table.h"
-#include "util/threadpool.h"
 
 using namespace cgx;
 
@@ -137,6 +136,7 @@ ModeResult run_mode(Mode mode, const BenchConfig& cfg,
       std::make_unique<core::CgxEngine>(
           layout, core::CompressionConfig::cgx_default(), cfg.world),
       aopts);
+  if (mode == Mode::kDag) engine.add_rank_workers(2);
 
   ModeResult out;
   out.buckets = engine.plan().total_submissions();
@@ -166,11 +166,9 @@ ModeResult run_mode(Mode mode, const BenchConfig& cfg,
     // DAG mode: the backward graph of the two-tower model. head writes h;
     // each tower is a chain hanging off h; stem joins both tower outputs.
     // Completion callbacks feed notify_layer_ready from the job's threads.
-    std::shared_ptr<util::ThreadPool> pool;
     core::DepEngine dag;
     std::vector<std::size_t> op_layer;   // op id -> layout layer
     if (mode == Mode::kDag) {
-      pool = std::make_shared<util::ThreadPool>(2);
       const auto h = dag.new_var();
       const auto push_op = [&](std::size_t layer,
                                std::initializer_list<core::DepEngine::VarId>
@@ -225,12 +223,9 @@ ModeResult run_mode(Mode mode, const BenchConfig& cfg,
       grad = rank_gradient(layout, rank, round);
       engine.begin_step(comm, grad, rng);
       if (mode == Mode::kDag) {
-        // The modelled backward sleeps, so it runs on 2 workers of its own
-        // plus the training thread, not on the engine's rank executor,
-        // whose helpers are the comm threads: a comm thread sleeping in an
-        // op would hold its lane's buckets back. Bound after begin_step,
-        // which binds the rank executor.
-        util::bind_thread_executor(pool);
+        // begin_step bound the rank executor: the backward runs on the
+        // training thread and the executor's 2 workers; the comm threads
+        // keep to their buckets (they never take DAG ops).
         dag.run();
       } else {
         // Sequential hooks: strict reverse-layer walk, deadline-paced so

@@ -33,9 +33,10 @@ int main() {
   options.seed = 3;
   options.clip_norm = 1.0;
   // One executor worker per rank (four in all) shares the attention and
-  // linear GEMMs, the codec calls and the optimizer step with the rank's
-  // training thread; bit-identical to compute_threads = 0 (see
-  // nn/train.h).
+  // linear GEMMs' row blocks with the rank's training thread; codec calls
+  // split only over executors of width 2 or more, and the optimizer only on
+  // models of 64 Ki elements or more, so those stay on the training thread.
+  // Bit-identical to compute_threads = 0 (see nn/train.h).
   options.compute_threads = 1;
   options.assigner = &assigner;
   options.reassign_every = 50;

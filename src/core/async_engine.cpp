@@ -97,6 +97,11 @@ AsyncGradientEngine::AsyncGradientEngine(std::unique_ptr<CgxEngine> inner,
   }
 }
 
+void AsyncGradientEngine::add_rank_workers(std::size_t workers) {
+  if (!options_.overlap) return;
+  for (RankState& st : ranks_) st.executor->add_workers(workers);
+}
+
 AsyncGradientEngine::~AsyncGradientEngine() {
   for (RankState& st : ranks_) {
     for (auto& lane_ptr : st.lanes) {
@@ -329,10 +334,14 @@ void AsyncGradientEngine::comm_thread_main(int rank, int lane_id) {
       process_token(st, lane, *lane.comm, token);
       continue;
     }
-    // Idle: take items of whatever job the rank's training thread (a GEMM,
-    // a DAG backward, an optimizer step) or another lane (a codec call)
-    // has in the slot.
-    if (!executor.help()) executor.wait_doorbell(seen);
+    // Idle: take items of a split job the rank's training thread (a GEMM,
+    // an optimizer step) or another lane (a codec call) has in the slot.
+    // A DAG backward's ops are left to the training thread and the
+    // executor's own workers: an op can run for a whole layer, and the
+    // lane's next bucket would wait behind it.
+    if (!executor.help(util::ThreadPool::Jobs::kSplitOnly)) {
+      executor.wait_doorbell(seen);
+    }
   }
 }
 

@@ -36,13 +36,16 @@
 //     its current one. This pipelining is on whenever there are comm
 //     threads, rounds are not retried and the rank's begin half cannot
 //     block (CgxEngine::begin_never_blocks).
-//   * With overlap on, each rank owns a caller-runs executor with no threads
-//     of its own (util::ThreadPool::CallerRuns), bound to its comm threads
-//     and, in begin_step, to its training thread (util::thread_executor).
-//     The comm threads' codec calls split over it, and so do the training
-//     thread's GEMMs, DAG backward and optimizer step; an idle comm thread
-//     takes items of any job in it, and the training thread takes codec
-//     items while it waits in wait_all.
+//   * With overlap on, each rank owns a caller-runs executor
+//     (util::ThreadPool::CallerRuns), bound to its comm threads and, in
+//     begin_step, to its training thread (util::thread_executor); it has
+//     no threads of its own unless add_rank_workers gives it some. The
+//     comm threads' codec calls split over it, and so do the training
+//     thread's GEMMs, DAG backward and optimizer step. An idle comm thread
+//     takes items of split jobs only (codec ranges, GEMM row blocks,
+//     optimizer ranges), never a DAG backward's ops, which run on the
+//     training thread and the executor's own workers; the training thread
+//     takes codec items while it waits in wait_all.
 //   * wait_all() joins the step before the optimizer runs and fills the
 //     StepReport's per-phase Timing (compute / compress / comm / EXPOSED
 //     comm, and the helped time inside the exposed wait) plus per-bucket
@@ -153,6 +156,12 @@ class AsyncGradientEngine final : public GradientEngine {
   void notify_layer_ready(int rank, std::size_t layer);
   void wait_all(int rank);
 
+  // Gives each rank's executor `workers` threads of its own (overlap only;
+  // inline mode has no executor). They join every job, DAG backwards
+  // included. train_distributed passes TrainOptions::compute_threads.
+  // Call before the first begin_step.
+  void add_rank_workers(std::size_t workers);
+
   // Rebuild after a policy mutation (adaptive swap). Must be called while
   // the fabric is quiesced (all ranks between wait_all and the next
   // begin_step, at a barrier). Warmed arenas and unchanged compressors
@@ -203,9 +212,9 @@ class AsyncGradientEngine final : public GradientEngine {
 
   struct RankState {
     std::vector<std::unique_ptr<Lane>> lanes;
-    // Overlap only: the rank's caller-runs executor (no threads of its
-    // own), bound to the rank's comm threads and, per step, to its training
-    // thread. Its doorbell is the one word the rank's comm threads and
+    // Overlap only: the rank's caller-runs executor (threads of its own
+    // only from add_rank_workers), bound to the rank's comm threads and,
+    // per step, to its training thread. Its doorbell is the one word the rank's comm threads and
     // its training thread (in wait_all) park on. Shared so that the
     // training thread's weak binding (util::thread_executor) expires with
     // this engine.

@@ -119,13 +119,12 @@ TrainResult train_distributed(const ModelFactory& model_factory,
     async = static_cast<core::AsyncGradientEngine*>(engine.get());
   }
   if (async != nullptr) cgx = &async->inner();
-  // A streaming engine binds its own rank executor, helped by the rank's
-  // comm threads; a second one would split the rank's work two ways.
-  if (async != nullptr && options.compute_threads > 0) {
-    throw std::invalid_argument(
-        "compute_threads excludes a streaming engine: its rank executor "
-        "is the rank's executor");
-  }
+  // A streaming engine with overlap binds its own rank executor to the
+  // training thread; compute_threads gives it workers instead of the
+  // trainer binding a second one.
+  const bool engine_executor =
+      async != nullptr && async->async_options().overlap;
+  if (engine_executor) async->add_rank_workers(options.compute_threads);
   const bool adaptive = options.assigner != nullptr &&
                         options.reassign_every > 0 && cgx != nullptr;
   if (elastic) {
@@ -221,9 +220,10 @@ TrainResult train_distributed(const ModelFactory& model_factory,
     // bucket ranges and the optimizer's element ranges find it through the
     // thread binding. Not shared across ranks, so a rank whose inline
     // collective blocks can never starve another rank's compute. Dies with
-    // this worker, and the weak binding with it.
+    // this worker, and the weak binding with it. A streaming engine binds
+    // its own (with compute_threads workers) in begin_step instead.
     std::shared_ptr<util::ThreadPool> executor;
-    if (options.compute_threads > 0) {
+    if (options.compute_threads > 0 && !engine_executor) {
       executor = std::make_shared<util::ThreadPool>(options.compute_threads);
       util::bind_thread_executor(executor);
     }

@@ -83,16 +83,18 @@ struct TrainOptions {
   // meaningful with overlap.
   int overlap_comm_lanes = 1;
   // Worker threads of each rank's executor (util::ThreadPool, DESIGN.md
-  // §5l), which the trainer binds to the rank's training thread. The rank's
-  // GEMM row blocks, codec bucket ranges and optimizer element ranges split
-  // over it, and an nn::Graph's backward runs as one DAG job on it, so
-  // independent branches differentiate concurrently and gradient buckets
-  // launch when their true producers finish. 0 = no executor: everything
-  // runs serially on the training thread. Any value produces bit-identical
-  // models (test-enforced). A streaming engine (overlap, or a factory that
-  // returns an AsyncGradientEngine) binds its own rank executor, helped by
-  // the rank's comm threads, so with one compute_threads must be 0:
-  // train_distributed throws std::invalid_argument otherwise.
+  // §5l), which the trainer binds to the rank's training thread. GEMM row
+  // blocks split over it, and an nn::Graph's backward runs as one DAG job
+  // on it, so independent branches differentiate concurrently and gradient
+  // buckets launch when their true producers finish. QSGD calls of at
+  // least 64 Ki elements split only over an executor of size() 2 or more
+  // (2+ workers here), and the optimizer's element ranges only when the
+  // model has at least 64 Ki elements. 0 = no executor: everything runs
+  // serially on the training thread. Any value produces bit-identical
+  // models (test-enforced). A streaming engine with overlap owns the rank
+  // executor (helped by the rank's comm threads, which never take DAG ops)
+  // and binds it itself; compute_threads gives it that many workers of its
+  // own (AsyncGradientEngine::add_rank_workers).
   std::size_t compute_threads = 0;
   // ---- Elastic membership (comm/membership.h, README "Surviving rank
   // failures") ----

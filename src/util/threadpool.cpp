@@ -19,14 +19,23 @@ std::shared_ptr<ThreadPool> thread_executor() { return t_executor.lock(); }
 
 ThreadPool::ThreadPool(std::size_t workers)
     : width_(std::max<std::size_t>(1, workers)) {
-  workers_.reserve(workers);
-  for (std::size_t i = 0; i < workers; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
+  start_workers(workers);
 }
 
 ThreadPool::ThreadPool(CallerRuns mode)
     : width_(std::max<std::size_t>(1, mode.width)) {}
+
+void ThreadPool::add_workers(std::size_t workers) {
+  width_.fetch_add(workers, std::memory_order_relaxed);
+  start_workers(workers);
+}
+
+void ThreadPool::start_workers(std::size_t workers) {
+  workers_.reserve(workers_.size() + workers);
+  for (std::size_t i = 0; i < workers; ++i) {
+    workers_.emplace_back([this] { worker_loop(); });
+  }
+}
 
 ThreadPool::~ThreadPool() {
   stop_.store(true, std::memory_order_release);
@@ -62,7 +71,8 @@ bool ThreadPool::try_run(std::size_t n,
   job_n_ = static_cast<std::uint32_t>(n);
   next_.store(0, std::memory_order_relaxed);
   failed_.store(false, std::memory_order_relaxed);
-  users_.store(kOwned | kOpen, std::memory_order_release);
+  users_.store(kOwned | kOpen | (published != nullptr ? kDag : 0u),
+               std::memory_order_release);
   ring();
 
   // Run items until every one is claimed. With none published, the items
@@ -90,10 +100,11 @@ bool ThreadPool::try_run(std::size_t n,
   return true;
 }
 
-bool ThreadPool::help() {
+bool ThreadPool::help(Jobs which) {
+  const std::uint32_t shut = which == Jobs::kAny ? 0u : kDag;
   std::uint32_t u = users_.load(std::memory_order_relaxed);
   do {
-    if ((u & kOpen) == 0) return false;
+    if ((u & kOpen) == 0 || (u & shut) != 0) return false;
   } while (!users_.compare_exchange_weak(u, u + 1, std::memory_order_acquire,
                                          std::memory_order_relaxed));
   const bool ran = run_items();

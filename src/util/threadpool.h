@@ -16,11 +16,12 @@
 // A rank reaches its executor one way: util::thread_executor(), the
 // executor bound to the calling thread. The trainer binds one to each
 // rank's training thread (TrainOptions::compute_threads workers); a
-// streaming AsyncGradientEngine binds its rank's executor to the training
-// thread in begin_step and to each of the rank's comm threads, which help
-// whenever their queues are empty (DESIGN.md §5l). GEMM row blocks, QSGD
-// bucket ranges, the optimizers' element ranges and DepEngine ops all run
-// on it; with no executor bound they run serially.
+// streaming AsyncGradientEngine binds its rank's executor, with that many
+// workers of its own, to the training thread in begin_step and to each of
+// the rank's comm threads, which help whenever their queues are empty
+// (DESIGN.md §5l). GEMM row blocks, QSGD bucket ranges, the optimizers'
+// element ranges and DepEngine ops all run on it; with no executor bound
+// they run serially.
 //
 // parallel_for items must be independent: which thread runs which item,
 // and in what order, is unspecified. Callers that need bit-identical
@@ -43,8 +44,8 @@ namespace cgx::util {
 class ThreadPool {
  public:
   // An executor with `workers` threads of its own, helpers that never
-  // leave. 0 means none: every job then runs on its owner and on whichever
-  // threads call help().
+  // leave and join every job. 0 means none: every job then runs on its
+  // owner and on whichever threads call help().
   explicit ThreadPool(std::size_t workers);
 
   // An executor with no threads of its own: jobs run on their owner and on
@@ -60,9 +61,15 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
+  // Starts `workers` more threads of their own and widens size() by as
+  // many. Call while no job is posted and no other thread reads size().
+  void add_workers(std::size_t workers);
+
   // How many threads one job is meant to spread over: the worker count, or
-  // a CallerRuns pool's width (at least 1).
-  std::size_t size() const { return width_; }
+  // a CallerRuns pool's width, plus any added workers (at least 1). A
+  // ThreadPool(1) reports 1 even though its owner runs items too, so
+  // callers that split only for size() >= 2 (QSGD) run serially on it.
+  std::size_t size() const { return width_.load(std::memory_order_relaxed); }
 
   // Runs fn(i) for every i in [0, n) and returns once all have run: a
   // job with every item published. Runs the loop serially on the caller
@@ -82,13 +89,19 @@ class ThreadPool {
                FunctionRef<void(std::size_t)> fn);
 
   // ---- External helpers ----
-  // help() runs published items of the job in the slot, if there is one,
-  // and returns whether it ran any. A helper reads doorbell() BEFORE it
-  // looks for work (its own queue, then help()) and parks with
-  // wait_doorbell(seen) when it found none: the doorbell changes on every
-  // job post, every publish and every ring(), so nothing posted in between
-  // is missed.
-  bool help();
+  // Which jobs a help() call joins: any, or only split jobs — parallel_for's,
+  // whose items are equal slices of one kernel, all published at the post.
+  // A DAG job's items are whole ops of any length; a helper with other
+  // work to come back to (a comm thread and its bucket queue) joins split
+  // jobs only, so it is never held in a long op.
+  enum class Jobs { kAny, kSplitOnly };
+  // help() runs published items of the job in the slot, if there is one
+  // of the kind asked for, and returns whether it ran any. A helper reads
+  // doorbell() BEFORE it looks for work (its own queue, then help()) and
+  // parks with wait_doorbell(seen) when it found none: the doorbell
+  // changes on every job post, every publish and every ring(), so nothing
+  // posted in between is missed.
+  bool help(Jobs which = Jobs::kAny);
   std::uint32_t doorbell() const {
     return doorbell_.load(std::memory_order_acquire);
   }
@@ -102,18 +115,21 @@ class ThreadPool {
   void ring();
 
  private:
-  // users_ bits: the slot is owned, the job is open to helpers, and the
-  // count of helpers inside it.
+  // users_ bits: the slot is owned, the job is open to helpers, the job
+  // publishes its items as it runs (a DAG job), and the count of helpers
+  // inside it.
   static constexpr std::uint32_t kOwned = 1u << 31;
   static constexpr std::uint32_t kOpen = 1u << 30;
-  static constexpr std::uint32_t kHelperMask = kOpen - 1;
+  static constexpr std::uint32_t kDag = 1u << 29;
+  static constexpr std::uint32_t kHelperMask = kDag - 1;
 
   // Claims and runs published items of the current job until none is
   // left; returns whether it ran any.
   bool run_items();
+  void start_workers(std::size_t workers);
   void worker_loop();
 
-  std::size_t width_ = 0;
+  std::atomic<std::size_t> width_{0};
   std::vector<std::thread> workers_;
   std::atomic<bool> stop_{false};
 

@@ -188,7 +188,7 @@ TEST(AsyncEngineAlloc, StreamedStepAllocationFreeAcrossPolicyHotSwap) {
 
 TEST(AsyncEngineAlloc, DagExecutorStreamedStepAllocationFreeAfterWarmup) {
   // The DAG-executor path: per-rank DepEngine replay as a job on the
-  // rank's executor (bound by begin_step, helped by the comm threads)
+  // rank's executor (bound by begin_step, with 3 workers of its own)
   // drives the notifies, the engine runs two comm lanes with ordered
   // launch. After warm-up — recorded op graph, ready array at size, lane
   // queues and arenas grown, timing vectors at capacity — the whole
@@ -208,6 +208,7 @@ TEST(AsyncEngineAlloc, DagExecutorStreamedStepAllocationFreeAfterWarmup) {
       std::make_unique<CgxEngine>(layout, CompressionConfig::cgx_default(),
                                   kWorld),
       aopts);
+  engine.add_rank_workers(3);
 
   comm::ShmTransport transport(kWorld);
   comm::run_world(transport, [&](comm::Comm& comm) {

@@ -3,7 +3,7 @@
 // across reduction schemes and world sizes; per-bucket launch/finish
 // timestamps land in the StepReport; round retries force a single lane and
 // still recover bitwise; and the trainer's DAG backward on the rank
-// executor (the streaming engine's, or compute_threads workers) and
+// executor (the streaming engine's, with compute_threads workers) and
 // overlap_comm_lanes reproduce the plain serial run exactly — including
 // models with frozen and parameterless children streaming through the
 // hooks.
@@ -346,7 +346,8 @@ void expect_same_run(const nn::TrainResult& got, const nn::TrainResult& want) {
 
 TEST(DagAsyncTrain, GraphDagBackwardBitIdenticalToSerialHooks) {
   // The full stack: Graph model, per-rank DepEngine backward as a job on
-  // the rank executor (helped by 2 comm lanes), streaming overlap — versus
+  // the rank executor (the training thread and 2 workers; the 2 comm lanes
+  // help its split jobs only), streaming overlap — versus
   // the same streaming facade run inline, driven by the serial backward
   // walk (the legacy hook path). Only the scheduling differs; loss history
   // and final replicas must match bit-for-bit.
@@ -363,6 +364,7 @@ TEST(DagAsyncTrain, GraphDagBackwardBitIdenticalToSerialHooks) {
 
   nn::TrainOptions dag = base;
   dag.overlap_comm_lanes = 2;
+  dag.compute_threads = 2;
   nn::TrainResult got = train_distributed(
       two_tower_factory(), sgd_factory(0.05), cgx_engine(),
       blob_batches(dataset, 16), nn::make_xent_loss(kClasses), dag);
@@ -390,6 +392,7 @@ TEST(DagAsyncTrain, FrozenAndParameterlessChildrenStreamCorrectly) {
 
   nn::TrainOptions dag = base;
   dag.overlap_comm_lanes = 2;
+  dag.compute_threads = 2;
   nn::TrainResult got = train_distributed(
       two_tower_factory(/*freeze_tower_layer=*/true), sgd_factory(0.05),
       cgx_engine(), blob_batches(dataset, 16), nn::make_xent_loss(kClasses),

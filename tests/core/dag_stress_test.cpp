@@ -209,16 +209,17 @@ TEST(DagStress, ConcurrentHookNotifiesIntoMultiLaneEngine) {
       std::make_unique<CgxEngine>(layout, CompressionConfig::cgx_default(),
                                   kWorld),
       aopts);
+  engine.add_rank_workers(4);
   ASSERT_GT(engine.plan().buckets.size(), 2u);
 
   comm::ShmTransport transport(kWorld);
   std::vector<std::vector<float>> result(kWorld);
   comm::run_world(transport, [&](comm::Comm& comm) {
     const int rank = comm.rank();
-    // The rank's executor, bound by begin_step and helped by the comm
-    // threads: one DepEngine, one op per layer with independent variables
-    // so completions (and thus notifies) land in scrambled order from
-    // several threads at once.
+    // The rank's executor, bound by begin_step, with 4 workers of its
+    // own: one DepEngine, one op per layer with independent variables so
+    // completions (and thus notifies) land in scrambled order from several
+    // threads at once.
     DepEngine dag;
     std::vector<DepEngine::VarId> lvars;
     for (std::size_t l = 0; l < layout.layer_count(); ++l) {

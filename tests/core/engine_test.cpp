@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <memory>
 #include <mutex>
+#include <thread>
 #include <vector>
 
 #include "comm/transports.h"
@@ -161,33 +164,82 @@ TEST(CgxEngine, ScratchStabilizesAfterFirstStep) {
   }
 }
 
+// A helper thread in a comm thread's shape (read the doorbell, help, park)
+// that counts the items it ran.
+class CountingHelper {
+ public:
+  CountingHelper(util::ThreadPool& pool, std::atomic<int>& ran)
+      : pool_(pool), ran_(ran), thread_([this] { run(); }) {}
+  ~CountingHelper() {
+    stop_.store(true, std::memory_order_release);
+    pool_.ring();
+    thread_.join();
+  }
+
+ private:
+  void run() {
+    while (!stop_.load(std::memory_order_acquire)) {
+      const std::uint32_t seen = pool_.doorbell();
+      if (stop_.load(std::memory_order_acquire)) break;
+      if (pool_.help()) {
+        ran_.fetch_add(1, std::memory_order_relaxed);
+      } else {
+        pool_.wait_doorbell(seen);
+      }
+    }
+  }
+
+  util::ThreadPool& pool_;
+  std::atomic<int>& ran_;
+  std::atomic<bool> stop_{false};
+  std::thread thread_;
+};
+
 TEST(CgxEngine, ThreadedCompressionPoolKeepsResultsInEnvelope) {
-  // Wiring check for the rank executor: with a pool bound to every rank
-  // thread, as the trainer binds one, a layer whose per-rank chunk crosses
-  // the QSGD split threshold splits over it, and the engine produces the
-  // same lockstep averages (bit-reproducibility of the compression itself
-  // is covered by threaded_compression_test).
+  // Wiring check for the rank executor: with an executor bound to every
+  // rank thread, as the trainer binds one, a layer whose per-rank chunk
+  // crosses the QSGD split threshold splits over it, and the engine
+  // produces the same lockstep averages (bit-reproducibility of the
+  // compression itself is covered by threaded_compression_test). Each
+  // rank's executor is shared by its thread and two helper threads, which
+  // count the items they ran: the split path must have run.
   constexpr int kWorld = 4;
   auto layout = transformer_like_layout();
   layout.add_layer("big.weight", tensor::Shape{512, 640});
   ASSERT_GE(layout.layer(layout.layer_count() - 1).numel / kWorld,
             QsgdCompressor::kSplitMinNumel);
   CgxEngine engine(layout, CompressionConfig::cgx_default(), kWorld);
-  std::vector<std::vector<float>> results(kWorld);
-  std::mutex mutex;
-  comm::ShmTransport transport(kWorld);
-  comm::run_world(transport, [&](comm::Comm& comm) {
-    const auto pool = std::make_shared<util::ThreadPool>(1);
-    util::bind_thread_executor(pool);
-    auto grad = rank_gradient(layout, comm.rank());
-    util::Rng rng(6100 + static_cast<std::uint64_t>(comm.rank()));
-    engine.allreduce(comm, grad, rng);
-    std::lock_guard<std::mutex> lock(mutex);
-    results[static_cast<std::size_t>(comm.rank())] = std::move(grad);
-  });
-  for (int r = 1; r < kWorld; ++r) {
-    EXPECT_EQ(results[static_cast<std::size_t>(r)], results[0]);
+  std::atomic<int> helper_items{0};
+  std::vector<std::shared_ptr<util::ThreadPool>> pools;
+  std::vector<std::unique_ptr<CountingHelper>> helpers;
+  for (int r = 0; r < kWorld; ++r) {
+    pools.push_back(std::make_shared<util::ThreadPool>(
+        util::ThreadPool::CallerRuns{3}));
+    for (int h = 0; h < 2; ++h) {
+      helpers.push_back(
+          std::make_unique<CountingHelper>(*pools.back(), helper_items));
+    }
   }
+  // Helpers wake on the doorbell, so on a loaded machine a round's owners
+  // may finish alone; rounds repeat until a helper has run an item.
+  for (int round = 0; round < 50 && helper_items.load() == 0; ++round) {
+    std::vector<std::vector<float>> results(kWorld);
+    std::mutex mutex;
+    comm::ShmTransport transport(kWorld);
+    comm::run_world(transport, [&](comm::Comm& comm) {
+      util::bind_thread_executor(pools[static_cast<std::size_t>(comm.rank())]);
+      auto grad = rank_gradient(layout, comm.rank());
+      util::Rng rng(6100 + static_cast<std::uint64_t>(comm.rank()));
+      engine.allreduce(comm, grad, rng);
+      std::lock_guard<std::mutex> lock(mutex);
+      results[static_cast<std::size_t>(comm.rank())] = std::move(grad);
+    });
+    for (int r = 1; r < kWorld; ++r) {
+      EXPECT_EQ(results[static_cast<std::size_t>(r)], results[0]);
+    }
+  }
+  helpers.clear();
+  EXPECT_GT(helper_items.load(), 0) << "no codec call split over the executor";
 }
 
 TEST(CgxEngine, WireBytesBelowBaseline) {

@@ -155,21 +155,25 @@ TEST(NnStepAlloc, TwoTowerGraphExecutorStepAllocationFree) {
 }
 
 // The rank executor's shape under a streaming engine: a caller-runs
-// executor with no threads of its own, helped by one outside thread that
-// reads the doorbell, helps and parks, as a comm thread does. The DAG job
-// (its ready array, published bound and doorbell rings) and the GEMM and
-// Adam jobs of the same step must not allocate on either thread.
+// executor with one worker of its own (compute_threads = 1), helped by one
+// outside thread that reads the doorbell, joins split jobs and parks, as a
+// comm thread does. The DAG job (its ready array, published bound and
+// doorbell rings) and the GEMM and Adam jobs of the same step must not
+// allocate on any of these threads.
 TEST(NnStepAlloc, TwoTowerGraphDagJobWithHelperStepAllocationFree) {
   util::Rng rng(7);
   auto model = models::make_two_tower(48, 64, 6, rng);
   const auto executor =
       std::make_shared<util::ThreadPool>(util::ThreadPool::CallerRuns{2});
+  executor->add_workers(1);
   std::atomic<bool> stop{false};
   std::thread helper([&] {
     while (!stop.load(std::memory_order_acquire)) {
       const std::uint32_t seen = executor->doorbell();
       if (stop.load(std::memory_order_acquire)) break;
-      if (!executor->help()) executor->wait_doorbell(seen);
+      if (!executor->help(util::ThreadPool::Jobs::kSplitOnly)) {
+        executor->wait_doorbell(seen);
+      }
     }
   });
   util::bind_thread_executor(executor);

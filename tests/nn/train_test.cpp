@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <stdexcept>
+#include <cstring>
 
 #include "core/async_engine.h"
 #include "data/synthetic.h"
@@ -211,23 +211,47 @@ TEST(TrainDistributed, OverlapOptionWrapsEngineAndConverges) {
   EXPECT_LT(result.final_loss, 1.0);
 }
 
-TEST(TrainDistributed, ComputeThreadsWithStreamingEngineIsRejected) {
-  // The streaming engine binds its own rank executor; the trainer's would
-  // be a second one, so the combination is refused before any worker
-  // starts (no step runs).
-  data::BlobDataset dataset(kClasses, kDim, 49);
-  TrainOptions options;
-  options.world_size = 2;
-  options.steps = 4;
-  options.overlap = true;
-  options.compute_threads = 1;
-  std::size_t calls = 0;
-  options.on_step = [&calls](std::size_t, double) { ++calls; };
-  EXPECT_THROW(train_distributed(mlp_factory(), sgd_factory(0.05),
-                                 cgx_engine(), blob_batches(dataset, 8),
-                                 make_xent_loss(kClasses), options),
-               std::invalid_argument);
-  EXPECT_EQ(calls, 0u);
+TEST(TrainDistributed, ComputeThreadsWithAsyncEngineBitIdenticalToNone) {
+  // compute_threads with an AsyncGradientEngine: inline (no engine
+  // executor, so the trainer binds its own) and streaming (the engine's
+  // rank executor gets the workers). Either way the loss trajectory and
+  // the trained replica match compute_threads = 0 bit for bit.
+  data::BlobDataset dataset(kClasses, kDim, 51);
+  for (const bool overlap : {false, true}) {
+    auto async_engine = [overlap](const tensor::LayerLayout& layout,
+                                  int world) {
+      core::AsyncOptions aopts;
+      aopts.bucket_bytes = std::size_t{4} << 10;
+      aopts.overlap = overlap;
+      return std::make_unique<core::AsyncGradientEngine>(
+          std::make_unique<core::CgxEngine>(
+              layout, core::CompressionConfig::cgx_default(), world),
+          aopts);
+    };
+    TrainOptions options;
+    options.world_size = 2;
+    options.steps = 12;
+    options.seed = 13;
+    TrainResult none = train_distributed(
+        mlp_factory(), sgd_factory(0.05), async_engine,
+        blob_batches(dataset, 64), make_xent_loss(kClasses), options);
+    options.compute_threads = 2;
+    TrainResult threaded = train_distributed(
+        mlp_factory(), sgd_factory(0.05), async_engine,
+        blob_batches(dataset, 64), make_xent_loss(kClasses), options);
+    EXPECT_EQ(threaded.loss_history, none.loss_history)
+        << "overlap=" << overlap;
+    const std::vector<Param*> a = parameters(*threaded.model);
+    const std::vector<Param*> b = parameters(*none.model);
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      const auto x = a[i]->value.data();
+      const auto y = b[i]->value.data();
+      ASSERT_EQ(x.size(), y.size());
+      EXPECT_EQ(0, std::memcmp(x.data(), y.data(), x.size() * sizeof(float)))
+          << "overlap=" << overlap << " param " << i;
+    }
+  }
 }
 
 TEST(TrainDistributed, OnStepCallbackFires) {

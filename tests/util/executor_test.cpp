@@ -1,6 +1,7 @@
 // The caller-runs executor behind ThreadPool::parallel_for (threadpool.h):
 // an owner alone, with one and two external helpers, a helper arriving
-// mid-job, a helper meeting a job with no published item, a throwing item,
+// mid-job, a helper meeting a job with no published item, a split-only
+// helper meeting a DAG job, added workers in a DAG job, a throwing item,
 // a second owner and a nested call, and a stress of back-to-back jobs with
 // helpers joining and leaving. In the tsan-labelled test_concurrency
 // binary.
@@ -169,6 +170,67 @@ TEST(CallerRunsExecutor, HelpOnAJobWhoseNextItemIsUnpublishedReturns) {
   EXPECT_FALSE(helper_ran.load());
   EXPECT_EQ(who[0], owner);
   EXPECT_EQ(who[1], owner);
+}
+
+TEST(CallerRunsExecutor, SplitOnlyHelperLeavesDagJobsAndJoinsSplitJobs) {
+  // A comm thread's help(kSplitOnly): it takes a published item of a
+  // parallel_for job, but leaves a DAG job at once, even one whose next
+  // item is published, so it is never held in a long op.
+  ThreadPool pool(ThreadPool::CallerRuns{2});
+  const auto owner = std::this_thread::get_id();
+  for (const bool dag : {true, false}) {
+    std::atomic<std::uint32_t> published{2};
+    std::atomic<int> helper_returned{0};
+    std::atomic<bool> helper_ran{false};
+    std::atomic<bool> timed_out{false};
+    std::vector<std::thread::id> who(2);
+    std::thread helper;
+    const auto item = [&](std::size_t i) {
+      who[i] = std::this_thread::get_id();
+      if (i != 0) return;
+      helper = std::thread([&] {
+        helper_ran.store(pool.help(ThreadPool::Jobs::kSplitOnly),
+                         std::memory_order_release);
+        helper_returned.store(1, std::memory_order_release);
+      });
+      // Item 0 holds the owner until the helper has come and gone.
+      if (!await(helper_returned, 1)) timed_out.store(true);
+    };
+    if (dag) {
+      EXPECT_TRUE(pool.try_run(2, &published, item));
+    } else {
+      pool.parallel_for(2, item);
+    }
+    helper.join();
+    EXPECT_FALSE(timed_out.load()) << "dag=" << dag;
+    EXPECT_EQ(helper_ran.load(), !dag) << "dag=" << dag;
+    EXPECT_EQ(who[0], owner);
+    EXPECT_EQ(who[1] == owner, dag);
+  }
+}
+
+TEST(CallerRunsExecutor, AddedWorkersJoinDagJobs) {
+  // add_workers gives a caller-runs executor threads of its own, which
+  // widen size() and take any job's items, DAG jobs included: items 0 and
+  // 1 meet at a rendezvous, so a worker ran one of them.
+  ThreadPool pool(ThreadPool::CallerRuns{2});
+  pool.add_workers(1);
+  EXPECT_EQ(pool.size(), 3u);
+  const auto owner = std::this_thread::get_id();
+  for (int round = 0; round < 20; ++round) {
+    std::atomic<std::uint32_t> published{2};
+    std::atomic<int> started{0};
+    std::atomic<bool> timed_out{false};
+    std::vector<std::thread::id> who(2);
+    EXPECT_TRUE(pool.try_run(2, &published, [&](std::size_t i) {
+      who[i] = std::this_thread::get_id();
+      started.fetch_add(1, std::memory_order_acq_rel);
+      if (!await(started, 2)) timed_out.store(true);
+    }));
+    ASSERT_FALSE(timed_out.load()) << "no worker joined the DAG job";
+    EXPECT_NE(who[0], who[1]);
+    EXPECT_TRUE(who[0] == owner || who[1] == owner);
+  }
 }
 
 TEST(CallerRunsExecutor, ThrowIsRethrownAfterClaimedItemsFinish) {
