@@ -1,8 +1,9 @@
 // Compute-kernel microbenchmarks: in-process A/B of the SIMD dispatch
 // levels (scalar vs SSE2 vs AVX2) for the tiled GEMM, the A·Bᵀ dot tile,
-// the im2col convolution, ReLU backward, the Adam update, a whole
-// single-thread VGG-mini training step, the quantizers, and the fused
-// error-feedback sweep.
+// the im2col convolution, ReLU backward, the exp family (raw exp, the
+// softmax cross-entropy, GELU), the Adam update, a whole single-thread
+// VGG-mini training step, the quantizers, and the fused error-feedback
+// sweep.
 //
 // Writes results/BENCH_compute.json: a provenance block (commit, host,
 // nproc, SIMD level, build type) and one row per (kernel, level) with
@@ -27,6 +28,7 @@
 #include "core/qsgd.h"
 #include "models/small_models.h"
 #include "nn/conv.h"
+#include "nn/layers.h"
 #include "nn/loss.h"
 #include "nn/optim.h"
 #include "tensor/tensor.h"
@@ -210,6 +212,51 @@ void run_suite(bool smoke, bool json) {
         if (xs[i] <= 0.0f) gi[i] = 0.0f;
       }
       benchmark::DoNotOptimize(gi.data());
+    });
+  }
+
+  // ---- the exp family: the raw kernel on doubles spread over the
+  // softmax's argument range, the LM head's loss (128 rows of 2048
+  // classes, lm_2node's shape) and GELU on one transformer block's
+  // [4, 32, 256] hidden activations ----
+  {
+    const std::size_t n = smoke ? (1 << 12) : (1 << 16);
+    std::vector<double> x(n), y(n);
+    util::Rng rng(17);
+    for (double& v : x) v = -30.0 * rng.next_double();
+    sweep_levels(rows, "exp", "Gelem/s", n / 1e9, [&] {
+      simd::exp(x, y);
+      benchmark::DoNotOptimize(y.data());
+    });
+  }
+  {
+    const std::size_t rows_n = smoke ? 16 : 128, classes = 2048;
+    tensor::Tensor logits(tensor::Shape{rows_n, classes});
+    util::Rng rng(18);
+    for (auto& v : logits.data()) {
+      v = static_cast<float>(2.0 * rng.next_gaussian());
+    }
+    std::vector<int> targets(rows_n);
+    for (int& t : targets) t = static_cast<int>(rng.next_below(classes));
+    tensor::Tensor grad;
+    sweep_levels(rows, "softmax_xent_" + std::to_string(rows_n) + "x2048",
+                 "Gelem/s", rows_n * classes / 1e9, [&] {
+                   benchmark::DoNotOptimize(
+                       nn::softmax_xent(logits, targets, classes, grad));
+                 });
+  }
+  {
+    tensor::Tensor x(tensor::Shape{smoke ? 1u : 4u, 32, 256});
+    tensor::Tensor go(x.shape());
+    util::Rng rng(19);
+    for (auto& v : x.data()) v = static_cast<float>(rng.next_gaussian());
+    for (auto& v : go.data()) v = static_cast<float>(rng.next_gaussian());
+    nn::Gelu gelu;
+    sweep_levels(rows, "gelu_forward", "Gelem/s", x.numel() / 1e9, [&] {
+      benchmark::DoNotOptimize(gelu.forward(x, true).data().data());
+    });
+    sweep_levels(rows, "gelu_backward", "Gelem/s", x.numel() / 1e9, [&] {
+      benchmark::DoNotOptimize(gelu.backward(go).data().data());
     });
   }
 

@@ -47,6 +47,7 @@ const tensor::Tensor& MultiHeadAttention::forward(const tensor::Tensor& x,
   pack_k_.resize(t * dh);
   pack_v_.resize(t * dh);
   pack_o_.resize(t * dh);
+  exp_row_.resize(t);
   for (std::size_t n = 0; n < b; ++n) {
     for (std::size_t hh = 0; hh < h; ++hh) {
       for (std::size_t i = 0; i < t; ++i) {
@@ -63,14 +64,12 @@ const tensor::Tensor& MultiHeadAttention::forward(const tensor::Tensor& x,
         float* row = scores.data() + i * t;
         util::simd::scale({row, limit}, scale);
         const float max_score = util::simd::reduce_max({row, limit}, -1e30f);
-        double denom = 0.0;
+        const double denom = util::simd::exp_sum(
+            {row, limit}, max_score, std::span<double>(exp_row_).first(limit));
+        const double inv = denom > 0.0 ? 1.0 / denom : 0.0;
         for (std::size_t j = 0; j < limit; ++j) {
-          row[j] = std::exp(row[j] - max_score);
-          denom += row[j];
+          row[j] = static_cast<float>(exp_row_[j] * inv);
         }
-        const float inv =
-            denom > 0.0 ? static_cast<float>(1.0 / denom) : 0.0f;
-        util::simd::scale({row, limit}, inv);
         std::fill(row + limit, row + t, 0.0f);
       }
       // O = A V; masked columns of A are exactly zero so they contribute

@@ -44,6 +44,7 @@ class MultiHeadAttention final : public Module {
   std::vector<float> pack_q_, pack_k_, pack_v_, pack_o_;
   std::vector<float> pack_dq_, pack_dk_, pack_dv_;
   std::vector<float> da_, ds_;  // [T, T] attention-grad scratch
+  std::vector<double> exp_row_;  // [T] one score row's exps
 };
 
 class TransformerBlock final : public Module {

@@ -133,34 +133,46 @@ const tensor::Tensor& ReLU::backward(const tensor::Tensor& grad_out) {
 
 namespace {
 constexpr float kGeluC = 0.7978845608028654f;  // sqrt(2/pi)
-}
 
+// u = sqrt(2/pi) * (x + 0.044715 x^3), the tanh argument of both passes.
+void gelu_arg(std::span<const float> x, std::span<float> u) {
+  for (std::size_t i = 0; i < u.size(); ++i) {
+    const float v = x[i];
+    u[i] = kGeluC * (v + 0.044715f * v * v * v);
+  }
+}
+}  // namespace
+
+// Both passes write u into their output buffer, take its tanh in place with
+// util::simd::tanh, then finish elementwise.
 const tensor::Tensor& Gelu::forward(const tensor::Tensor& x, bool train) {
   (void)train;
   input_.copy_from(x);
   output_.reset(x.shape());
   const auto in = input_.data();
   auto out = output_.data();
+  gelu_arg(in, out);
+  util::simd::tanh(out, out);
   for (std::size_t i = 0; i < out.size(); ++i) {
-    const float v = in[i];
-    const float t = std::tanh(kGeluC * (v + 0.044715f * v * v * v));
-    out[i] = 0.5f * v * (1.0f + t);
+    out[i] = 0.5f * in[i] * (1.0f + out[i]);
   }
   return output_;
 }
 
 const tensor::Tensor& Gelu::backward(const tensor::Tensor& grad_out) {
   CGX_CHECK_EQ(grad_out.numel(), input_.numel());
-  grad_in_.copy_from(grad_out);
+  grad_in_.reset(grad_out.shape());
   auto g = grad_in_.data();
+  const auto go = grad_out.data();
   const auto xs = input_.data();
+  gelu_arg(xs, g);
+  util::simd::tanh(g, g);
   for (std::size_t i = 0; i < g.size(); ++i) {
     const float x = xs[i];
-    const float u = kGeluC * (x + 0.044715f * x * x * x);
-    const float t = std::tanh(u);
+    const float t = g[i];
     const float du = kGeluC * (1.0f + 3.0f * 0.044715f * x * x);
     const float dgelu = 0.5f * (1.0f + t) + 0.5f * x * (1.0f - t * t) * du;
-    g[i] *= dgelu;
+    g[i] = go[i] * dgelu;
   }
   return grad_in_;
 }
@@ -170,9 +182,7 @@ const tensor::Tensor& Gelu::backward(const tensor::Tensor& grad_out) {
 const tensor::Tensor& Tanh::forward(const tensor::Tensor& x, bool train) {
   (void)train;
   output_.reset(x.shape());
-  const auto in = x.data();
-  auto out = output_.data();
-  for (std::size_t i = 0; i < out.size(); ++i) out[i] = std::tanh(in[i]);
+  util::simd::tanh(x.data(), output_.data());
   return output_;
 }
 

@@ -1,9 +1,11 @@
 #include "nn/loss.h"
 
-#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "util/check.h"
+#include "util/simd.h"
 
 namespace cgx::nn {
 
@@ -11,6 +13,21 @@ SoftmaxCrossEntropy::SoftmaxCrossEntropy(std::size_t classes)
     : classes_(classes) {
   CGX_CHECK_GT(classes, 1u);
 }
+
+namespace {
+
+// Rows up to this many classes keep their exps on the stack; wider heads
+// use a grow-once per-thread row. No call allocates after a thread's first
+// call on its widest head.
+constexpr std::size_t kStackClasses = 4096;
+
+double* wide_row(std::size_t classes) {
+  thread_local std::vector<double> row;
+  if (row.size() < classes) row.resize(classes);
+  return row.data();
+}
+
+}  // namespace
 
 double softmax_xent(const tensor::Tensor& logits, std::span<const int> targets,
                     std::size_t classes, tensor::Tensor& grad) {
@@ -21,37 +38,31 @@ double softmax_xent(const tensor::Tensor& logits, std::span<const int> targets,
   grad.reset(logits.shape());  // every element is written below
   const auto in = logits.data();
   auto g = grad.data();
+  double stack_row[kStackClasses];
+  const std::span<double> e{
+      classes <= kStackClasses ? stack_row : wide_row(classes), classes};
   double total = 0.0;
   const float inv_rows = 1.0f / static_cast<float>(rows);
   for (std::size_t r = 0; r < rows; ++r) {
-    const float* row = &in[r * classes];
-    // Online softmax (Milakov & Gimelshein): one fused sweep keeps a running
-    // max and a running sum rescaled whenever the max moves, replacing the
-    // old separate max pass + sum pass. Same overflow safety (every exp
-    // argument is <= 0), half the memory traffic.
-    double max_logit = row[0];
-    double denom = 1.0;  // exp(row[0] - max) with max == row[0]
-    for (std::size_t c = 1; c < classes; ++c) {
-      const double x = row[c];
-      if (x > max_logit) {
-        denom = denom * std::exp(max_logit - x) + 1.0;
-        max_logit = x;
-      } else {
-        denom += std::exp(x - max_logit);
-      }
-    }
-    const int target = targets[r];
-    CGX_DCHECK(target >= 0 && static_cast<std::size_t>(target) < classes);
-    const double log_denom = std::log(denom);
-    total += log_denom - (static_cast<double>(row[target]) - max_logit);
+    const std::span<const float> row = in.subspan(r * classes, classes);
+    const std::span<float> grow = g.subspan(r * classes, classes);
+    // Three passes. The max skips a NaN logit, but that logit's own exp
+    // is NaN and carries into the sum, so the loss stays non-finite; a
+    // +inf max gives inf - inf = NaN the same way. A -inf logit under a
+    // finite max gets exp(-inf) = +0.
+    const double max_logit = util::simd::reduce_max(
+        row, -std::numeric_limits<float>::infinity());
+    const double denom = util::simd::exp_sum(row, max_logit, e);
+    const auto target = static_cast<std::size_t>(targets[r]);
+    CGX_DCHECK(target < classes);
+    total += std::log(denom) - (static_cast<double>(row[target]) - max_logit);
+    // p = exp / denom rounds to float once; the target's p then loses 1.
+    const double inv_denom = 1.0 / denom;
     for (std::size_t c = 0; c < classes; ++c) {
-      const double p =
-          std::exp(static_cast<double>(row[c]) - max_logit - log_denom);
-      g[r * classes + c] =
-          (static_cast<float>(p) -
-           (static_cast<std::size_t>(target) == c ? 1.0f : 0.0f)) *
-          inv_rows;
+      grow[c] = static_cast<float>(e[c] * inv_denom) * inv_rows;
     }
+    grow[target] =
+        (static_cast<float>(e[target] * inv_denom) - 1.0f) * inv_rows;
   }
   return total / static_cast<double>(rows);
 }

@@ -267,6 +267,26 @@ void adam_update_scalar(const AdamCoeffs& c, float* w, float* grad, float* m,
   }
 }
 
+// --------------------------------------------------------------------- exp
+
+void exp_scalar(const double* x, double* out, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) out[i] = exp_element(x[i]);
+}
+
+double exp_sum_scalar(const float* x, double shift, double* out,
+                      std::size_t n) {
+  double lanes[8] = {0, 0, 0, 0, 0, 0, 0, 0};
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = exp_element(static_cast<double>(x[i]) - shift);
+    lanes[i % 8] += out[i];
+  }
+  return combine_lanes(lanes);
+}
+
+void tanh_scalar(const float* x, float* out, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) out[i] = tanh_element(x[i]);
+}
+
 // ------------------------------------------------------------ uniforms
 
 void bucket_uniforms_scalar(std::uint64_t (*states)[4], std::size_t count,
@@ -298,6 +318,7 @@ constexpr SimdOps kScalarOps = {
     nuq_quantize_scalar,  nuq_dequantize_scalar,
     gemm_tile_scalar,  gemm_tile_at_scalar,
     dot_tile_scalar,   adam_update_scalar,
+    exp_scalar,        exp_sum_scalar,        tanh_scalar,
     nullptr,           nullptr,
     bucket_uniforms_scalar,
     add_scalar,  // copy_add == the elementwise add loop
@@ -519,6 +540,22 @@ void bucket_uniforms(std::uint64_t (*states)[4], std::size_t count,
                      std::size_t len, float* out) {
   CGX_DCHECK(count <= 4);
   ops().bucket_uniforms(states, count, len, out);
+}
+
+void exp(std::span<const double> x, std::span<double> out) {
+  CGX_DCHECK(x.size() == out.size());
+  ops().exp(x.data(), out.data(), x.size());
+}
+
+double exp_sum(std::span<const float> x, double shift,
+               std::span<double> out) {
+  CGX_DCHECK(x.size() == out.size());
+  return ops().exp_sum(x.data(), shift, out.data(), x.size());
+}
+
+void tanh(std::span<const float> x, std::span<float> out) {
+  CGX_DCHECK(x.size() == out.size());
+  ops().tanh(x.data(), out.data(), x.size());
 }
 
 bool pack_words(const std::uint32_t* sym, std::size_t nwords, unsigned bits,

@@ -1,12 +1,12 @@
 // Portable SIMD kernel layer with runtime CPU dispatch.
 //
 // Every numerical hot path in the library (tensor_ops GEMM, the nn layer
-// reductions, QSGD/NUQ quantization, bitio pack/unpack) routes through the
-// kernels declared here. At startup the best instruction set the CPU
-// supports is selected (AVX2+FMA > SSE2 > scalar); the CGX_SIMD environment
-// variable (`off`/`scalar`, `sse2`, `avx2`, `auto`) overrides the choice so
-// tests can pin a level, and set_level() switches levels at runtime for
-// in-process A/B comparison.
+// reductions and transcendentals, QSGD/NUQ quantization, bitio pack/unpack)
+// routes through the kernels declared here. At startup the best instruction
+// set the CPU supports is selected (AVX2+FMA > SSE2 > scalar); the CGX_SIMD
+// environment variable (`off`/`scalar`, `sse2`, `avx2`, `auto`) overrides the
+// choice so tests can pin a level, and set_level() switches levels at runtime
+// for in-process A/B comparison.
 //
 // Bit-exactness contract: for identical inputs, every kernel produces
 // bit-identical outputs at every dispatch level. Elementwise kernels
@@ -168,6 +168,40 @@ struct AdamCoeffs {
 void adam_update(const AdamCoeffs& coeffs, std::span<float> w,
                  std::span<float> grad, std::span<float> m,
                  std::span<float> v);
+
+// ---------------------------------------------------------------------------
+// Transcendentals: the repo's own exp on doubles, and what is built on it.
+// Every per-element exp and tanh in the nn layers runs through these, not
+// through libm, whose exp picks a code path by host CPU (FMA or not) and
+// so is not the same function on every machine. Per element:
+//   x = min(710, x), then max(-746, x), NaN passing through both;
+//   k = x * log2(e) rounded to nearest even (add and subtract 1.5 * 2^52);
+//   r = (x - k * ln2_hi) - k * ln2_lo   (Cody-Waite; k * ln2_hi is exact);
+//   q = sum_{i<12} r^i / (i+2)!  by Estrin's scheme in a fixed order
+//       (simd_internal.h exp_element);
+//   p = 1 + (r + (r * r) * q);
+//   exp = (p * 2^(k >> 1)) * 2^(k - (k >> 1)),
+// each 2^j built from exponent bits, so the split keeps both factors
+// normal and the one rounding of a subnormal result is the last multiply.
+// IEEE add, multiply and divide only: no FMA, no libm, no round
+// instruction, so the bits are the same at every level and on every host.
+// Error: under 1 ulp against a long double reference over [-746, 710]
+// (tests/util/simd_test.cpp sweeps it); exp(±0) = 1, exp(-inf) = +0,
+// exp(+inf) = +inf, results past 709.78 overflow to +inf and below -745.13
+// flush to +0, NaN in gives NaN out.
+// ---------------------------------------------------------------------------
+
+// out[i] = exp(x[i]); out may alias x.
+void exp(std::span<const double> x, std::span<double> out);
+// out[i] = exp((double)x[i] - shift); returns the sum of out in the
+// canonical 8-lane order. The softmax row: with shift = the row's max,
+// every argument is <= 0. A NaN x[i] makes out[i] and the sum NaN.
+double exp_sum(std::span<const float> x, double shift, std::span<double> out);
+// out[i] = (float)tanh(x[i]), computed in double as
+//   a = |x|,  e = exp(-2a),  t = (1 - e) / (1 + e),
+// t = a below 2^-14 (where 1 - e cancels), then x's sign bit OR-ed back
+// in. Within 1 float ulp of tanh; out may alias x.
+void tanh(std::span<const float> x, std::span<float> out);
 
 // ---------------------------------------------------------------------------
 // Stochastic-rounding uniforms, several streams at once.

@@ -741,6 +741,105 @@ void adam_update_avx2(const AdamCoeffs& c, float* w, float* grad, float* m,
   for (; i < n; ++i) adam_element(c, w[i], grad[i], m[i], v[i]);
 }
 
+// --------------------------------------------------------------------- exp
+
+// exp_element on four lanes: the same operations in the same order. minpd
+// and maxpd return their second operand when either is NaN, which is what
+// the scalar compares do with the constant first.
+inline __m256d exp_pd(__m256d x) {
+  using namespace exp_const;
+  x = _mm256_min_pd(_mm256_set1_pd(kMax), x);
+  x = _mm256_max_pd(_mm256_set1_pd(kMin), x);
+  const __m256d shifter = _mm256_set1_pd(kShifter);
+  const __m256d t =
+      _mm256_add_pd(_mm256_mul_pd(x, _mm256_set1_pd(kLog2e)), shifter);
+  const __m256d k = _mm256_sub_pd(t, shifter);
+  const __m256d r = _mm256_sub_pd(
+      _mm256_sub_pd(x, _mm256_mul_pd(k, _mm256_set1_pd(kLn2Hi))),
+      _mm256_mul_pd(k, _mm256_set1_pd(kLn2Lo)));
+  const __m256d r2 = _mm256_mul_pd(r, r);
+  const __m256d r4 = _mm256_mul_pd(r2, r2);
+  const __m256d r8 = _mm256_mul_pd(r4, r4);
+  __m256d b[6];
+  for (int i = 0; i < 6; ++i) {
+    b[i] = _mm256_add_pd(_mm256_set1_pd(kPoly[2 * i]),
+                         _mm256_mul_pd(_mm256_set1_pd(kPoly[2 * i + 1]), r));
+  }
+  const __m256d c0 = _mm256_add_pd(b[0], _mm256_mul_pd(b[1], r2));
+  const __m256d c1 = _mm256_add_pd(b[2], _mm256_mul_pd(b[3], r2));
+  const __m256d c2 = _mm256_add_pd(b[4], _mm256_mul_pd(b[5], r2));
+  const __m256d q = _mm256_add_pd(_mm256_add_pd(c0, _mm256_mul_pd(c1, r4)),
+                                  _mm256_mul_pd(c2, r8));
+  const __m256d p = _mm256_add_pd(
+      _mm256_set1_pd(1.0), _mm256_add_pd(r, _mm256_mul_pd(r2, q)));
+  const __m256i one = _mm256_set1_epi64x(1);
+  const __m256i kb = _mm256_add_epi64(
+      _mm256_castpd_si256(t),
+      _mm256_set1_epi64x(static_cast<long long>(kBias)));
+  const __m256i half = _mm256_srli_epi64(kb, 1);
+  const __m256i e1 = _mm256_slli_epi64(_mm256_sub_epi64(half, one), 52);
+  const __m256i e2 = _mm256_slli_epi64(
+      _mm256_sub_epi64(_mm256_sub_epi64(kb, half), one), 52);
+  return _mm256_mul_pd(_mm256_mul_pd(p, _mm256_castsi256_pd(e1)),
+                       _mm256_castsi256_pd(e2));
+}
+
+// tanh_element on four widened lanes, narrowed back to float.
+inline __m128 tanh_pd(__m256d x) {
+  const __m256d sign = _mm256_and_pd(x, _mm256_set1_pd(-0.0));
+  const __m256d a = _mm256_xor_pd(x, sign);
+  const __m256d e = exp_pd(_mm256_mul_pd(_mm256_set1_pd(-2.0), a));
+  const __m256d one = _mm256_set1_pd(1.0);
+  __m256d t = _mm256_div_pd(_mm256_sub_pd(one, e), _mm256_add_pd(one, e));
+  const __m256d tiny =
+      _mm256_cmp_pd(a, _mm256_set1_pd(kTanhTiny), _CMP_LT_OQ);
+  t = _mm256_blendv_pd(t, a, tiny);
+  return _mm256_cvtpd_ps(_mm256_or_pd(t, sign));
+}
+
+void exp_avx2(const double* x, double* out, std::size_t n) {
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    _mm256_storeu_pd(out + i, exp_pd(_mm256_loadu_pd(x + i)));
+  }
+  for (; i < n; ++i) out[i] = exp_element(x[i]);
+}
+
+double exp_sum_avx2(const float* x, double shift, double* out,
+                    std::size_t n) {
+  const __m256d s = _mm256_set1_pd(shift);
+  __m256d a03 = _mm256_setzero_pd();
+  __m256d a47 = _mm256_setzero_pd();
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const Lanes8d v = widen8(x + i);
+    const __m256d e03 = exp_pd(_mm256_sub_pd(v.d03, s));
+    const __m256d e47 = exp_pd(_mm256_sub_pd(v.d47, s));
+    _mm256_storeu_pd(out + i, e03);
+    _mm256_storeu_pd(out + i + 4, e47);
+    a03 = _mm256_add_pd(a03, e03);
+    a47 = _mm256_add_pd(a47, e47);
+  }
+  double lanes[8];
+  _mm256_storeu_pd(lanes, a03);
+  _mm256_storeu_pd(lanes + 4, a47);
+  for (; i < n; ++i) {
+    out[i] = exp_element(static_cast<double>(x[i]) - shift);
+    lanes[i % 8] += out[i];
+  }
+  return combine_lanes(lanes);
+}
+
+void tanh_avx2(const float* x, float* out, std::size_t n) {
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const Lanes8d v = widen8(x + i);
+    _mm256_storeu_ps(out + i,
+                     _mm256_set_m128(tanh_pd(v.d47), tanh_pd(v.d03)));
+  }
+  for (; i < n; ++i) out[i] = tanh_element(x[i]);
+}
+
 // ------------------------------------------------------------ uniforms
 
 template <int K>
@@ -1033,6 +1132,7 @@ constexpr SimdOps kAvx2Ops = {
     nuq_quantize_avx2,  nuq_dequantize_avx2,
     gemm_tile_avx2,  gemm_tile_at_avx2,
     dot_tile_avx2,   adam_update_avx2,
+    exp_avx2,        exp_sum_avx2,        tanh_avx2,
     pack_words_avx2, unpack_words_avx2,
     bucket_uniforms_avx2, copy_add_avx2, copy_add2_avx2,
     f32_to_f16_avx2, f16_to_f32_avx2,

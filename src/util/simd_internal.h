@@ -3,6 +3,7 @@
 // poke specific levels.
 #pragma once
 
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -49,6 +50,11 @@ struct SimdOps {
                    std::size_t nb, std::size_t n, bool accumulate);
   void (*adam_update)(const AdamCoeffs& coeffs, float* w, float* grad,
                       float* m, float* v, std::size_t n);
+
+  // The exp family (see simd.h): exp_element per lane.
+  void (*exp)(const double* x, double* out, std::size_t n);
+  double (*exp_sum)(const float* x, double shift, double* out, std::size_t n);
+  void (*tanh)(const float* x, float* out, std::size_t n);
 
   // May be null (no vector path at this level).
   bool (*pack_words)(const std::uint32_t* sym, std::size_t nwords,
@@ -144,6 +150,72 @@ inline void adam_element(const AdamCoeffs& c, float& w, float& grad, float& m,
   const double mhat = m / c.bias1;
   const double vhat = v / c.bias2;
   w -= static_cast<float>(c.lr * mhat / (std::sqrt(vhat) + c.eps));
+}
+
+// The exp of simd.h, one element. It is the specification: the scalar
+// level runs it as is, every level runs it for its ragged tail, and the
+// vector bodies reproduce it lane by lane with the same operations in the
+// same order.
+namespace exp_const {
+inline constexpr double kMax = 710.0;   // exp(710) overflows
+inline constexpr double kMin = -746.0;  // exp(-746) flushes to +0
+inline constexpr double kLog2e = 0x1.71547652b82fep0;
+// x * log2(e) + kShifter rounds to an integer k held in the low mantissa
+// bits: bits(t) - bits(kShifter) == k.
+inline constexpr double kShifter = 0x1.8p52;
+inline constexpr std::uint64_t kShifterBits = 0x4338000000000000ull;
+// ln 2 split so that k * kLn2Hi is exact for |k| < 2^11 (fdlibm's pair).
+inline constexpr double kLn2Hi = 0x1.62e42fee00000p-1;
+inline constexpr double kLn2Lo = 0x1.a39ef35793c76p-33;
+// kPoly[i] = 1/(i+2)!: q(r) = sum kPoly[i] r^i, the Taylor tail of exp
+// past 1 + r, to degree 13.
+inline constexpr double kPoly[12] = {
+    1.0 / 2.0,       1.0 / 6.0,        1.0 / 24.0,        1.0 / 120.0,
+    1.0 / 720.0,     1.0 / 5040.0,     1.0 / 40320.0,     1.0 / 362880.0,
+    1.0 / 3628800.0, 1.0 / 39916800.0, 1.0 / 479001600.0, 1.0 / 6227020800.0};
+// k + 2048 is positive for every clamped x, so halving it is a logical
+// shift; 2^j has exponent bits (j + 1023) << 52.
+inline constexpr std::uint64_t kBias = 2048 - kShifterBits;
+}  // namespace exp_const
+
+inline double exp_element(double x) {
+  using namespace exp_const;
+  x = kMax < x ? kMax : x;  // a NaN x fails both compares and stays NaN
+  x = kMin > x ? kMin : x;
+  const double t = x * kLog2e + kShifter;
+  const double k = t - kShifter;
+  const double r = (x - k * kLn2Hi) - k * kLn2Lo;
+  // Estrin's scheme: six pairs, three quads, then two powers of r.
+  const double r2 = r * r;
+  const double r4 = r2 * r2;
+  const double r8 = r4 * r4;
+  double b[6];
+  for (int i = 0; i < 6; ++i) b[i] = kPoly[2 * i] + kPoly[2 * i + 1] * r;
+  const double c0 = b[0] + b[1] * r2;
+  const double c1 = b[2] + b[3] * r2;
+  const double c2 = b[4] + b[5] * r2;
+  const double q = (c0 + c1 * r4) + c2 * r8;
+  const double p = 1.0 + (r + r2 * q);
+  const std::uint64_t kb = std::bit_cast<std::uint64_t>(t) + kBias;
+  const std::uint64_t half = kb >> 1;
+  return p * std::bit_cast<double>((half - 1) << 52) *
+         std::bit_cast<double>((kb - half - 1) << 52);
+}
+
+// Below this |x|, tanh(x) rounds to x in float and (1 - e) / (1 + e)
+// would lose x to cancellation.
+inline constexpr double kTanhTiny = 0x1p-14;
+
+inline float tanh_element(float x) {
+  const std::uint64_t sign =
+      std::bit_cast<std::uint64_t>(static_cast<double>(x)) & (1ull << 63);
+  const double a = std::bit_cast<double>(
+      std::bit_cast<std::uint64_t>(static_cast<double>(x)) ^ sign);
+  const double e = exp_element(-2.0 * a);
+  double t = (1.0 - e) / (1.0 + e);
+  t = a < kTanhTiny ? a : t;
+  return static_cast<float>(
+      std::bit_cast<double>(std::bit_cast<std::uint64_t>(t) | sign));
 }
 
 // Doubles a vector dot tile widens its A rows into on its own stack. Rows

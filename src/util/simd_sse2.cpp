@@ -591,6 +591,108 @@ void adam_update_sse2(const AdamCoeffs& c, float* w, float* grad, float* m,
   for (; i < n; ++i) adam_element(c, w[i], grad[i], m[i], v[i]);
 }
 
+// --------------------------------------------------------------------- exp
+
+// exp_element on two lanes: the same operations in the same order. minpd
+// and maxpd return their second operand when either is NaN, which is what
+// the scalar compares do with the constant first.
+inline __m128d exp_pd(__m128d x) {
+  using namespace exp_const;
+  x = _mm_min_pd(_mm_set1_pd(kMax), x);
+  x = _mm_max_pd(_mm_set1_pd(kMin), x);
+  const __m128d shifter = _mm_set1_pd(kShifter);
+  const __m128d t = _mm_add_pd(_mm_mul_pd(x, _mm_set1_pd(kLog2e)), shifter);
+  const __m128d k = _mm_sub_pd(t, shifter);
+  const __m128d r =
+      _mm_sub_pd(_mm_sub_pd(x, _mm_mul_pd(k, _mm_set1_pd(kLn2Hi))),
+                 _mm_mul_pd(k, _mm_set1_pd(kLn2Lo)));
+  const __m128d r2 = _mm_mul_pd(r, r);
+  const __m128d r4 = _mm_mul_pd(r2, r2);
+  const __m128d r8 = _mm_mul_pd(r4, r4);
+  __m128d b[6];
+  for (int i = 0; i < 6; ++i) {
+    b[i] = _mm_add_pd(_mm_set1_pd(kPoly[2 * i]),
+                      _mm_mul_pd(_mm_set1_pd(kPoly[2 * i + 1]), r));
+  }
+  const __m128d c0 = _mm_add_pd(b[0], _mm_mul_pd(b[1], r2));
+  const __m128d c1 = _mm_add_pd(b[2], _mm_mul_pd(b[3], r2));
+  const __m128d c2 = _mm_add_pd(b[4], _mm_mul_pd(b[5], r2));
+  const __m128d q = _mm_add_pd(_mm_add_pd(c0, _mm_mul_pd(c1, r4)),
+                               _mm_mul_pd(c2, r8));
+  const __m128d p =
+      _mm_add_pd(_mm_set1_pd(1.0), _mm_add_pd(r, _mm_mul_pd(r2, q)));
+  const __m128i one = _mm_set1_epi64x(1);
+  const __m128i kb = _mm_add_epi64(
+      _mm_castpd_si128(t), _mm_set1_epi64x(static_cast<long long>(kBias)));
+  const __m128i half = _mm_srli_epi64(kb, 1);
+  const __m128i e1 = _mm_slli_epi64(_mm_sub_epi64(half, one), 52);
+  const __m128i e2 =
+      _mm_slli_epi64(_mm_sub_epi64(_mm_sub_epi64(kb, half), one), 52);
+  return _mm_mul_pd(_mm_mul_pd(p, _mm_castsi128_pd(e1)),
+                    _mm_castsi128_pd(e2));
+}
+
+// tanh_element on two widened lanes, narrowed into the low half.
+inline __m128 tanh_pd(__m128d x) {
+  const __m128d sign = _mm_and_pd(x, _mm_set1_pd(-0.0));
+  const __m128d a = _mm_xor_pd(x, sign);
+  const __m128d e = exp_pd(_mm_mul_pd(_mm_set1_pd(-2.0), a));
+  const __m128d one = _mm_set1_pd(1.0);
+  const __m128d t = _mm_div_pd(_mm_sub_pd(one, e), _mm_add_pd(one, e));
+  const __m128d tiny = _mm_cmplt_pd(a, _mm_set1_pd(kTanhTiny));
+  const __m128d picked =
+      _mm_or_pd(_mm_and_pd(tiny, a), _mm_andnot_pd(tiny, t));
+  return _mm_cvtpd_ps(_mm_or_pd(picked, sign));
+}
+
+void exp_sse2(const double* x, double* out, std::size_t n) {
+  std::size_t i = 0;
+  for (; i + 2 <= n; i += 2) {
+    _mm_storeu_pd(out + i, exp_pd(_mm_loadu_pd(x + i)));
+  }
+  for (; i < n; ++i) out[i] = exp_element(x[i]);
+}
+
+double exp_sum_sse2(const float* x, double shift, double* out,
+                    std::size_t n) {
+  const __m128d s = _mm_set1_pd(shift);
+  Acc8d acc;
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const Lanes8d v = widen8(x + i);
+    const __m128d e01 = exp_pd(_mm_sub_pd(v.d01, s));
+    const __m128d e23 = exp_pd(_mm_sub_pd(v.d23, s));
+    const __m128d e45 = exp_pd(_mm_sub_pd(v.d45, s));
+    const __m128d e67 = exp_pd(_mm_sub_pd(v.d67, s));
+    _mm_storeu_pd(out + i, e01);
+    _mm_storeu_pd(out + i + 2, e23);
+    _mm_storeu_pd(out + i + 4, e45);
+    _mm_storeu_pd(out + i + 6, e67);
+    acc.a01 = _mm_add_pd(acc.a01, e01);
+    acc.a23 = _mm_add_pd(acc.a23, e23);
+    acc.a45 = _mm_add_pd(acc.a45, e45);
+    acc.a67 = _mm_add_pd(acc.a67, e67);
+  }
+  double lanes[8];
+  acc.spill(lanes);
+  for (; i < n; ++i) {
+    out[i] = exp_element(static_cast<double>(x[i]) - shift);
+    lanes[i % 8] += out[i];
+  }
+  return combine_lanes(lanes);
+}
+
+void tanh_sse2(const float* x, float* out, std::size_t n) {
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m128 v = _mm_loadu_ps(x + i);
+    const __m128 lo = tanh_pd(_mm_cvtps_pd(v));
+    const __m128 hi = tanh_pd(_mm_cvtps_pd(_mm_movehl_ps(v, v)));
+    _mm_storeu_ps(out + i, _mm_movelh_ps(lo, hi));
+  }
+  for (; i < n; ++i) out[i] = tanh_element(x[i]);
+}
+
 // ------------------------------------------------------------ uniforms
 
 template <int K>
@@ -725,6 +827,7 @@ constexpr SimdOps kSse2Ops = {
     nuq_quantize_sse2,  nuq_dequantize_sse2,
     gemm_tile_sse2,  gemm_tile_at_sse2,
     dot_tile_sse2,   adam_update_sse2,
+    exp_sse2,        exp_sum_sse2,        tanh_sse2,
     nullptr,         nullptr,  // no SSE2 pack/unpack (needs AVX2 vpsrlvd)
     bucket_uniforms_sse2, copy_add_sse2, copy_add2_sse2,
     nullptr,         nullptr,  // no SSE2 half path (needs AVX2 vpsrlvd)

@@ -9,10 +9,12 @@
 #include <cmath>
 #include <functional>
 #include <memory>
+#include <vector>
 
 #include "nn/attention.h"
 #include "nn/conv.h"
 #include "nn/layers.h"
+#include "nn/loss.h"
 #include "nn/sequential.h"
 #include "tensor/tensor_ops.h"
 
@@ -220,6 +222,57 @@ TEST(GradCheck, CnnComposite) {
   model.emplace<GlobalAvgPool>();
   model.emplace<Linear>(4, 3, rng);
   GradCheck{model, random_input({2, 1, 6, 6}, 20)}.run();
+}
+
+// The loss itself: central differences of the mean softmax cross-entropy
+// against the gradient softmax_xent writes, at 2, 10 and the LM head's 2048
+// classes. Row 1's target is its largest logit (p near 1, the gradient's
+// smallest magnitude). The step is measured as the float difference of the
+// perturbed logits, so logit rounding does not bias the quotient.
+TEST(GradCheck, SoftmaxXent) {
+  for (std::size_t classes : {2u, 10u, 2048u}) {
+    SCOPED_TRACE(::testing::Message() << "classes=" << classes);
+    const std::size_t rows = 3;
+    tensor::Tensor logits = random_input({rows, classes}, 21 + classes);
+    util::Rng rng(22 + classes);
+    std::vector<int> targets(rows);
+    for (int& t : targets) t = static_cast<int>(rng.next_below(classes));
+    const std::size_t top = rng.next_below(classes);
+    logits.at(classes + top) = 4.0f;  // the row's maximum
+    targets[1] = static_cast<int>(top);
+
+    tensor::Tensor grad;
+    softmax_xent(logits, targets, classes, grad);
+    const tensor::Tensor analytic = grad.clone();
+
+    // Every coordinate of the small heads; on the wide one the targets,
+    // the maximum and a random sample.
+    std::vector<std::size_t> coords;
+    if (classes <= 10) {
+      for (std::size_t i = 0; i < logits.numel(); ++i) coords.push_back(i);
+    } else {
+      for (std::size_t r = 0; r < rows; ++r) {
+        coords.push_back(r * classes + static_cast<std::size_t>(targets[r]));
+      }
+      for (int k = 0; k < 40; ++k) coords.push_back(rng.next_below(logits.numel()));
+    }
+    tensor::Tensor scratch;
+    for (std::size_t i : coords) {
+      float& x = logits.data()[i];
+      const float saved = x;
+      const float up_x = saved + 1e-3f;
+      const float down_x = saved - 1e-3f;
+      x = up_x;
+      const double up = softmax_xent(logits, targets, classes, scratch);
+      x = down_x;
+      const double down = softmax_xent(logits, targets, classes, scratch);
+      x = saved;
+      const double numeric =
+          (up - down) / (static_cast<double>(up_x) - down_x);
+      EXPECT_NEAR(analytic.at(i), numeric, 1e-3 * std::abs(numeric) + 1e-7)
+          << "logit " << i;
+    }
+  }
 }
 
 }  // namespace

@@ -13,6 +13,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <functional>
@@ -28,11 +30,20 @@
 #include "nn/sequential.h"
 #include "tensor/tensor_ops.h"
 #include "util/rng.h"
+#include "util/simd.h"
 
 namespace cgx::nn {
 namespace {
 
 constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ull;
+constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+constexpr float kInf = std::numeric_limits<float>::infinity();
+
+std::uint32_t bits(float v) {
+  std::uint32_t u;
+  std::memcpy(&u, &v, sizeof(u));
+  return u;
+}
 
 std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t n) {
   const auto* p = static_cast<const unsigned char*>(data);
@@ -227,6 +238,116 @@ TEST(StepBits, LinearBackwardMatchesRecordedHash) {
 }
 
 
+// ------------------------------------------------------ exp, tanh, loss
+//
+// The exp family of util/simd.h written out again from its description,
+// with libm's exact helpers standing in for the bit tricks: nearbyint for
+// the shifter rounding (both round x * log2(e) to nearest even) and ldexp
+// for the exponent-bit scaling (both round a subnormal result once). The
+// softmax cross-entropy below runs its three passes on it. The model-step
+// pins further down were recorded with the loss checked against this
+// reference at every step, and the exp family is checked against it here.
+
+double reference_exp(double x) {
+  if (std::isnan(x)) return x;
+  x = std::clamp(x, -746.0, 710.0);
+  const double k = std::nearbyint(x * 0x1.71547652b82fep0);
+  const double r =
+      (x - k * 0x1.62e42fee00000p-1) - k * 0x1.a39ef35793c76p-33;
+  // a[i] = 1/(i+2)!, every factorial exact in double.
+  double a[12];
+  double factorial = 1.0;
+  for (int i = 0; i < 12; ++i) {
+    factorial *= i + 2;
+    a[i] = 1.0 / factorial;
+  }
+  // Estrin: pairs in r, quads in r^2, then r^4 and r^8.
+  const double r2 = r * r;
+  const double r4 = r2 * r2;
+  const double q = ((a[0] + a[1] * r) + (a[2] + a[3] * r) * r2) +
+                   ((a[4] + a[5] * r) + (a[6] + a[7] * r) * r2) * r4 +
+                   ((a[8] + a[9] * r) + (a[10] + a[11] * r) * r2) * (r4 * r4);
+  return std::ldexp(1.0 + (r + r2 * q), static_cast<int>(k));
+}
+
+float reference_tanh(float x) {
+  const double a = std::fabs(static_cast<double>(x));
+  if (a < 0x1p-14) return x;
+  const double e = reference_exp(-2.0 * a);
+  return static_cast<float>(std::copysign((1.0 - e) / (1.0 + e), x));
+}
+
+// Max pass (NaN skipped), exp pass summed in lane i % 8, scale pass.
+double reference_softmax_xent(const tensor::Tensor& logits,
+                              std::span<const int> targets,
+                              std::size_t classes, std::vector<float>& grad) {
+  const std::size_t rows = logits.numel() / classes;
+  grad.assign(logits.numel(), 0.0f);
+  std::vector<double> e(classes);
+  const float inv_rows = 1.0f / static_cast<float>(rows);
+  double total = 0.0;
+  for (std::size_t r = 0; r < rows; ++r) {
+    const float* row = logits.data().data() + r * classes;
+    float max_logit = -std::numeric_limits<float>::infinity();
+    for (std::size_t c = 0; c < classes; ++c) {
+      if (max_logit < row[c]) max_logit = row[c];
+    }
+    double lanes[8] = {0, 0, 0, 0, 0, 0, 0, 0};
+    for (std::size_t c = 0; c < classes; ++c) {
+      e[c] = reference_exp(static_cast<double>(row[c]) - max_logit);
+      lanes[c % 8] += e[c];
+    }
+    const double denom = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) +
+                         ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]));
+    const auto t = static_cast<std::size_t>(targets[r]);
+    total += std::log(denom) - (static_cast<double>(row[t]) - max_logit);
+    for (std::size_t c = 0; c < classes; ++c) {
+      const float p = static_cast<float>(e[c] * (1.0 / denom));
+      grad[r * classes + c] = (p - (c == t ? 1.0f : 0.0f)) * inv_rows;
+    }
+  }
+  return total / static_cast<double>(rows);
+}
+
+std::uint64_t bits64(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+TEST(StepBits, ExpFamilyMatchesTheReferenceAtEveryLevel) {
+  std::vector<double> x;
+  for (int i = 0; i <= 30000; ++i) x.push_back(-746.0 + 1456.0 * i / 30000);
+  for (int i = 0; i <= 3000; ++i) x.push_back(-3.0 + 6.0 * i / 3000);
+  for (double v : {0.0, -0.0, 709.782712893384, -745.1332191019411,
+                   std::numeric_limits<double>::infinity(),
+                   -std::numeric_limits<double>::infinity()}) {
+    x.push_back(v);
+  }
+  std::vector<float> xf;
+  for (int i = -6000; i <= 6000; ++i) xf.push_back(i * 2.5e-3f);
+  for (float v : {0.0f, -0.0f, 1e-40f, -1e-40f, 6.1e-5f, -6.1e-5f, kInf,
+                  -kInf}) {
+    xf.push_back(v);
+  }
+  for (util::simd::Level l : {util::simd::Level::kScalar,
+                              util::simd::Level::kSse2,
+                              util::simd::Level::kAvx2}) {
+    if (l > util::simd::max_supported_level()) continue;
+    const util::simd::Level prev = util::simd::active_level();
+    util::simd::set_level(l);
+    std::vector<double> y(x.size());
+    util::simd::exp(x, y);
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      ASSERT_EQ(bits64(y[i]), bits64(reference_exp(x[i])))
+          << util::simd::level_name(l) << " exp(" << x[i] << ")";
+    }
+    std::vector<float> t(xf.size());
+    util::simd::tanh(xf, t);
+    for (std::size_t i = 0; i < xf.size(); ++i) {
+      ASSERT_EQ(bits(t[i]), bits(reference_tanh(xf[i])))
+          << util::simd::level_name(l) << " tanh(" << xf[i] << ")";
+    }
+    util::simd::set_level(prev);
+  }
+}
+
 // ------------------------------------------------------------ model steps
 //
 // One training step's bits for whole models: every step hashes the forward
@@ -236,7 +357,10 @@ TEST(StepBits, LinearBackwardMatchesRecordedHash) {
 // big again), so a layer that reuses its buffers across calls must still
 // produce exactly what a freshly allocated one does after a shape change.
 // The expected hashes were recorded with layers that allocated fresh
-// output and gradient tensors on every call.
+// output and gradient tensors on every call. The two transformer pins
+// (GELU, attention softmax and the loss all on util::simd's exp) were
+// re-recorded when that exp replaced libm, with every step's loss and
+// gradient equal to reference_softmax_xent's; the other five did not move.
 
 struct ModelCase {
   std::unique_ptr<Module> model;
@@ -260,7 +384,15 @@ std::uint64_t model_step_hash(ModelCase c, std::uint64_t seed) {
     std::vector<int> targets(y.numel() / c.classes);
     for (int& t : targets) t = static_cast<int>(rng.next_below(c.classes));
     SoftmaxCrossEntropy xent(c.classes);
-    xent.forward(y, targets);
+    const double loss = xent.forward(y, targets);
+    std::vector<float> want_grad;
+    EXPECT_EQ(bits64(loss),
+              bits64(reference_softmax_xent(y, targets, c.classes, want_grad)));
+    std::size_t diverged = 0;
+    for (std::size_t i = 0; i < want_grad.size(); ++i) {
+      diverged += bits(xent.grad().at(i)) != bits(want_grad[i]);
+    }
+    EXPECT_EQ(diverged, 0u) << "gradient elements off the reference";
     h = fnv1a(h, c.model->backward(xent.grad()).data());
     for (const Param* p : params) h = fnv1a(h, p->grad.data());
     adam.step();
@@ -306,7 +438,7 @@ TEST(StepBits, TinyTransformerLmStepMatchesRecordedHash) {
               50, [](util::Rng& rng, std::size_t b) {
                 return token_input(rng, b, 12, 50);
               }};
-  EXPECT_EQ(model_step_hash(std::move(c), 13), 5798156368191644154ull);
+  EXPECT_EQ(model_step_hash(std::move(c), 13), 16006837498494792901ull);
 }
 
 TEST(StepBits, TwoTowerStepMatchesRecordedHash) {
@@ -345,22 +477,13 @@ TEST(StepBits, TinyBertQaStepMatchesRecordedHash) {
               2, [](util::Rng& rng, std::size_t b) {
                 return token_input(rng, b, 10, 40);
               }};
-  EXPECT_EQ(model_step_hash(std::move(c), 17), 6196811659269372521ull);
+  EXPECT_EQ(model_step_hash(std::move(c), 17), 17556430967286610097ull);
 }
 
 // ------------------------------------------------------ ReLU / MaxPool
 //
 // The activation mask and the pooling argmax on the values where a select
 // can drift from a compare-and-branch: NaN, ±0, ±inf, subnormals and ties.
-
-constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
-constexpr float kInf = std::numeric_limits<float>::infinity();
-
-std::uint32_t bits(float v) {
-  std::uint32_t u;
-  std::memcpy(&u, &v, sizeof(u));
-  return u;
-}
 
 TEST(StepBits, ReluEdgeCases) {
   const float specials[] = {kNaN, 0.0f, -0.0f, -1.0f, 1.0f, kInf, -kInf,

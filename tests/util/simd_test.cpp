@@ -821,6 +821,218 @@ TEST(SimdHalf, ConversionsBitIdenticalToScalarSpec) {
   }
 }
 
+// -------------------------------------------------------------- exp
+
+std::uint64_t bits64(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+// |got - want| in units of the last place of want rounded to double
+// (subnormal results count in 2^-1074 steps). Matching infinities count 0.
+double ulp_error(double got, long double want) {
+  const double w = static_cast<double>(want);
+  if (std::isinf(w) && got == w) return 0.0;
+  int e = 0;
+  std::frexp(w, &e);
+  const double ulp = std::max(std::ldexp(1.0, e - 53), 0x1p-1074);
+  return static_cast<double>(
+      std::fabs(static_cast<long double>(got) - want) /
+      static_cast<long double>(ulp));
+}
+
+// The inputs every exp check runs: a dense sweep of [-745, 710], a finer
+// one over [-2, 2], ±0, ±inf, NaN, the clamp constants and the edges of
+// the finite and the subnormal range (with their neighbours).
+std::vector<double> exp_inputs() {
+  std::vector<double> x;
+  const int steps = 200000;
+  for (int i = 0; i <= steps; ++i) x.push_back(-745.0 + 1455.0 * i / steps);
+  for (int i = 0; i <= 20000; ++i) x.push_back(-2.0 + 4.0 * i / 20000);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double edges[] = {0.0,
+                          -0.0,
+                          inf,
+                          -inf,
+                          std::numeric_limits<double>::quiet_NaN(),
+                          710.0,
+                          -746.0,
+                          709.782712893384,  // largest finite result
+                          -708.3964185322641,  // smallest normal result
+                          -745.1332191019411,  // smallest subnormal result
+                          -745.1332191019412,  // rounds to +0
+                          1e-300,
+                          -1e-300,
+                          0.5 * 0.6931471805599453,  // |r| at its bound
+                          -0.5 * 0.6931471805599453};
+  for (double v : edges) {
+    x.push_back(v);
+    x.push_back(std::nextafter(v, inf));
+    x.push_back(std::nextafter(v, -inf));
+  }
+  return x;
+}
+
+TEST(SimdExp, BitIdenticalAcrossLevelsAndWithinOneUlp) {
+  const std::vector<double> x = exp_inputs();
+  std::vector<double> want(x.size());
+  {
+    ScopedLevel lvl(Level::kScalar);
+    exp(x, want);
+  }
+  double worst = 0.0;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    if (std::isnan(x[i])) {
+      EXPECT_TRUE(std::isnan(want[i]));
+      continue;
+    }
+    const double err = ulp_error(want[i], std::exp(static_cast<long double>(x[i])));
+    worst = std::max(worst, err);
+    EXPECT_LE(err, 1.0) << "exp(" << x[i] << ") = " << want[i];
+  }
+  std::printf("exp max error: %.3f ulp over %zu inputs\n", worst, x.size());
+  for (Level l : reachable_levels()) {
+    ScopedLevel lvl(l);
+    // Every length up to 67 at a ragged offset, then the whole sweep,
+    // in place.
+    const std::size_t base = 100000;
+    for (std::size_t n = 0; n <= kMaxN; ++n) {
+      const std::size_t from = base - offset_for(n);
+      std::vector<double> got(n);
+      exp(std::span<const double>(x).subspan(from, n), got);
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(bits64(got[i]), bits64(want[from + i]))
+            << level_name(l) << " n=" << n << " i=" << i;
+      }
+    }
+    std::vector<double> got = x;
+    exp(got, got);
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      ASSERT_EQ(bits64(got[i]), bits64(want[i]))
+          << level_name(l) << " exp(" << x[i] << ")";
+    }
+  }
+}
+
+TEST(SimdExp, SpecialValues) {
+  const double inf = std::numeric_limits<double>::infinity();
+  for (Level l : reachable_levels()) {
+    ScopedLevel lvl(l);
+    SCOPED_TRACE(level_name(l));
+    const double x[] = {0.0, -0.0, inf, -inf, 710.0, -746.0, 709.79, -745.2,
+                        std::numeric_limits<double>::quiet_NaN()};
+    double y[9];
+    exp(x, y);
+    EXPECT_EQ(bits64(y[0]), bits64(1.0));
+    EXPECT_EQ(bits64(y[1]), bits64(1.0));
+    EXPECT_EQ(bits64(y[2]), bits64(inf));
+    EXPECT_EQ(bits64(y[3]), bits64(0.0));
+    EXPECT_EQ(bits64(y[4]), bits64(inf));
+    EXPECT_EQ(bits64(y[5]), bits64(0.0));
+    EXPECT_EQ(bits64(y[6]), bits64(inf));
+    EXPECT_EQ(bits64(y[7]), bits64(0.0));
+    EXPECT_TRUE(std::isnan(y[8]));
+  }
+}
+
+TEST(SimdExp, ExpSumBitIdenticalAcrossLevels) {
+  for (std::size_t n = 0; n <= kMaxN; ++n) {
+    const std::size_t off = offset_for(n);
+    auto x = random_floats(n + off, 3001 + n);
+    for (float& v : x) v *= 1e-3f;  // spread logits over about +-30
+    if (n > 5) {
+      x[off + 1] = -std::numeric_limits<float>::infinity();
+      x[off + 4] = 1e-40f;
+    }
+    const std::span<const float> in = std::span<const float>(x).subspan(off);
+    const double shift = n > 0 ? in[n / 2] : 0.0;
+    std::vector<double> want(n);
+    double want_sum = 0.0;
+    {
+      ScopedLevel lvl(Level::kScalar);
+      want_sum = exp_sum(in, shift, want);
+    }
+    // The scalar level is the per-element exp summed lane by lane.
+    double lanes[8] = {0, 0, 0, 0, 0, 0, 0, 0};
+    for (std::size_t i = 0; i < n; ++i) {
+      const double e = detail::exp_element(static_cast<double>(in[i]) - shift);
+      EXPECT_EQ(bits64(want[i]), bits64(e)) << "n=" << n << " i=" << i;
+      lanes[i % 8] += e;
+    }
+    EXPECT_EQ(bits64(want_sum), bits64(detail::combine_lanes(lanes)));
+    for (Level l : reachable_levels()) {
+      ScopedLevel lvl(l);
+      std::vector<double> got(n);
+      EXPECT_EQ(bits64(exp_sum(in, shift, got)), bits64(want_sum))
+          << level_name(l) << " n=" << n;
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(bits64(got[i]), bits64(want[i]))
+            << level_name(l) << " n=" << n << " i=" << i;
+      }
+    }
+  }
+  // A NaN anywhere makes the sum NaN at every level.
+  for (Level l : reachable_levels()) {
+    ScopedLevel lvl(l);
+    for (std::size_t at : {0u, 7u, 8u, 12u}) {
+      std::vector<float> x(13, 0.5f);
+      x[at] = std::numeric_limits<float>::quiet_NaN();
+      std::vector<double> out(13);
+      EXPECT_TRUE(std::isnan(exp_sum(x, 0.5, out)))
+          << level_name(l) << " at=" << at;
+    }
+  }
+}
+
+TEST(SimdExp, TanhBitIdenticalAcrossLevelsAndCloseToLibm) {
+  std::vector<float> x;
+  for (int i = -40000; i <= 40000; ++i) x.push_back(i * 5e-4f);
+  const auto r = random_floats(4000, 3100);
+  x.insert(x.end(), r.begin(), r.end());
+  const float inf = std::numeric_limits<float>::infinity();
+  for (float v : {0.0f, -0.0f, inf, -inf, 1e-40f, -1e-40f, 6.103515625e-05f,
+                  -6.103515625e-05f, 9.0f, -9.0f, 20.0f, 1e30f}) {
+    x.push_back(v);
+  }
+  std::vector<float> want(x.size());
+  {
+    ScopedLevel lvl(Level::kScalar);
+    tanh(x, want);
+  }
+  double worst = 0.0;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    const long double ref = std::tanh(static_cast<long double>(x[i]));
+    // One ulp of the float nearest the reference (subnormals count in
+    // 2^-149 steps).
+    const float near = std::fabs(static_cast<float>(ref));
+    const float ulp =
+        std::nextafter(near, std::numeric_limits<float>::infinity()) - near;
+    const double err =
+        static_cast<double>(std::fabs(static_cast<long double>(want[i]) - ref) /
+                            static_cast<long double>(ulp));
+    worst = std::max(worst, err);
+    EXPECT_LE(err, 1.0) << "tanh(" << x[i] << ") = " << want[i];
+    EXPECT_EQ(std::signbit(want[i]), std::signbit(x[i])) << x[i];
+  }
+  std::printf("tanh max error: %.3f float ulp over %zu inputs\n", worst,
+              x.size());
+  for (Level l : reachable_levels()) {
+    ScopedLevel lvl(l);
+    for (std::size_t n = 0; n <= kMaxN; ++n) {
+      const std::size_t off = offset_for(n);
+      std::vector<float> got(n);
+      tanh(std::span<const float>(x).subspan(40000 - off, n), got);
+      expect_bits_equal(std::span<const float>(want).subspan(40000 - off, n),
+                        got, level_name(l));
+    }
+    std::vector<float> got = x;
+    tanh(got, got);
+    expect_bits_equal(want, got, level_name(l));
+    const float nan_in[] = {std::numeric_limits<float>::quiet_NaN(), 1.0f,
+                            2.0f, 3.0f, 4.0f, 5.0f, 6.0f, 7.0f, 8.0f};
+    float nan_out[9];
+    tanh(nan_in, nan_out);
+    EXPECT_TRUE(std::isnan(nan_out[0])) << level_name(l);
+  }
+}
+
 // --------------------------------------------------------- dispatch
 
 TEST(SimdDispatch, SetLevelClampsToSupport) {
