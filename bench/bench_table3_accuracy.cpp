@@ -4,8 +4,9 @@
 // Substituted scale (DESIGN.md §1): the paper's ImageNet/WikiText/SQuAD
 // runs become synthetic-task runs on structurally faithful small models;
 // the property under test is identical — compressed-gradient training must
-// match the uncompressed metric within the MLPerf-style 1% envelope.
-// Three seeds per cell, mean +- spread reported, as in the paper.
+// match the uncompressed metric. The paper's envelope is MLPerf-style 1%;
+// the band applied here is printed per row (see main). Three seeds per
+// cell, mean +- spread reported, as in the paper.
 #include <cmath>
 
 #include "bench/common.h"
@@ -207,7 +208,7 @@ int main() {
   util::Table table(
       "Table 3 - accuracy: baseline vs CGX (4-bit, filtered), 4 workers, 3 "
       "seeds");
-  table.set_header({"task", "metric", "baseline", "CGX", "delta"});
+  table.set_header({"task", "metric", "baseline", "CGX", "delta", "band"});
   bool all_within = true;
   for (const Task& task : tasks) {
     Cell cell;
@@ -216,8 +217,11 @@ int main() {
       cell.cgx.add(task.run(true, seed));
     }
     const double delta = cell.cgx.mean() - cell.baseline.mean();
-    // MLPerf-style tolerance: ~1% absolute on the main metric (ppl scaled
-    // to its magnitude), widened to the seed spread when runs are noisy.
+    // The band |delta| must stay within: 1.5 points (5% of the baseline
+    // perplexity for ppl), widened to the two cells' summed seed
+    // half-ranges when the runs are noisier than that. It is wider than
+    // the paper's <1%, because three seeds of a small synthetic task
+    // spread by more than 1%.
     const double spread =
         (cell.baseline.max() - cell.baseline.min()) / 2.0 +
         (cell.cgx.max() - cell.cgx.min()) / 2.0;
@@ -225,11 +229,15 @@ int main() {
         task.lower_better ? 0.05 * cell.baseline.mean() : 1.5, spread);
     if (std::fabs(delta) > tolerance) all_within = false;
     table.add_row({task.label, task.metric, fmt(cell.baseline, 2),
-                   fmt(cell.cgx, 2), util::Table::num(delta, 2)});
+                   fmt(cell.cgx, 2), util::Table::num(delta, 2),
+                   "+-" + util::Table::num(tolerance, 2)});
   }
   table.print();
   std::cout << "\nAccuracy recovery "
             << (all_within ? "WITHIN" : "OUTSIDE")
-            << " the paper's <1% tolerance band (Goal 1, Table 3).\n";
+            << " each row's band: |delta| <= max(1.5 pts, or 5% of the "
+               "baseline ppl; the summed seed half-ranges). The paper's "
+               "band is <1%; three seeds of these small tasks spread wider "
+               "(Table 3).\n";
   return all_within ? 0 : 1;
 }

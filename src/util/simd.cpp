@@ -344,6 +344,8 @@ namespace {
 
 const detail::SimdOps* ops_for(Level level) {
   switch (level) {
+    case Level::kAvx512:
+      return &detail::avx512_ops();
     case Level::kAvx2:
       return &detail::avx2_ops();
     case Level::kSse2:
@@ -364,9 +366,10 @@ Level level_from_env() {
   }
   if (std::strcmp(env, "sse2") == 0) return Level::kSse2;
   if (std::strcmp(env, "avx2") == 0) return Level::kAvx2;
+  if (std::strcmp(env, "avx512") == 0) return Level::kAvx512;
   std::fprintf(stderr,
-               "cgx: unknown CGX_SIMD value '%s' (want off|sse2|avx2|auto); "
-               "using auto\n",
+               "cgx: unknown CGX_SIMD value '%s' "
+               "(want off|sse2|avx2|avx512|auto); using auto\n",
                env);
   return max_supported_level();
 }
@@ -396,10 +399,12 @@ const detail::SimdOps& ops() {
 Level max_supported_level() {
 #if defined(__x86_64__) || defined(__i386__)
   static const Level kMax = [] {
-    if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
-      return Level::kAvx2;
+    if (!__builtin_cpu_supports("avx2") || !__builtin_cpu_supports("fma")) {
+      return Level::kSse2;
     }
-    return Level::kSse2;
+    // GCC >= 12 also checks that the OS saves the ZMM state.
+    if (__builtin_cpu_supports("avx512f")) return Level::kAvx512;
+    return Level::kAvx2;
   }();
   return kMax;
 #else
@@ -425,6 +430,8 @@ const char* level_name(Level level) {
       return "sse2";
     case Level::kAvx2:
       return "avx2";
+    case Level::kAvx512:
+      return "avx512";
   }
   return "?";
 }

@@ -3,10 +3,13 @@
 // Every numerical hot path in the library (tensor_ops GEMM, the nn layer
 // reductions and transcendentals, QSGD/NUQ quantization, bitio pack/unpack)
 // routes through the kernels declared here. At startup the best instruction
-// set the CPU supports is selected (AVX2+FMA > SSE2 > scalar); the CGX_SIMD
-// environment variable (`off`/`scalar`, `sse2`, `avx2`, `auto`) overrides the
-// choice so tests can pin a level, and set_level() switches levels at runtime
-// for in-process A/B comparison.
+// set the CPU supports is selected, in the order of Level below:
+// scalar < SSE2 < AVX2+FMA < AVX-512F. The CGX_SIMD environment variable
+// (`off`/`scalar`, `sse2`, `avx2`, `avx512`, `auto`) overrides the choice so
+// tests can pin a level, and set_level() switches levels at runtime for
+// in-process A/B comparison; both clamp to what the CPU has. The AVX-512
+// level is the AVX2 table with only the three GEMM tiles (gemm_tile,
+// gemm_tile_at, dot_tile) widened to zmm; every other kernel is AVX2's.
 //
 // Bit-exactness contract: for identical inputs, every kernel produces
 // bit-identical outputs at every dispatch level. Elementwise kernels
@@ -17,14 +20,22 @@
 // regardless of vector width) and the lanes are folded with the fixed tree
 //   ((l0+l1) + (l2+l3)) + ((l4+l5) + (l6+l7)).
 // The scalar reference implements this same order, so "scalar" is not a
-// different numerical contract — it is the specification. All three TUs
-// (scalar/sse2/avx2) are compiled with -ffp-contract=off so the compiler
-// cannot re-fuse what the contract keeps separate. Two AVX2 kernels fuse
-// on purpose, where the fused form provably rounds like the reference: the
-// dot_tile's double-precision accumulate of a product of two widened
-// floats (that product is exact in double, 24 + 24 significand bits, so
-// fma(x, y, acc) rounds exactly like acc + x * y), and the Adam update's
-// corrected reciprocal (see adam_update below).
+// different numerical contract — it is the specification. All four TUs
+// (scalar/sse2/avx2/avx512) are compiled with -ffp-contract=off so the
+// compiler cannot re-fuse what the contract keeps separate. Two AVX2
+// kernels fuse on purpose, where the fused form provably rounds like the
+// reference: the dot_tile's double-precision accumulate of a product of
+// two widened floats (that product is exact in double, 24 + 24 significand
+// bits, so fma(x, y, acc) rounds exactly like acc + x * y), and the Adam
+// update's corrected reciprocal (see adam_update below).
+//
+// The zmm tiles keep the contract lane by lane. A float tile's zmm is 16
+// consecutive columns of one C row, so each lane is one output running its
+// own mul-then-add chain in increasing k, as in the scalar loop; a ragged
+// right edge is the same code under a lane mask. A dot tile's zmm is the
+// eight canonical double lanes of one output (element i in lane i % 8),
+// accumulated with the exact-product FMA above, the n % 8 tail added into
+// the same lanes under a mask, and folded with the tree above.
 #pragma once
 
 #include <cstddef>
@@ -33,7 +44,7 @@
 
 namespace cgx::util::simd {
 
-enum class Level { kScalar = 0, kSse2 = 1, kAvx2 = 2 };
+enum class Level { kScalar = 0, kSse2 = 1, kAvx2 = 2, kAvx512 = 3 };
 
 // Best level this CPU can execute (compile-time capped on non-x86).
 Level max_supported_level();

@@ -1,4 +1,5 @@
-// Internal dispatch table shared by the scalar/SSE2/AVX2 translation units.
+// Internal dispatch table shared by the scalar/SSE2/AVX2/AVX-512
+// translation units.
 // Not installed API — include only from src/util/simd*.cpp and tests that
 // poke specific levels.
 #pragma once
@@ -230,5 +231,8 @@ double* widen_scratch(std::size_t count);
 const SimdOps& scalar_ops();
 const SimdOps& sse2_ops();  // null-equivalent to scalar on non-x86
 const SimdOps& avx2_ops();  // only safe to call through when CPU has AVX2+FMA
+// avx2_ops() with the three GEMM tiles replaced; only safe to call through
+// when the CPU has AVX-512F as well.
+const SimdOps& avx512_ops();
 
 }  // namespace cgx::util::simd::detail

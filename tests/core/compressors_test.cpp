@@ -15,6 +15,7 @@
 #include "core/qsgd.h"
 #include "core/terngrad.h"
 #include "core/topk.h"
+#include "simd_levels.h"
 #include "tensor/tensor_ops.h"
 #include "util/rng.h"
 #include "util/simd.h"
@@ -508,18 +509,6 @@ TEST(Factory, ErrorFeedbackWrapping) {
 // (scalar is the specification — see util/simd.h). Ragged sizes exercise
 // partial buckets and the pack/unpack tail paths.
 
-class ScopedSimdLevel {
- public:
-  explicit ScopedSimdLevel(util::simd::Level l)
-      : prev_(util::simd::active_level()) {
-    util::simd::set_level(l);
-  }
-  ~ScopedSimdLevel() { util::simd::set_level(prev_); }
-
- private:
-  util::simd::Level prev_;
-};
-
 template <typename MakeCompressor>
 void expect_level_invariant_payload(MakeCompressor make, std::size_t n,
                                     std::uint64_t seed) {
@@ -528,19 +517,17 @@ void expect_level_invariant_payload(MakeCompressor make, std::size_t n,
   std::vector<float> ref_out(n);
   std::size_t ref_written = 0;
   {
-    ScopedSimdLevel lvl(util::simd::Level::kScalar);
+    test::ScopedLevel lvl(util::simd::Level::kScalar);
     auto c = make();
     ref_payload.resize(c->compressed_size(n));
     util::Rng rng(seed + 1);
     ref_written = c->compress(in, ref_payload, rng);
     c->decompress({ref_payload.data(), ref_written}, ref_out);
   }
-  for (int l = 0; l <= static_cast<int>(util::simd::max_supported_level());
-       ++l) {
-    const auto level = static_cast<util::simd::Level>(l);
+  for (util::simd::Level level : test::simd_levels()) {
     SCOPED_TRACE(::testing::Message()
                  << "n=" << n << " level=" << util::simd::level_name(level));
-    ScopedSimdLevel lvl(level);
+    test::ScopedLevel lvl(level);
     auto c = make();
     std::vector<std::byte> payload(c->compressed_size(n));
     util::Rng rng(seed + 1);  // same RNG stream at every level
@@ -585,7 +572,7 @@ TEST(SimdLevels, ErrorFeedbackResidualBitIdentical) {
   const auto step2 = random_vector(n, 43);
   std::vector<float> ref1(n), ref2(n);
   {
-    ScopedSimdLevel lvl(util::simd::Level::kScalar);
+    test::ScopedLevel lvl(util::simd::Level::kScalar);
     ErrorFeedback ef(std::make_unique<QsgdCompressor>(4, 128), 0.9f);
     util::Rng rng(44);
     std::vector<std::byte> payload(ef.compressed_size(n));
@@ -594,11 +581,9 @@ TEST(SimdLevels, ErrorFeedbackResidualBitIdentical) {
     w = ef.compress(step2, payload, rng);
     ef.decompress({payload.data(), w}, ref2);
   }
-  for (int l = 0; l <= static_cast<int>(util::simd::max_supported_level());
-       ++l) {
-    const auto level = static_cast<util::simd::Level>(l);
+  for (util::simd::Level level : test::simd_levels()) {
     SCOPED_TRACE(util::simd::level_name(level));
-    ScopedSimdLevel lvl(level);
+    test::ScopedLevel lvl(level);
     ErrorFeedback ef(std::make_unique<QsgdCompressor>(4, 128), 0.9f);
     util::Rng rng(44);
     std::vector<float> out1(n), out2(n);

@@ -21,6 +21,7 @@
 #include "core/compression_config.h"
 #include "core/compressor.h"
 #include "core/qsgd.h"
+#include "simd_levels.h"
 #include "tensor/tensor_ops.h"
 #include "util/rng.h"
 #include "util/simd.h"
@@ -155,11 +156,8 @@ void check_case(const Case& c) {
 
 TEST(FusedCodec, MatchesUnfusedCallsAtEveryLevel) {
   const auto pool = std::make_shared<util::ThreadPool>(3);
-  const util::simd::Level prev = util::simd::active_level();
-  for (int l = 0; l <= static_cast<int>(util::simd::max_supported_level());
-       ++l) {
-    const auto level = static_cast<util::simd::Level>(l);
-    util::simd::set_level(level);
+  for (util::simd::Level level : test::simd_levels()) {
+    test::ScopedLevel pin(level);
     for (const Case& c : cases()) {
       SCOPED_TRACE(::testing::Message()
                    << c.label << " level=" << util::simd::level_name(level));
@@ -170,7 +168,6 @@ TEST(FusedCodec, MatchesUnfusedCallsAtEveryLevel) {
     }
   }
   util::bind_thread_executor({});
-  util::simd::set_level(prev);
 }
 
 }  // namespace

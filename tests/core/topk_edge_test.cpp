@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/error_feedback.h"
+#include "simd_levels.h"
 #include "util/rng.h"
 #include "util/simd.h"
 
@@ -88,16 +89,13 @@ TEST(TopKEdge, ErrorFeedbackRoundTripBitIdenticalAcrossSimdLevels) {
   // expect identical results; in-process we pin the level around each run.
   // EF's fused sweeps (gradient + decay * residual, residual update) are
   // elementwise kernels with a bit-identity contract across levels.
-  const util::simd::Level levels[] = {util::simd::Level::kScalar,
-                                      util::simd::max_supported_level()};
-  const util::simd::Level restore = util::simd::active_level();
   constexpr std::size_t kN = 257;  // off the vector-width grid on purpose
   constexpr int kSteps = 6;
 
   std::vector<std::vector<float>> recon_per_level;
   std::vector<double> residual_per_level;
-  for (util::simd::Level level : levels) {
-    util::simd::set_level(level);
+  for (util::simd::Level level : test::simd_levels()) {
+    test::ScopedLevel pin(level);
     ErrorFeedback ef(std::make_unique<TopKCompressor>(0.05));
     util::Rng grad_rng(99);
     util::Rng rng(4);
@@ -112,12 +110,14 @@ TEST(TopKEdge, ErrorFeedbackRoundTripBitIdenticalAcrossSimdLevels) {
     recon_per_level.push_back(recon);
     residual_per_level.push_back(ef.residual_norm());
   }
-  util::simd::set_level(restore);
 
-  ASSERT_EQ(recon_per_level.size(), 2u);
-  EXPECT_EQ(0, std::memcmp(recon_per_level[0].data(),
-                           recon_per_level[1].data(), kN * sizeof(float)));
-  EXPECT_EQ(residual_per_level[0], residual_per_level[1]);
+  // recon_per_level[0] is the scalar level, the specification.
+  for (std::size_t l = 1; l < recon_per_level.size(); ++l) {
+    EXPECT_EQ(0, std::memcmp(recon_per_level[0].data(),
+                             recon_per_level[l].data(), kN * sizeof(float)))
+        << util::simd::level_name(test::simd_levels()[l]);
+    EXPECT_EQ(residual_per_level[0], residual_per_level[l]);
+  }
 }
 
 // Reference implementation of the DGC recurrence (clip -> momentum ->

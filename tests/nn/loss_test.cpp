@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "nn/loss.h"
+#include "simd_levels.h"
 #include "tensor/tensor.h"
 #include "util/simd.h"
 
@@ -22,24 +23,7 @@ namespace simd = util::simd;
 constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
 constexpr float kInf = std::numeric_limits<float>::infinity();
 
-class ScopedLevel {
- public:
-  explicit ScopedLevel(simd::Level l) : prev_(simd::active_level()) {
-    simd::set_level(l);
-  }
-  ~ScopedLevel() { simd::set_level(prev_); }
-
- private:
-  simd::Level prev_;
-};
-
-std::vector<simd::Level> reachable_levels() {
-  std::vector<simd::Level> out;
-  for (int l = 0; l <= static_cast<int>(simd::max_supported_level()); ++l) {
-    out.push_back(static_cast<simd::Level>(l));
-  }
-  return out;
-}
+using test::ScopedLevel;
 
 // Two rows of `classes` logits: row 0 ordinary, row 1 carrying `special` at
 // column `at`. Targets are column 1 in both rows.
@@ -60,7 +44,7 @@ double run_case(const Case& c, tensor::Tensor& grad) {
 }
 
 TEST(SoftmaxXent, NaNAndPlusInfLogitsGiveANonFiniteLoss) {
-  for (simd::Level l : reachable_levels()) {
+  for (simd::Level l : test::simd_levels()) {
     ScopedLevel lvl(l);
     for (std::size_t classes : {2u, 10u, 37u, 2048u}) {
       for (std::size_t at : {std::size_t{0}, std::size_t{1}, classes - 1}) {
@@ -77,7 +61,7 @@ TEST(SoftmaxXent, NaNAndPlusInfLogitsGiveANonFiniteLoss) {
 }
 
 TEST(SoftmaxXent, MinusInfLogitGetsZeroProbabilityAndAFiniteLoss) {
-  for (simd::Level l : reachable_levels()) {
+  for (simd::Level l : test::simd_levels()) {
     ScopedLevel lvl(l);
     for (std::size_t classes : {2u, 10u, 37u, 2048u}) {
       // Column 1 is the target, so -Inf goes everywhere else.
@@ -101,7 +85,7 @@ TEST(SoftmaxXent, MinusInfLogitGetsZeroProbabilityAndAFiniteLoss) {
 // The gradient of each row sums to zero (softmax minus one-hot) and a row
 // of equal logits gets the uniform distribution.
 TEST(SoftmaxXent, UniformRowAndZeroSumGradient) {
-  for (simd::Level l : reachable_levels()) {
+  for (simd::Level l : test::simd_levels()) {
     ScopedLevel lvl(l);
     for (std::size_t classes : {2u, 10u, 2048u}) {
       SCOPED_TRACE(::testing::Message() << simd::level_name(l)

@@ -14,6 +14,7 @@
 #include "comm/world.h"
 #include "core/async_engine.h"
 #include "nn/optim.h"
+#include "simd_levels.h"
 #include "util/rng.h"
 #include "util/simd.h"
 #include "util/threadpool.h"
@@ -88,11 +89,9 @@ void train(Replica& r, Optimizer& opt) {
 }
 
 TEST(OptimizerSplit, HelpedExecutorMatchesSerialAtEveryLevel) {
-  const util::simd::Level saved = util::simd::active_level();
   for (Factory make : {&adam, &sgd_momentum, &sgd_plain}) {
-    for (int lvl = 0;
-         lvl <= static_cast<int>(util::simd::max_supported_level()); ++lvl) {
-      util::simd::set_level(static_cast<util::simd::Level>(lvl));
+    for (util::simd::Level lvl : test::simd_levels()) {
+      test::ScopedLevel pin(lvl);
       util::bind_thread_executor({});
       Replica serial = make_replica(11);
       train(serial, *make(serial.params));
@@ -119,13 +118,11 @@ TEST(OptimizerSplit, HelpedExecutorMatchesSerialAtEveryLevel) {
         for (auto& t : threads) t.join();
         util::bind_thread_executor({});
         EXPECT_TRUE(same_bits(serial, split))
-            << "level " << util::simd::level_name(
-                               static_cast<util::simd::Level>(lvl))
-            << ", " << helpers << " helpers";
+            << "level " << util::simd::level_name(lvl) << ", " << helpers
+            << " helpers";
       }
     }
   }
-  util::simd::set_level(saved);
 }
 
 TEST(OptimizerSplit, StepAfterTheBindingEngineIsDestroyedRunsSerially) {

@@ -28,6 +28,7 @@
 #include "nn/loss.h"
 #include "nn/optim.h"
 #include "nn/sequential.h"
+#include "simd_levels.h"
 #include "tensor/tensor_ops.h"
 #include "util/rng.h"
 #include "util/simd.h"
@@ -326,12 +327,8 @@ TEST(StepBits, ExpFamilyMatchesTheReferenceAtEveryLevel) {
                   -kInf}) {
     xf.push_back(v);
   }
-  for (util::simd::Level l : {util::simd::Level::kScalar,
-                              util::simd::Level::kSse2,
-                              util::simd::Level::kAvx2}) {
-    if (l > util::simd::max_supported_level()) continue;
-    const util::simd::Level prev = util::simd::active_level();
-    util::simd::set_level(l);
+  for (util::simd::Level l : test::simd_levels()) {
+    test::ScopedLevel lvl(l);
     std::vector<double> y(x.size());
     util::simd::exp(x, y);
     for (std::size_t i = 0; i < x.size(); ++i) {
@@ -344,7 +341,6 @@ TEST(StepBits, ExpFamilyMatchesTheReferenceAtEveryLevel) {
       ASSERT_EQ(bits(t[i]), bits(reference_tanh(xf[i])))
           << util::simd::level_name(l) << " tanh(" << xf[i] << ")";
     }
-    util::simd::set_level(prev);
   }
 }
 

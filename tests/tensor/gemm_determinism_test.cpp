@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "nn/conv.h"
+#include "simd_levels.h"
 #include "tensor/tensor.h"
 #include "tensor/tensor_ops.h"
 #include "util/rng.h"
@@ -56,47 +57,66 @@ class ScopedPool {
 
 constexpr std::size_t kThreadCounts[] = {1, 2, 7};
 
-TEST(GemmDeterminism, MatmulBitIdenticalAcrossThreadCounts) {
-  // 3 row blocks plus a ragged one (kMB = 64), ragged k and n panels.
-  const std::size_t m = 201, k = 93, n = 37;
-  const auto a = random_floats(m * k, 1);
-  const auto b = random_floats(k * n, 2);
+struct Gemm3 {
+  std::size_t m, k, n;
+};
 
-  std::vector<float> ref(m * n);
-  {
-    ScopedPool no_pool(0);
-    matmul(a, b, ref, m, k, n);
-  }
-  for (std::size_t threads : kThreadCounts) {
-    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
-    ScopedPool use(threads);
-    std::vector<float> c(m * n);
-    matmul(a, b, c, m, k, n);
-    expect_bits_equal(ref, c, "matmul");
+TEST(GemmDeterminism, MatmulBitIdenticalAcrossThreadCounts) {
+  // 3 row blocks plus a ragged one (kMB = 64), ragged k and n panels; the
+  // rest cross the tiles' column edges (n % 32 and n % 16) and every row
+  // remainder m % 4.
+  const Gemm3 shapes[] = {{201, 93, 37}, {67, 30, 63}, {6, 7, 17},
+                          {130, 65, 94}, {3, 129, 31}};
+  for (const Gemm3& s : shapes) {
+    SCOPED_TRACE(::testing::Message()
+                 << "m=" << s.m << " k=" << s.k << " n=" << s.n);
+    const auto a = random_floats(s.m * s.k, 1 + s.m);
+    const auto b = random_floats(s.k * s.n, 2 + s.n);
+
+    std::vector<float> ref(s.m * s.n);
+    {
+      ScopedPool no_pool(0);
+      matmul(a, b, ref, s.m, s.k, s.n);
+    }
+    for (std::size_t threads : kThreadCounts) {
+      SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+      ScopedPool use(threads);
+      std::vector<float> c(s.m * s.n);
+      matmul(a, b, c, s.m, s.k, s.n);
+      expect_bits_equal(ref, c, "matmul");
+    }
   }
 }
 
 TEST(GemmDeterminism, MatmulVariantsBitIdenticalAcrossThreadCounts) {
-  const std::size_t m = 130, k = 65, n = 41;
-  const auto a = random_floats(m * k, 4);    // [m, k]
-  const auto at = random_floats(k * m, 5);   // [k, m] for A^T B
-  const auto b = random_floats(k * n, 6);    // [k, n]
-  const auto bt = random_floats(n * k, 7);   // B^T operand: B is [k, n]
+  // A^T B and A B^T, both onto [m, n] outputs: ragged row blocks, n % 32
+  // columns, and for A B^T dot lengths k % 8 and k < 8 and n % 6 B rows.
+  const Gemm3 shapes[] = {{130, 65, 41}, {9, 13, 5}, {22, 6, 71},
+                          {5, 23, 120},  {7, 4, 8}};
+  for (const Gemm3& s : shapes) {
+    SCOPED_TRACE(::testing::Message()
+                 << "m=" << s.m << " k=" << s.k << " n=" << s.n);
+    const std::size_t m = s.m, k = s.k, n = s.n;
+    const auto a = random_floats(m * k, 4 + m);    // [m, k]
+    const auto at = random_floats(k * m, 5 + m);   // [k, m] for A^T B
+    const auto b = random_floats(k * n, 6 + n);    // [k, n]
+    const auto bt = random_floats(n * k, 7 + n);   // B^T operand: B is [k, n]
 
-  std::vector<float> ref_atb(m * n), ref_abt(m * k);
-  {
-    ScopedPool no_pool(0);
-    matmul_at_b(at, b, ref_atb, k, m, n);
-    matmul_a_bt(a, bt, ref_abt, m, k, n);
-  }
-  for (std::size_t threads : kThreadCounts) {
-    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
-    ScopedPool use(threads);
-    std::vector<float> c_atb(m * n), c_abt(m * k);
-    matmul_at_b(at, b, c_atb, k, m, n);
-    matmul_a_bt(a, bt, c_abt, m, k, n);
-    expect_bits_equal(ref_atb, c_atb, "matmul_at_b");
-    expect_bits_equal(ref_abt, c_abt, "matmul_a_bt");
+    std::vector<float> ref_atb(m * n), ref_abt(m * n);
+    {
+      ScopedPool no_pool(0);
+      matmul_at_b(at, b, ref_atb, k, m, n);
+      matmul_a_bt(a, bt, ref_abt, m, k, n);
+    }
+    for (std::size_t threads : kThreadCounts) {
+      SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+      ScopedPool use(threads);
+      std::vector<float> c_atb(m * n), c_abt(m * n);
+      matmul_at_b(at, b, c_atb, k, m, n);
+      matmul_a_bt(a, bt, c_abt, m, k, n);
+      expect_bits_equal(ref_atb, c_atb, "matmul_at_b");
+      expect_bits_equal(ref_abt, c_abt, "matmul_a_bt");
+    }
   }
 }
 
@@ -161,33 +181,13 @@ std::vector<float> prior_dst(std::size_t n, std::uint64_t seed) {
   return d;
 }
 
-class ScopedLevel {
- public:
-  explicit ScopedLevel(util::simd::Level l)
-      : prev_(util::simd::active_level()) {
-    util::simd::set_level(l);
-  }
-  ~ScopedLevel() { util::simd::set_level(prev_); }
-
- private:
-  util::simd::Level prev_;
-};
-
-// CGX_SIMD=off, sse2 and auto, as far as this CPU reaches.
-std::vector<util::simd::Level> simd_levels() {
-  std::vector<util::simd::Level> levels = {util::simd::Level::kScalar};
-  for (util::simd::Level l :
-       {util::simd::Level::kSse2, util::simd::Level::kAvx2}) {
-    if (l <= util::simd::max_supported_level()) levels.push_back(l);
-  }
-  return levels;
-}
+using test::ScopedLevel;
 
 // Runs check() with no pool and with pools of 1 and 3 workers, at every
 // reachable SIMD level.
 template <typename Fn>
 void for_each_level_and_pool(const Fn& check) {
-  for (util::simd::Level level : simd_levels()) {
+  for (util::simd::Level level : test::simd_levels()) {
     ScopedLevel lvl(level);
     for (std::size_t threads : {0u, 1u, 3u}) {
       SCOPED_TRACE(::testing::Message()
@@ -199,17 +199,15 @@ void for_each_level_and_pool(const Fn& check) {
   }
 }
 
-struct Gemm3 {
-  std::size_t m, k, n;
-};
-
 TEST(GemmAccumulate, AtBEqualsScratchPlusAdd) {
   // C[m x n] += A^T B with A [k x m]: m crosses kMB = 64 and the 4-row
-  // micro-kernel (m % 4 != 0), k crosses kKB = 128 (k > 128), n crosses
-  // kNB = 256 and the 16/8-column kernels (n % 16 != 0, n % 8 != 0).
+  // micro-kernel (m % 4 of 0..3), k crosses kKB = 128 (k > 128), n crosses
+  // kNB = 256 and the 32/16/8-column kernels (n % 32 from 1 to 31).
   const Gemm3 shapes[] = {{131, 261, 267}, {64, 128, 256}, {65, 129, 257},
                           {3, 1, 5},       {7, 8, 1030},   {70, 300, 13},
-                          {5, 0, 9},       {1, 17, 16}};
+                          {5, 0, 9},       {1, 17, 16},    {6, 11, 31},
+                          {9, 7, 47},      {4, 20, 63},    {2, 3, 94},
+                          {11, 5, 281},    {15, 9, 24}};
   for (const Gemm3& s : shapes) {
     SCOPED_TRACE(::testing::Message()
                  << "m=" << s.m << " k=" << s.k << " n=" << s.n);
@@ -236,10 +234,13 @@ TEST(GemmAccumulate, AtBEqualsScratchPlusAdd) {
 
 TEST(GemmAccumulate, ABtEqualsScratchPlusAdd) {
   // C[m x k] += A B^T with dot length n: m crosses the 8-row driver block
-  // and the 4-/2-row tiles, n crosses the 8-lane body (n % 8 != 0, n < 8,
-  // n = 0), k is ragged.
+  // and the 4-/2-row tiles, n crosses the 8-lane body (n % 8 of 0..7,
+  // n < 8, n = 0), k (B rows) is ragged against the 6-row block (k % 6 of
+  // 0..5).
   const Gemm3 shapes[] = {{13, 19, 135}, {8, 64, 144}, {9, 3, 7},
-                          {1, 1, 1},     {6, 5, 0},    {17, 30, 1024}};
+                          {1, 1, 1},     {6, 5, 0},    {17, 30, 1024},
+                          {4, 6, 8},     {7, 8, 9},    {5, 14, 5},
+                          {12, 11, 23},  {3, 2, 62},   {10, 13, 3}};
   for (const Gemm3& s : shapes) {
     SCOPED_TRACE(::testing::Message()
                  << "m=" << s.m << " k=" << s.k << " n=" << s.n);

@@ -21,28 +21,14 @@
 #include "util/bitio.h"
 #include "util/half.h"
 #include "util/rng.h"
+#include "simd_levels.h"
 #include "util/simd_internal.h"
 
 namespace cgx::util::simd {
 namespace {
 
-std::vector<Level> reachable_levels() {
-  std::vector<Level> out;
-  for (int l = 0; l <= static_cast<int>(max_supported_level()); ++l) {
-    out.push_back(static_cast<Level>(l));
-  }
-  return out;
-}
-
-// Pins a dispatch level for one scope, restoring the previous level after.
-class ScopedLevel {
- public:
-  explicit ScopedLevel(Level l) : prev_(active_level()) { set_level(l); }
-  ~ScopedLevel() { set_level(prev_); }
-
- private:
-  Level prev_;
-};
+using test::ScopedLevel;
+using test::simd_levels;
 
 // Bitwise float comparison: distinguishes -0.0f from 0.0f and treats NaN
 // payloads literally, which EXPECT_FLOAT_EQ cannot.
@@ -111,7 +97,7 @@ TEST(SimdElementwise, BitIdenticalAcrossLevels) {
       madd(madd_ref, a, b);
     }
 
-    for (Level l : reachable_levels()) {
+    for (Level l : simd_levels()) {
       SCOPED_TRACE(::testing::Message() << "n=" << n << " level="
                                         << level_name(l));
       ScopedLevel lvl(l);
@@ -165,7 +151,7 @@ TEST(SimdReductions, BitIdenticalAcrossLevels) {
       maxabs_ref = reduce_max_abs(x);
     }
 
-    for (Level l : reachable_levels()) {
+    for (Level l : simd_levels()) {
       SCOPED_TRACE(::testing::Message() << "n=" << n << " level="
                                         << level_name(l));
       ScopedLevel lvl(l);
@@ -213,7 +199,7 @@ TEST(SimdQsgd, QuantizeDequantizeBitIdenticalAcrossLevels) {
         qsgd_dequantize(sym_ref.data(), n, 0.37f, sign_bit, sign_shift,
                         out_ref.data());
       }
-      for (Level l : reachable_levels()) {
+      for (Level l : simd_levels()) {
         SCOPED_TRACE(::testing::Message()
                      << "bits=" << bits << " n=" << n << " level="
                      << level_name(l));
@@ -255,7 +241,7 @@ TEST(SimdNuq, QuantizeDequantizeBitIdenticalAcrossLevels) {
         nuq_quantize(v, u.data(), n, inv_norm, bits, sym_ref.data());
         nuq_dequantize(sym_ref.data(), n, 1.91f, bits, out_ref.data());
       }
-      for (Level l : reachable_levels()) {
+      for (Level l : simd_levels()) {
         SCOPED_TRACE(::testing::Message()
                      << "bits=" << bits << " n=" << n << " level="
                      << level_name(l));
@@ -272,12 +258,14 @@ TEST(SimdNuq, QuantizeDequantizeBitIdenticalAcrossLevels) {
 // --------------------------------------------------------- GEMM tiles
 
 TEST(SimdGemm, TileBitIdenticalAcrossLevels) {
-  // Fringe-heavy tile shapes: every column-width class (16 / 8 / 4 / scalar)
-  // and every row remainder, with padded leading dimensions so the kernels
-  // must honor lda/ldb/ldc instead of assuming contiguity.
+  // Fringe-heavy tile shapes: every column-width class (32 / 16 / 8 / 4 /
+  // scalar, and the masked 1..31-column rests) and every row remainder,
+  // with padded leading dimensions so the kernels must honor lda/ldb/ldc
+  // instead of assuming contiguity.
   const std::size_t shapes[][3] = {{1, 1, 1},   {2, 3, 5},   {4, 8, 16},
                                    {5, 7, 17},  {3, 16, 9},  {6, 5, 33},
-                                   {4, 2, 20},  {7, 11, 13}, {8, 4, 31}};
+                                   {4, 2, 20},  {7, 11, 13}, {8, 4, 31},
+                                   {4, 6, 64},  {7, 9, 47},  {3, 5, 95}};
   for (const auto& sh : shapes) {
     const std::size_t mb = sh[0], kb = sh[1], nb = sh[2];
     const std::size_t lda = kb + 3, ldb = nb + 1, ldc = nb + 2;
@@ -293,7 +281,7 @@ TEST(SimdGemm, TileBitIdenticalAcrossLevels) {
       gemm_tile_at(at.data(), mb + 3, b.data(), ldb, c_at_ref.data(), ldc,
                    mb, kb, nb);
     }
-    for (Level l : reachable_levels()) {
+    for (Level l : simd_levels()) {
       SCOPED_TRACE(::testing::Message() << "mb=" << mb << " kb=" << kb
                                         << " nb=" << nb << " level="
                                         << level_name(l));
@@ -309,7 +297,8 @@ TEST(SimdGemm, TileBitIdenticalAcrossLevels) {
 }
 
 TEST(SimdDotTile, BitIdenticalToReduceDotAtEveryLevel) {
-  // Every row count class of the 4-row (AVX2) and 2-row (SSE2) tiles, over
+  // Every row count class of the 4-row (AVX2, AVX-512) and 2-row (SSE2)
+  // tiles and every B-row class of the 6-row AVX-512 block (nb 1..13), over
   // every dot length 0..67, with unaligned rows and padded strides. The
   // specification is one reduce_dot per output, rounded to float.
   //
@@ -321,7 +310,7 @@ TEST(SimdDotTile, BitIdenticalToReduceDotAtEveryLevel) {
   constexpr float kBig = 1073741824.0f;  // 2^30
   for (std::size_t mb : {1u, 2u, 3u, 4u, 5u, 8u}) {
     for (std::size_t n = 0; n <= kMaxN; ++n) {
-      const std::size_t nb = 1 + n % 5;
+      const std::size_t nb = 1 + n % 13;
       const std::size_t lda = n + 1 + offset_for(n), ldb = n + 3, ldc = nb + 2;
       const std::size_t off = offset_for(n + 1);
       auto a_buf = random_floats(mb * lda + off, 949 + mb * 131 + n);
@@ -351,7 +340,7 @@ TEST(SimdDotTile, BitIdenticalToReduceDotAtEveryLevel) {
           }
         }
       }
-      for (Level l : reachable_levels()) {
+      for (Level l : simd_levels()) {
         SCOPED_TRACE(::testing::Message() << "mb=" << mb << " n=" << n
                                           << " level=" << level_name(l));
         ScopedLevel lvl(l);
@@ -421,7 +410,7 @@ TEST(SimdAdam, UpdateBitIdenticalAcrossLevels) {
         ScopedLevel lvl(Level::kScalar);
         run(w_ref, m_ref, v_ref);
       }
-      for (Level l : reachable_levels()) {
+      for (Level l : simd_levels()) {
         SCOPED_TRACE(::testing::Message() << "wd=" << wd << " n=" << n
                                           << " level=" << level_name(l));
         ScopedLevel lvl(l);
@@ -541,7 +530,7 @@ TEST(SimdAdam, MarksteinBiasDivisionIsExact) {
     for (std::size_t j = 0; j < kN; ++j) {
       detail::adam_element(c, w_ref[j], g_ref[j], m_ref[j], v_ref[j]);
     }
-    for (Level l : reachable_levels()) {
+    for (Level l : simd_levels()) {
       ScopedLevel lvl(l);
       reset(g, w, m, v);
       adam_update(c, w, g, m, v);
@@ -586,7 +575,7 @@ TEST(SimdPack, WordKernelsMatchScalarPacking) {
         }
         std::memcpy(ref.data() + w * 8, &word, 8);
       }
-      for (Level l : reachable_levels()) {
+      for (Level l : simd_levels()) {
         SCOPED_TRACE(::testing::Message() << "bits=" << bits << " nwords="
                                           << nwords << " level="
                                           << level_name(l));
@@ -624,7 +613,7 @@ TEST(SimdPack, BitioLevelInvariant) {
         unpack_symbols(ref, bits, unpacked_ref);
       }
       EXPECT_EQ(sym, unpacked_ref);
-      for (Level l : reachable_levels()) {
+      for (Level l : simd_levels()) {
         SCOPED_TRACE(::testing::Message() << "bits=" << bits << " n=" << n
                                           << " level=" << level_name(l));
         ScopedLevel lvl(l);
@@ -665,7 +654,7 @@ TEST(SimdCopyEngine, CopyAndCopyAddBitIdenticalAcrossLevels) {
       copy_add(add2_ref, src2);
     }
 
-    for (Level l : reachable_levels()) {
+    for (Level l : simd_levels()) {
       SCOPED_TRACE(::testing::Message() << "n=" << n << " level="
                                         << level_name(l));
       ScopedLevel lvl(l);
@@ -701,7 +690,7 @@ TEST(SimdCopyEngine, LargeCopyBitIdentical) {
     ScopedLevel lvl(Level::kScalar);
     copy_add(add_ref, src);
   }
-  for (Level l : reachable_levels()) {
+  for (Level l : simd_levels()) {
     SCOPED_TRACE(level_name(l));
     ScopedLevel lvl(l);
     std::vector<float> dst(n, -1.0f);
@@ -736,7 +725,7 @@ TEST(SimdCopyEngine, StatsTrackDispatchedBytes) {
 // ragged tail around the vector bodies; 1..9 streams run as full and
 // partial batches of four, the way QSGD hands out its buckets.
 TEST(SimdRng, BucketStreamsMatchScalarFill) {
-  for (Level l : reachable_levels()) {
+  for (Level l : simd_levels()) {
     SCOPED_TRACE(level_name(l));
     ScopedLevel lvl(l);
     for (std::size_t len = 0; len <= 260; ++len) {
@@ -777,7 +766,7 @@ TEST(SimdRng, BucketStreamsMatchScalarFill) {
 // checked for every one of the 65536 half codes; f32->f16 over a random
 // bit-pattern sweep plus rounding edge cases.
 TEST(SimdHalf, ConversionsBitIdenticalToScalarSpec) {
-  for (Level l : reachable_levels()) {
+  for (Level l : simd_levels()) {
     SCOPED_TRACE(level_name(l));
     ScopedLevel lvl(l);
 
@@ -888,7 +877,7 @@ TEST(SimdExp, BitIdenticalAcrossLevelsAndWithinOneUlp) {
     EXPECT_LE(err, 1.0) << "exp(" << x[i] << ") = " << want[i];
   }
   std::printf("exp max error: %.3f ulp over %zu inputs\n", worst, x.size());
-  for (Level l : reachable_levels()) {
+  for (Level l : simd_levels()) {
     ScopedLevel lvl(l);
     // Every length up to 67 at a ragged offset, then the whole sweep,
     // in place.
@@ -913,7 +902,7 @@ TEST(SimdExp, BitIdenticalAcrossLevelsAndWithinOneUlp) {
 
 TEST(SimdExp, SpecialValues) {
   const double inf = std::numeric_limits<double>::infinity();
-  for (Level l : reachable_levels()) {
+  for (Level l : simd_levels()) {
     ScopedLevel lvl(l);
     SCOPED_TRACE(level_name(l));
     const double x[] = {0.0, -0.0, inf, -inf, 710.0, -746.0, 709.79, -745.2,
@@ -957,7 +946,7 @@ TEST(SimdExp, ExpSumBitIdenticalAcrossLevels) {
       lanes[i % 8] += e;
     }
     EXPECT_EQ(bits64(want_sum), bits64(detail::combine_lanes(lanes)));
-    for (Level l : reachable_levels()) {
+    for (Level l : simd_levels()) {
       ScopedLevel lvl(l);
       std::vector<double> got(n);
       EXPECT_EQ(bits64(exp_sum(in, shift, got)), bits64(want_sum))
@@ -969,7 +958,7 @@ TEST(SimdExp, ExpSumBitIdenticalAcrossLevels) {
     }
   }
   // A NaN anywhere makes the sum NaN at every level.
-  for (Level l : reachable_levels()) {
+  for (Level l : simd_levels()) {
     ScopedLevel lvl(l);
     for (std::size_t at : {0u, 7u, 8u, 12u}) {
       std::vector<float> x(13, 0.5f);
@@ -1013,7 +1002,7 @@ TEST(SimdExp, TanhBitIdenticalAcrossLevelsAndCloseToLibm) {
   }
   std::printf("tanh max error: %.3f float ulp over %zu inputs\n", worst,
               x.size());
-  for (Level l : reachable_levels()) {
+  for (Level l : simd_levels()) {
     ScopedLevel lvl(l);
     for (std::size_t n = 0; n <= kMaxN; ++n) {
       const std::size_t off = offset_for(n);
@@ -1037,7 +1026,7 @@ TEST(SimdExp, TanhBitIdenticalAcrossLevelsAndCloseToLibm) {
 
 TEST(SimdDispatch, SetLevelClampsToSupport) {
   const Level prev = active_level();
-  set_level(Level::kAvx2);
+  set_level(Level::kAvx512);
   EXPECT_LE(static_cast<int>(active_level()),
             static_cast<int>(max_supported_level()));
   set_level(Level::kScalar);
@@ -1045,16 +1034,19 @@ TEST(SimdDispatch, SetLevelClampsToSupport) {
   set_level(prev);
 }
 
-// Without this, a build that lost the AVX2 translation unit's flags would
-// leave the AVX2 kernels running nowhere in the suite. Also prints the
-// level this process resolved to, which tools/run_checks.sh shows before
-// each of its CGX_SIMD passes.
-TEST(SimdDispatch, AutoReachesAvx2OnAvx2FmaHosts) {
+// Without this, a build that lost a vector translation unit's flags would
+// leave its kernels running nowhere in the suite: auto must reach the best
+// level this CPU has, avx512 on AVX-512F hosts and avx2 on AVX2+FMA-only
+// ones. Also prints the level this process resolved to, which
+// tools/run_checks.sh shows before each of its CGX_SIMD passes.
+TEST(SimdDispatch, AutoReachesBestLevelOfThisCpu) {
   std::printf("simd level: %s (max %s)\n", level_name(active_level()),
               level_name(max_supported_level()));
 #if defined(__x86_64__) || defined(__i386__)
   if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
-    EXPECT_EQ(max_supported_level(), Level::kAvx2);
+    EXPECT_EQ(max_supported_level(), __builtin_cpu_supports("avx512f")
+                                         ? Level::kAvx512
+                                         : Level::kAvx2);
     return;
   }
 #endif
@@ -1065,6 +1057,7 @@ TEST(SimdDispatch, LevelNamesAreStable) {
   EXPECT_STREQ(level_name(Level::kScalar), "scalar");
   EXPECT_STREQ(level_name(Level::kSse2), "sse2");
   EXPECT_STREQ(level_name(Level::kAvx2), "avx2");
+  EXPECT_STREQ(level_name(Level::kAvx512), "avx512");
 }
 
 }  // namespace

@@ -8,26 +8,28 @@
 #   figures  (Release build; the deterministic figure benches must
 #             reproduce the committed results/ files byte for byte)
 #   simd     (the default build's ctest again under CGX_SIMD=off,
-#             CGX_SIMD=sse2 and CGX_NUMA=off: the bit-identity matrix)
+#             CGX_SIMD=sse2, CGX_SIMD=avx2 and CGX_NUMA=off: the
+#             bit-identity matrix)
 # Usage: tools/run_checks.sh [preset ...]   (no args = default+asan+tsan)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# Reruns a build's ctest with the SIMD kernels forced scalar and capped at
-# SSE2, then with NUMA placement disabled. The kernel layer's contract is
-# that these runs are bit-identical to runtime dispatch
+# Reruns a build's ctest with the SIMD kernels forced scalar, capped at
+# SSE2 and capped at AVX2, then with NUMA placement disabled. The kernel
+# layer's contract is that these runs are bit-identical to runtime dispatch
 # (tests/util/simd_test.cpp checks per-kernel; this checks the whole suite
-# end to end at every level, and is the only end-to-end run of the SSE2
-# backend on AVX2 hardware), and thread pinning and arena homing never
-# change results. Each SIMD pass first prints the level CGX_SIMD resolves
-# to on this CPU (the dispatch test reports it), so a log shows which
-# kernels actually ran.
+# end to end at every level). On an AVX-512 host, auto runs the zmm GEMM
+# tiles, so the avx2 pass is the only end-to-end run of the AVX2 tiles
+# there, as the sse2 pass is of the SSE2 backend. Thread pinning and arena
+# homing never change results. Each SIMD pass first prints the level
+# CGX_SIMD resolves to on this CPU (the dispatch test reports it), so a log
+# shows which kernels actually ran.
 simd_matrix() {
   local builddir=$1
-  for simd in off sse2; do
+  for simd in off sse2 avx2; do
     echo "==== [simd] CGX_SIMD=$simd: $(CGX_SIMD=$simd \
       "$builddir/tests/test_util" \
-      --gtest_filter=SimdDispatch.AutoReachesAvx2OnAvx2FmaHosts |
+      --gtest_filter=SimdDispatch.AutoReachesBestLevelOfThisCpu |
       grep '^simd level:')"
     CGX_SIMD=$simd ctest --test-dir "$builddir" --output-on-failure -j "$jobs"
   done
